@@ -1,17 +1,20 @@
 """Embedding-space data synthesis: gradient-free optimization, PCA-restricted
 perturbations, convex mixing, and the bounded synthetic pool.
 
-The gradient-free route estimates the gradient of a scalar objective from
-paired function evaluations at random unit perturbations of the embedding
-matrix and takes a descent step. The objective trades off diversity (raising
-the candidate's masked MSE) against attacker confusion (making it look like a
-member of the reference set); alpha = 1 optimizes purely for diversity,
-alpha = 0 purely for member-likeness. The PCA variant confines perturbations
-to the span of the top principal components of the training embeddings.
+One kernel, `zoo_descend`, does the gradient-free route for a whole batch of
+embedding matrices. It estimates the gradient of a batched objective from
+paired evaluations at unit perturbations of each matrix and takes descent
+steps. The caller passes the perturbations in as an explicit array, so the
+kernel draws nothing itself. The model-backed objective (`zoo_objective`)
+trades off diversity (raising the candidate's masked MSE) against attacker
+confusion (making it look like a member of the reference set); alpha = 1
+optimizes purely for diversity, alpha = 0 purely for member-likeness. The
+PCA variant confines the perturbations to the span of the top principal
+components of the training embeddings.
 
-Candidate generation is independent per seed point: each point draws from its
-own RNG stream derived from (wave seed, point index), so waves reproduce
-exactly regardless of evaluation order.
+`zoo_generate` draws the perturbations of seed point j from its own RNG
+stream derived from (wave seed, j), so waves reproduce exactly regardless of
+evaluation order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .data import (
     stack_points,
 )
 from .forecaster import ForecasterParams, forecast_batch, masked_batch_losses
-from .metrics import mmse
 
 log = logging.getLogger(__name__)
 
@@ -138,87 +140,54 @@ def unit_perturbations(
     return (flat / norms[:, None]).reshape((k,) + shape)
 
 
-def zoo_objective_g(x: DataPoint, tau: float, params: ForecasterParams, alpha: float) -> float:
-    """Scalar objective: negative mix of the point's loss and its member indicator."""
-    loss = mmse(x, params)
-    return -(alpha * loss + (1.0 - alpha) * float(loss < tau))
+def zoo_objective(
+    Y: np.ndarray, M: np.ndarray, tau: float, params: ForecasterParams, alpha: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Model-backed objective over a batch of embeddings with fixed targets and masks.
 
-
-def zoo_update(
-    e: np.ndarray,
-    objective: Callable[[np.ndarray], float],
-    cfg: ZooConfig,
-    rng: np.random.Generator,
-    basis: PcaBasis | None = None,
-) -> np.ndarray:
-    """One estimator step on an arbitrary scalar objective.
-
-    Draws k unit perturbations, probes the objective at e +/- mu * u, and
-    steps along the estimated descent direction. Perturbation pairs with a
-    non-finite probe are skipped; if all pairs are skipped the input is
-    returned unchanged with a warning.
+    Row j is -(alpha * loss_j + (1 - alpha) * [loss_j < tau]), where loss_j is
+    the masked MSE of the forecast for embedding j against (Y[j], M[j]).
     """
-    e = np.asarray(e, dtype=np.float64)
-    us = unit_perturbations(e.shape, cfg.k, rng, basis)
-    est = np.zeros_like(e)
-    skipped = 0
-    for u in us:
-        g_plus = float(objective(e + cfg.mu * u))
-        g_minus = float(objective(e - cfg.mu * u))
-        d = (g_plus - g_minus) / (2.0 * cfg.mu)
-        if np.isfinite(d):
-            est += d * u
-        else:
-            skipped += 1
-    if skipped == cfg.k:
-        log.warning("all %d perturbation pairs non-finite; embedding left unchanged", cfg.k)
-        return e
-    return e - cfg.lam * est / cfg.k
+
+    def objective(E: np.ndarray) -> np.ndarray:
+        losses = masked_batch_losses(forecast_batch(E, params), Y, M)
+        return -(alpha * losses + (1.0 - alpha) * (losses < tau).astype(np.float64))
+
+    return objective
 
 
-def zoo_step(
-    e: np.ndarray,
-    y: np.ndarray,
-    m: np.ndarray,
-    tau: float,
-    params: ForecasterParams,
-    cfg: ZooConfig,
-    rng: np.random.Generator,
-    basis: PcaBasis | None = None,
-) -> np.ndarray:
-    """One update of an embedding against the model-backed objective (fixed y, m)."""
-
-    def obj(em: np.ndarray) -> float:
-        loss = masked_batch_losses(forecast_batch(em[None], params), y[None], m[None])[0]
-        return -(cfg.alpha * loss + (1.0 - cfg.alpha) * float(loss < tau))
-
-    return zoo_update(e, obj, cfg, rng, basis)
-
-
-def zoo_pca_step(
-    e: np.ndarray,
-    y: np.ndarray,
-    m: np.ndarray,
-    tau: float,
-    params: ForecasterParams,
-    cfg: ZooConfig,
-    basis: PcaBasis,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """zoo_step with perturbations restricted to the span of the kept components."""
-    return zoo_step(e, y, m, tau, params, cfg, rng, basis=basis)
-
-
-def _g_batch(
+def zoo_descend(
     E: np.ndarray,
-    Y: np.ndarray,
-    M: np.ndarray,
-    tau: float,
-    params: ForecasterParams,
-    alpha: float,
-) -> np.ndarray:
-    losses = masked_batch_losses(forecast_batch(E, params), Y, M)
-    return -(alpha * losses + (1.0 - alpha) * (losses < tau).astype(np.float64))
+    objective: Callable[[np.ndarray], np.ndarray],
+    U: np.ndarray,
+    cfg: ZooConfig,
+) -> tuple[np.ndarray, int]:
+    """Run the estimator steps on a batch of embeddings; returns (moved E, skipped pairs).
+
+    `objective` maps a (B, ...) batch to (B,) values. U holds the unit
+    perturbations, shaped (B, steps, k) + E.shape[1:]. Step s probes the
+    objective at E +/- mu * U[:, s, i] for each i in turn, averages the k
+    paired differences along their directions, and moves every row by -lam
+    times that estimate. A pair whose difference is not finite is skipped and
+    adds nothing to its row's estimate.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    want = (E.shape[0], cfg.steps, cfg.k) + E.shape[1:]
+    if U.shape != want:
+        raise ConfigurationError(f"perturbations of shape {U.shape}, expected (B, steps, k, ...) = {want}")
+    skipped = 0
+    for s in range(cfg.steps):
+        est = np.zeros_like(E)
+        for i in range(cfg.k):
+            Us = U[:, s, i]
+            diff = (objective(E + cfg.mu * Us) - objective(E - cfg.mu * Us)) / (2.0 * cfg.mu)
+            finite = np.isfinite(diff)
+            skipped += int((~finite).sum())
+            est += np.where(finite, diff, 0.0).reshape((-1,) + (1,) * (E.ndim - 1)) * Us
+        E = E - cfg.lam * est / cfg.k
+    if skipped:
+        log.warning("skipped %d non-finite perturbation pairs during generation", skipped)
+    return E, skipped
 
 
 def zoo_generate(
@@ -233,49 +202,32 @@ def zoo_generate(
     """Run the multi-step update on every seed point and emit synthetic points.
 
     Each output keeps its seed's target and mask; only the embedding moves.
-    Point j draws its perturbations from the stream (seed, j). Probe pairs
-    with non-finite objective differences are skipped (contributing nothing
-    to that step's estimate).
+    Point j draws its perturbations from the stream (seed, j).
     """
     if not seed_points:
         raise DomainError("no seed points")
     E, Y, M = stack_points(seed_points)
-    B = E.shape[0]
     if cfg.steps > 0:
+        shape = E.shape[1:]
         U = np.stack(
             [
-                unit_perturbations(E.shape[1:], cfg.steps * cfg.k, np.random.default_rng([seed, j]), basis).reshape(
-                    (cfg.steps, cfg.k) + E.shape[1:]
+                unit_perturbations(shape, cfg.steps * cfg.k, np.random.default_rng([seed, j]), basis).reshape(
+                    (cfg.steps, cfg.k) + shape
                 )
-                for j in range(B)
+                for j in range(len(seed_points))
             ]
         )
-        E = E.copy()
-        total_skipped = 0
-        for s in range(cfg.steps):
-            est = np.zeros_like(E)
-            for i in range(cfg.k):
-                Us = U[:, s, i]
-                diff = (
-                    _g_batch(E + cfg.mu * Us, Y, M, tau, params, cfg.alpha)
-                    - _g_batch(E - cfg.mu * Us, Y, M, tau, params, cfg.alpha)
-                ) / (2.0 * cfg.mu)
-                finite = np.isfinite(diff)
-                total_skipped += int((~finite).sum())
-                est += np.where(finite, diff, 0.0)[:, None, None] * Us
-            E = E - cfg.lam * est / cfg.k
-        if total_skipped:
-            log.warning("skipped %d non-finite perturbation pairs during generation", total_skipped)
+        E, _ = zoo_descend(E, zoo_objective(Y, M, tau, params, cfg.alpha), U, cfg)
     return [
         DataPoint(
             e=E[j],
-            y=seed_points[j].y,
-            m=seed_points[j].m,
+            y=p.y,
+            m=p.m,
             origin=ORIGIN_SYNTHETIC,
             created_epoch=epoch,
             uid=f"syn{epoch}:{j}",
         )
-        for j in range(B)
+        for j, p in enumerate(seed_points)
     ]
 
 

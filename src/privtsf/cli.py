@@ -22,15 +22,13 @@ from .data import (
     write_report_csv,
     write_roc_csv,
     write_triplets,
-    MetricsRow,
 )
 from .forecaster import DpConfig, TrainConfig, load_checkpoint
-from .metrics import mse_set
 from .runner import (
     RunConfig,
+    attack_row,
     build_tradeoff,
     build_workbench,
-    run_attack,
     run_augmentation_experiment,
     run_dp_baseline,
     write_tradeoff_csv,
@@ -239,25 +237,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         cfg = _runconfig_from(_load_json(args.config), args, method="baseline")
         _, params, _, _ = load_checkpoint(args.checkpoint)
         wb = build_workbench(cfg)
-        nonmembers = wb.test_pts if args.nonmembers == "test" else wb.heldout_pts
-        report = run_attack(params, wb.train_pts, nonmembers)
+        run_id = cfg.run_id or f"attack_s{args.seed}"
+        row, report = attack_row(run_id, "baseline", "", params, wb, args.nonmembers)
         out_dir = cfg.output_dir
         os.makedirs(out_dir, exist_ok=True)
-        run_id = cfg.run_id or f"attack_s{args.seed}"
         write_roc_csv(report.roc.tolist(), os.path.join(out_dir, f"roc_{run_id}.csv"))
-        row = MetricsRow(
-            run_id=run_id,
-            method="baseline",
-            alpha_or_beta="",
-            epoch=0,
-            mse_test=mse_set(wb.test_pts, params),
-            mse_heldout=mse_set(wb.heldout_pts, params),
-            tpr_at_tau=report.tpr,
-            fpr_at_tau=report.fpr,
-            priv_ratio=report.priv,
-            auroc=report.auroc,
-            tau=report.tau,
-        )
         metrics_path = os.path.join(out_dir, "metrics.csv")
         write_report_csv([row], metrics_path, append=os.path.exists(metrics_path))
         log.info("attack: tpr=%.4f fpr=%.4f priv=%.4f auroc=%.4f", report.tpr, report.fpr, report.priv, report.auroc)

@@ -253,18 +253,11 @@ def _check_finite(params: ForecasterParams) -> None:
         raise EvaluationError("forecaster parameters contain non-finite values")
 
 
-def forecast(e: np.ndarray, params: ForecasterParams) -> np.ndarray:
-    """Forecast one embedding matrix; deterministic given params."""
-    e = np.asarray(e, dtype=np.float64)
-    if e.shape != (params.input_hours, params.n):
-        raise ConfigurationError(f"embedding shape {e.shape} does not match ({params.input_hours}, {params.n})")
-    _check_finite(params)
-    return _forward(e[None], params)[2][0, 1:]
-
-
 def forecast_batch(E: np.ndarray, params: ForecasterParams) -> np.ndarray:
     """Forecast a batch of embeddings; returns (B, horizon, F)."""
     E = np.asarray(E, dtype=np.float64)
+    if E.shape[1:] != (params.input_hours, params.n):
+        raise ConfigurationError(f"embedding batch shape {E.shape} does not match (B, {params.input_hours}, {params.n})")
     _check_finite(params)
     return _forward(E, params)[2][:, 1:]
 

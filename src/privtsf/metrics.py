@@ -20,22 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataPoint, DomainError, readonly, stack_points
-from .forecaster import ForecasterParams, forecast, forecast_batch, masked_batch_losses
-
-
-def masked_mse(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> float:
-    """Mean squared error over observed cells only, normalized by their count."""
-    mask = np.asarray(mask, dtype=np.float64)
-    count = mask.sum()
-    if count < 1:
-        raise DomainError("empty target mask")
-    diff = (np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)) * mask
-    return float((diff**2).sum() / count)
-
-
-def mmse(x: DataPoint, params: ForecasterParams) -> float:
-    """Masked MSE of the model forecast for a single point."""
-    return masked_mse(forecast(x.e, params), x.y, x.m)
+from .forecaster import ForecasterParams, forecast_batch, masked_batch_losses
 
 
 def dataset_losses(points: Sequence[DataPoint], params: ForecasterParams) -> np.ndarray:
@@ -49,22 +34,6 @@ def dataset_losses(points: Sequence[DataPoint], params: ForecasterParams) -> np.
 def mse_set(points: Sequence[DataPoint], params: ForecasterParams) -> float:
     """Unweighted mean of per-sample masked MSE over a dataset."""
     return float(dataset_losses(points, params).mean())
-
-
-def avg_train_loss_tau(points: Sequence[DataPoint], params: ForecasterParams) -> float:
-    """Attack threshold: the mean loss on the reference set under current params.
-
-    The reference set is the training set in plain attack evaluation and the
-    augmented set (originals plus synthetic pool) during augmented retraining.
-    """
-    return mse_set(points, params)
-
-
-def pl(x: DataPoint, tau: float, params: ForecasterParams) -> int:
-    """Positive-membership indicator: 1 iff the point's loss is strictly below tau."""
-    if not math.isfinite(tau):
-        raise DomainError("tau must be finite")
-    return int(mmse(x, params) < tau)
 
 
 def predict_zero_mse(points: Sequence[DataPoint]) -> float:

@@ -54,7 +54,7 @@ from .forecaster import (
     save_checkpoint,
     train,
 )
-from .metrics import AttackReport, attack_report, dataset_losses, loss_table, mse_set
+from .metrics import AttackReport, LossTable, attack_report, dataset_losses, loss_table, mse_set
 from .synth import GeneratorConfig, generate
 
 METHODS = ("baseline", "zoo", "zoo_pca", "mixup", "dp_sgd")
@@ -127,39 +127,29 @@ def apply_gate(state: AcceptanceState, priv_value: float, mse_value: float) -> t
 @dataclass(frozen=True)
 class CandidateDecision:
     accepted: bool
-    priv: float
     mse_heldout: float
-    tau: float
-    tpr: float
-    fpr: float
     reason: str
+    report: AttackReport
 
 
 def measure_candidate(
     params: ForecasterParams,
     train_pts: Sequence[DataPoint],
     heldout_pts: Sequence[DataPoint],
-    reference_pts: Sequence[DataPoint],
+    pool_pts: Sequence[DataPoint],
 ) -> CandidateDecision:
     """Gate metrics for one model, without applying the gate.
 
-    The privacy ratio treats the original training points as members and the
-    heldout points as non-members, with the threshold set to the model's mean
-    loss over the reference set (originals plus synthetic pool).
+    One pass over the originals plus the synthetic pool gives the threshold
+    tau (the mean loss over all of them) and the member losses (the first
+    len(train_pts) entries); the heldout points are the non-members.
     """
-    members = loss_table(train_pts, params, "member")
+    losses = dataset_losses(list(train_pts) + list(pool_pts), params)
+    ids = tuple(p.uid or str(i) for i, p in enumerate(train_pts))
+    members = LossTable(ids=ids, losses=losses[: len(train_pts)], label="member")
     nonmembers = loss_table(heldout_pts, params, "non-member")
-    tau = float(dataset_losses(reference_pts, params).mean())
-    tpr = float((members.losses < tau).mean())
-    fpr = float((nonmembers.losses < tau).mean())
-    if fpr == 0.0:
-        priv_value = 1.0 if tpr == 0.0 else math.inf
-    else:
-        priv_value = tpr / fpr
-    mse_value = float(nonmembers.losses.mean())
-    return CandidateDecision(
-        accepted=False, priv=priv_value, mse_heldout=mse_value, tau=tau, tpr=tpr, fpr=fpr, reason=""
-    )
+    report = attack_report(members, nonmembers, float(losses.mean()))
+    return CandidateDecision(accepted=False, mse_heldout=float(nonmembers.losses.mean()), reason="", report=report)
 
 
 def evaluate_candidate(
@@ -167,11 +157,11 @@ def evaluate_candidate(
     state: AcceptanceState,
     train_pts: Sequence[DataPoint],
     heldout_pts: Sequence[DataPoint],
-    reference_pts: Sequence[DataPoint],
+    pool_pts: Sequence[DataPoint],
 ) -> tuple[CandidateDecision, AcceptanceState]:
     """Gate one retrained candidate; on accept the state's bests move to it."""
-    m = measure_candidate(candidate, train_pts, heldout_pts, reference_pts)
-    accepted, reason, new_state = apply_gate(state, m.priv, m.mse_heldout)
+    m = measure_candidate(candidate, train_pts, heldout_pts, pool_pts)
+    accepted, reason, new_state = apply_gate(state, m.report.priv, m.mse_heldout)
     return replace(m, accepted=accepted, reason=reason), new_state
 
 
@@ -183,10 +173,9 @@ def run_attack(
     """Threshold attack with tau set to the members' average loss."""
     if not members_pts or not nonmembers_pts:
         raise DomainError("member and non-member sets must be nonempty")
-    tau = mse_set(members_pts, params)
     members = loss_table(members_pts, params, "member")
     nonmembers = loss_table(nonmembers_pts, params, "non-member")
-    return attack_report(members, nonmembers, tau)
+    return attack_report(members, nonmembers, float(members.losses.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -371,28 +360,53 @@ class RunResult:
 
 
 def _round_row(
-    cfg: RunConfig,
+    run_id: str,
+    method: str,
+    tag: str,
     epoch: int,
-    decision: CandidateDecision,
-    candidate: ForecasterParams,
-    wb: Workbench,
+    report: AttackReport,
+    mse_heldout: float,
+    mse_test: float,
 ) -> MetricsRow:
-    members = loss_table(wb.train_pts, candidate, "member")
-    nonmembers = loss_table(wb.heldout_pts, candidate, "non-member")
-    report = attack_report(members, nonmembers, decision.tau)
+    """The one place a metrics row is built: an attack report plus the two error columns.
+
+    bench/tracing.py marks the end of each gated round by this function's name.
+    """
     return MetricsRow(
-        run_id=cfg.resolved_run_id(),
-        method=cfg.method,
-        alpha_or_beta=cfg.param_tag(),
+        run_id=run_id,
+        method=method,
+        alpha_or_beta=tag,
         epoch=epoch,
-        mse_test=mse_set(wb.test_pts, candidate),
-        mse_heldout=decision.mse_heldout,
-        tpr_at_tau=decision.tpr,
-        fpr_at_tau=decision.fpr,
-        priv_ratio=decision.priv,
+        mse_test=mse_test,
+        mse_heldout=mse_heldout,
+        tpr_at_tau=report.tpr,
+        fpr_at_tau=report.fpr,
+        priv_ratio=report.priv,
         auroc=report.auroc,
-        tau=decision.tau,
+        tau=report.tau,
     )
+
+
+def attack_row(
+    run_id: str,
+    method: str,
+    tag: str,
+    params: ForecasterParams,
+    wb: Workbench,
+    nonmembers: str = "test",
+) -> tuple[MetricsRow, AttackReport]:
+    """A row in the attack convention, forecasting each split once.
+
+    Members are the training points and tau is their mean loss; the
+    non-members are the `nonmembers` split ("test" or "heldout").
+    """
+    train_t, held_t, test_t = (
+        loss_table(pts, params, label)
+        for pts, label in ((wb.train_pts, "member"), (wb.heldout_pts, "heldout"), (wb.test_pts, "test"))
+    )
+    report = attack_report(train_t, test_t if nonmembers == "test" else held_t, float(train_t.losses.mean()))
+    row = _round_row(run_id, method, tag, 0, report, float(held_t.losses.mean()), float(test_t.losses.mean()))
+    return row, report
 
 
 def _generate_wave(
@@ -464,20 +478,21 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
     n_train = len(wb.train_pts)
     rounds = 0 if cfg.method == "baseline" else cfg.rounds
     n_samples = max(1, min(cfg.samples_per_round, n_train // 2))
-    pool = SyntheticPool(cap=min(32_000 * max(rounds, 1), n_train // 2))
+    pool = SyntheticPool(cap=n_train // 2)
     basis: PcaBasis | None = None
     if cfg.method == "zoo_pca":
         basis = pca_fit([p.e for p in wb.train_pts], cfg.pca_ratio)
 
+    run_id, tag = cfg.resolved_run_id(), cfg.param_tag()
     params = wb.baseline_params
-    decision0 = measure_candidate(params, wb.train_pts, wb.heldout_pts, wb.train_pts)
-    rows = [_round_row(cfg, 0, decision0, params, wb)]
+    decision0 = measure_candidate(params, wb.train_pts, wb.heldout_pts, [])
+    rows = [_round_row(run_id, cfg.method, tag, 0, decision0.report, decision0.mse_heldout, mse_set(wb.test_pts, params))]
     audits = [RoundAudit(epoch=0, accepted=True, pool_size=0, samples_generated=0, steps_executed=0)]
     state = None
     if rounds > 0:
         # an infinite baseline priv cannot seed the gate; surfaced as a config error
         state = AcceptanceState(
-            priv_best=decision0.priv,
+            priv_best=decision0.report.priv,
             mse_best=decision0.mse_heldout,
             eps_priv=cfg.eps_priv,
             eps_mse=cfg.eps_mse,
@@ -487,8 +502,7 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
 
     try:
         for r in range(1, rounds + 1):
-            reference = list(wb.train_pts) + list(pool.items)
-            tau_ref = float(dataset_losses(reference, params).mean())
+            tau_ref = mse_set(list(wb.train_pts) + list(pool.items), params)
             wave = _generate_wave(cfg, wb, params, tau_ref, r, n_samples, basis)
             pool.insert(wave)
 
@@ -504,9 +518,9 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
                 epochs=cfg.retrain_epochs,
                 seed=derive_seed(cfg.seed, _RETRAIN_STREAM * 100_000 + r),
             )
-            reference = list(wb.train_pts) + list(pool.items)
-            decision, new_state = evaluate_candidate(candidate, state, wb.train_pts, wb.heldout_pts, reference)
-            rows.append(_round_row(cfg, r, decision, candidate, wb))
+            decision, new_state = evaluate_candidate(candidate, state, wb.train_pts, wb.heldout_pts, pool.items)
+            mse_test = mse_set(wb.test_pts, candidate)
+            rows.append(_round_row(run_id, cfg.method, tag, r, decision.report, decision.mse_heldout, mse_test))
             audits.append(
                 RoundAudit(
                     epoch=r,
@@ -561,22 +575,7 @@ def run_dp_baseline(cfg: RunConfig, wb: Workbench | None = None) -> RunResult:
                 epochs=cfg.dp_epochs,
                 seed=derive_seed(cfg.seed, _DP_TRAIN_STREAM * 100_000 + j),
             )
-            report = run_attack(params, wb.train_pts, wb.test_pts)
-            rows.append(
-                MetricsRow(
-                    run_id=cfg.resolved_run_id(),
-                    method=cfg.method,
-                    alpha_or_beta=repr(float(sigma)),
-                    epoch=0,
-                    mse_test=mse_set(wb.test_pts, params),
-                    mse_heldout=mse_set(wb.heldout_pts, params),
-                    tpr_at_tau=report.tpr,
-                    fpr_at_tau=report.fpr,
-                    priv_ratio=report.priv,
-                    auroc=report.auroc,
-                    tau=report.tau,
-                )
-            )
+            rows.append(attack_row(cfg.resolved_run_id(), cfg.method, repr(float(sigma)), params, wb)[0])
             audits.append(RoundAudit(epoch=0, accepted=True, pool_size=0, samples_generated=0, steps_executed=0))
     finally:
         _flush_outputs(cfg, rows, audits)

@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 
+from privtsf import augment as ag
 from privtsf import forecaster as fc
 from privtsf.data import DataPoint
 
@@ -51,6 +52,18 @@ def fd_param_gradients(points, params, step: float = 1e-4) -> dict[str, np.ndarr
             g[idx] = (lp - lm) / (2.0 * step)
         out[name] = g
     return out
+
+
+def zoo_descend_one(e, objective, cfg, rng, basis=None) -> np.ndarray:
+    """One step of the batched zoo kernel on a single embedding (B=1).
+
+    Draws the step's k perturbations from `rng` with `unit_perturbations`
+    and lifts the scalar `objective` to a batch; `cfg.steps` must be 1.
+    """
+    e = np.asarray(e, dtype=np.float64)
+    U = ag.unit_perturbations(e.shape, cfg.k, rng, basis)[None, None]
+    out, _ = ag.zoo_descend(e[None], lambda E: np.array([objective(x) for x in E]), U, cfg)
+    return out[0]
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import FixedRng
+from helpers import FixedRng, zoo_descend_one
 
 from privtsf import augment as ag
 from privtsf import metrics as pm
@@ -28,13 +28,13 @@ class TestZooUpdate:
         cfg = ag.ZooConfig(alpha=0.5, lam=1.0, mu=1.0, k=1, steps=1)
         rng = FixedRng(normals=[[3.7]])  # any positive draw normalizes to u = +1
         e = np.zeros((1, 1))
-        out = ag.zoo_update(e, lambda x: float(x[0, 0]), cfg, rng)
+        out = zoo_descend_one(e, lambda x: float(x[0, 0]), cfg, rng)
         assert out[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_objective_leaves_embedding_unchanged(self):
         cfg = ag.ZooConfig(alpha=0.5, lam=5.0, mu=0.1, k=3, steps=1)
         e = np.random.default_rng(0).standard_normal((4, 3))
-        out = ag.zoo_update(e, lambda x: 2.5, cfg, np.random.default_rng(1))
+        out = zoo_descend_one(e, lambda x: 2.5, cfg, np.random.default_rng(1))
         assert np.allclose(out, e)
 
     def test_descends_objective_on_quadratic(self):
@@ -45,7 +45,7 @@ class TestZooUpdate:
         cfg = ag.ZooConfig(alpha=0.5, lam=0.05, mu=1e-3, k=3, steps=1)
         d0 = np.linalg.norm(e - c)
         for _ in range(10):
-            e = ag.zoo_update(e, lambda x: -float(((x - c) ** 2).sum()), cfg, rng)
+            e = zoo_descend_one(e, lambda x: -float(((x - c) ** 2).sum()), cfg, rng)
         assert np.linalg.norm(e - c) > d0
 
     def test_estimated_direction_aligns_with_negative_gradient(self):
@@ -64,17 +64,42 @@ class TestZooUpdate:
         cfg = ag.ZooConfig(alpha=0.5, lam=1.0, mu=1e-2, k=3, steps=1)
         updates = np.zeros_like(x0)
         for _ in range(200):
-            updates += ag.zoo_update(x0, g, cfg, rng) - x0
+            updates += zoo_descend_one(x0, g, cfg, rng) - x0
         cos = float((updates * -grad).sum() / (np.linalg.norm(updates) * np.linalg.norm(grad)))
         assert cos > 0.5
 
     def test_non_finite_pairs_skipped(self, caplog):
         cfg = ag.ZooConfig(alpha=0.5, lam=1.0, mu=1.0, k=2, steps=1)
         e = np.zeros((1, 1))
+        U = ag.unit_perturbations(e.shape, cfg.k, np.random.default_rng(0))[None, None]
         with caplog.at_level(logging.WARNING):
-            out = ag.zoo_update(e, lambda x: math.nan, cfg, np.random.default_rng(0))
-        assert np.array_equal(out, e)
+            out, skipped = ag.zoo_descend(e[None], lambda E: np.full(len(E), math.nan), U, cfg)
+        assert np.array_equal(out[0], e)
+        assert skipped == cfg.k
         assert any("non-finite" in r.message for r in caplog.records)
+
+    def test_batch_rows_match_single_row_runs(self):
+        # the batched kernel moves each row exactly as a B=1 run with that row's perturbations
+        rng = np.random.default_rng(14)
+        cfg = ag.ZooConfig(alpha=0.5, lam=0.3, mu=1e-2, k=3, steps=4)
+        E = rng.standard_normal((5, 2, 3))
+        U = np.stack([ag.unit_perturbations((2, 3), 12, rng).reshape((4, 3, 2, 3)) for _ in range(5)])
+        w = rng.standard_normal(6)
+
+        def g(X):
+            return np.array([np.tanh(x.ravel() @ w) for x in X])
+
+        out, _ = ag.zoo_descend(E, g, U, cfg)
+        for j in range(5):
+            one, _ = ag.zoo_descend(E[j : j + 1], g, U[j : j + 1], cfg)
+            assert np.array_equal(out[j], one[0])
+        assert not np.allclose(out, E)
+
+    def test_perturbation_shape_checked(self):
+        cfg = ag.ZooConfig(alpha=0.5, lam=1.0, mu=1.0, k=2, steps=3)
+        U = np.zeros((1, 1, 2, 1, 1))  # one step where cfg asks for three
+        with pytest.raises(ConfigurationError):
+            ag.zoo_descend(np.zeros((1, 1, 1)), lambda E: np.zeros(len(E)), U, cfg)
 
 
 class TestObjective:
@@ -98,19 +123,24 @@ class TestObjective:
         y[0, 0] = math.sqrt(loss)
         return DataPoint(e=np.zeros((3, 2)), y=y, m=m), params
 
+    @staticmethod
+    def _g(x, tau, params, alpha):
+        """The model-backed objective at B=1."""
+        return ag.zoo_objective(x.y[None], x.m[None], tau, params, alpha)(x.e[None])[0]
+
     def test_alpha_one_is_negative_loss(self):
         x, params = self._point_with_loss(2.5)
-        assert ag.zoo_objective_g(x, tau=10.0, params=params, alpha=1.0) == pytest.approx(-2.5, abs=1e-12)
+        assert self._g(x, tau=10.0, params=params, alpha=1.0) == pytest.approx(-2.5, abs=1e-12)
 
     def test_alpha_zero_is_negative_indicator(self):
         x, params = self._point_with_loss(2.5)
-        assert ag.zoo_objective_g(x, tau=10.0, params=params, alpha=0.0) == -1.0
-        assert ag.zoo_objective_g(x, tau=1.0, params=params, alpha=0.0) == 0.0
+        assert self._g(x, tau=10.0, params=params, alpha=0.0) == -1.0
+        assert self._g(x, tau=1.0, params=params, alpha=0.0) == 0.0
 
     def test_worked_mixture(self):
         # alpha = 0.5, loss = 2.5, indicator = 1  ->  -(0.5*2.5 + 0.5*1) = -1.75
         x, params = self._point_with_loss(2.5)
-        assert ag.zoo_objective_g(x, tau=10.0, params=params, alpha=0.5) == pytest.approx(-1.75, abs=1e-12)
+        assert self._g(x, tau=10.0, params=params, alpha=0.5) == pytest.approx(-1.75, abs=1e-12)
 
 
 class TestPerturbations:
@@ -186,7 +216,7 @@ class TestZooPcaStep:
         rng = np.random.default_rng(11)
         e = rng.standard_normal((2, 3))
         cfg = ag.ZooConfig(alpha=0.5, lam=0.1, mu=1e-2, k=3, steps=1)
-        out = ag.zoo_update(e, lambda x: float((x**2).sum()), cfg, rng, basis)
+        out = zoo_descend_one(e, lambda x: float((x**2).sum()), cfg, rng, basis)
         disp = (out - e).ravel()
         p1 = basis.components[0]
         residual = disp - (disp @ p1) * p1
@@ -199,7 +229,7 @@ class TestZooPcaStep:
         cfg = ag.ZooConfig(alpha=0.5, lam=0.1, mu=1e-2, k=3, steps=1)
         out = e
         for _ in range(5):
-            out = ag.zoo_update(out, lambda x: float((x**3).sum()), cfg, rng, basis)
+            out = zoo_descend_one(out, lambda x: float((x**3).sum()), cfg, rng, basis)
         disp = (out - e).ravel()
         proj = basis.components.T @ (basis.components @ disp)
         assert np.linalg.norm(disp - proj) < 1e-8
@@ -210,7 +240,7 @@ class TestZooPcaStep:
         rng = np.random.default_rng(13)
         e = rng.standard_normal((2, 3))
         cfg = ag.ZooConfig(alpha=0.5, lam=0.1, mu=1e-2, k=3, steps=1)
-        out = ag.zoo_update(e, lambda x: float(x.ravel() @ off), cfg, rng, basis)
+        out = zoo_descend_one(e, lambda x: float(x.ravel() @ off), cfg, rng, basis)
         assert np.allclose(out, e, atol=1e-10)
 
     def test_model_backed_step_stays_in_span(self, small_wb, small_tau):
@@ -218,8 +248,10 @@ class TestZooPcaStep:
         basis = ag.pca_fit([p.e for p in wb.train_pts], 0.70)
         x = wb.train_pts[0]
         cfg = ag.ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=3, steps=1)
-        out = ag.zoo_pca_step(x.e, x.y, x.m, small_tau, wb.baseline_params, cfg, basis, np.random.default_rng(7))
-        disp = (out - x.e).ravel()
+        U = ag.unit_perturbations(x.e.shape, cfg.k, np.random.default_rng(7), basis)[None, None]
+        objective = ag.zoo_objective(x.y[None], x.m[None], small_tau, wb.baseline_params, cfg.alpha)
+        out, _ = ag.zoo_descend(x.e[None], objective, U, cfg)
+        disp = (out[0] - x.e).ravel()
         proj = basis.components.T @ (basis.components @ disp)
         assert np.linalg.norm(disp - proj) < 1e-8
         assert np.linalg.norm(disp) > 0

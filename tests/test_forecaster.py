@@ -98,17 +98,22 @@ class TestEmbed:
             fc.embed(w, emb)
 
 
+def forecast_one(e, params):
+    """Forecast of one embedding matrix: the batched forecast at B=1."""
+    return fc.forecast_batch(np.asarray(e)[None], params)[0]
+
+
 class TestForecast:
     def test_all_zero_params_give_zero_forecast(self):
         params = zero_params()
-        out = fc.forecast(np.random.default_rng(0).standard_normal((5, 4)), params)
+        out = forecast_one(np.random.default_rng(0).standard_normal((5, 4)), params)
         assert np.all(out == 0)
         assert out.shape == (2, 3)
 
     def test_deterministic(self):
         _, params = fc.init_params(4, 4, 3, 2, seed=1, input_hours=5)
         e = np.random.default_rng(2).standard_normal((5, 4))
-        assert np.array_equal(fc.forecast(e, params), fc.forecast(e, params))
+        assert np.array_equal(forecast_one(e, params), forecast_one(e, params))
 
     def test_directional_derivative_is_bounded(self):
         # |f(e + d*u) - f(e)| scales linearly for small d
@@ -117,10 +122,10 @@ class TestForecast:
         e = rng.standard_normal((5, 4))
         u = rng.standard_normal((5, 4))
         u /= np.linalg.norm(u)
-        base = fc.forecast(e, params)
+        base = forecast_one(e, params)
         slopes = []
         for d in (1e-3, 1e-4):
-            slopes.append(np.linalg.norm(fc.forecast(e + d * u, params) - base) / d)
+            slopes.append(np.linalg.norm(forecast_one(e + d * u, params) - base) / d)
         assert slopes[0] > 0
         assert 0.5 < slopes[0] / slopes[1] < 2.0
 
@@ -128,7 +133,14 @@ class TestForecast:
         params = zero_params()
         bad = dataclasses.replace(params, w_out=np.full((3, 4), np.nan))
         with pytest.raises(EvaluationError):
-            fc.forecast(np.zeros((5, 4)), bad)
+            forecast_one(np.zeros((5, 4)), bad)
+
+    def test_wrong_shape_batch_names_both_shapes(self):
+        params = zero_params()  # expects (B, 5, 4)
+        with pytest.raises(ConfigurationError, match=r"\(2, 4, 4\).*\(B, 5, 4\)"):
+            fc.forecast_batch(np.zeros((2, 4, 4)), params)
+        with pytest.raises(ConfigurationError, match=r"\(5, 4\).*\(B, 5, 4\)"):
+            fc.forecast_batch(np.zeros((5, 4)), params)  # one matrix, not a batch
 
     def test_student_forcing_feedback_path(self):
         # a teacher-forced unroll (feeding ground truth) must differ from the
@@ -137,7 +149,7 @@ class TestForecast:
         rng = np.random.default_rng(6)
         e = rng.standard_normal((5, 4))
         y_true = rng.standard_normal((4, 3))
-        student = fc.forecast(e, params)
+        student = forecast_one(e, params)
 
         pooled = params.pos @ e
         s = np.tanh(params.w_hidden @ pooled + params.b_hidden)

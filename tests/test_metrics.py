@@ -5,7 +5,7 @@ import pytest
 
 from privtsf import metrics as pm
 from privtsf.data import DataPoint, DomainError
-from privtsf.forecaster import ForecasterParams
+from privtsf.forecaster import ForecasterParams, masked_batch_losses
 
 
 def zero_params(n=2, H=2, F=2, T=2, input_hours=3):
@@ -23,7 +23,7 @@ def zero_params(n=2, H=2, F=2, T=2, input_hours=3):
 
 
 def point_with_loss(loss: float, T=2, F=2):
-    """Under all-zero params the forecast is 0, so mmse = y[0,0]^2 with a single mask bit."""
+    """Under all-zero params the forecast is 0, so the masked MSE is y[0,0]^2 with a single mask bit."""
     y = np.zeros((T, F))
     m = np.zeros((T, F))
     m[0, 0] = 1.0
@@ -36,16 +36,27 @@ def table(losses, label="member"):
     return pm.LossTable(ids=tuple(str(i) for i in range(len(arr))), losses=arr, label=label)
 
 
+def masked_mse(pred, truth, mask):
+    """Masked MSE of one sample: the batched loss at B=1."""
+    return masked_batch_losses(pred[None], truth[None], mask[None])[0]
+
+
+def member_flag(p, tau, params):
+    """Membership call for one point: its TPR through tpr_fpr, 1.0 iff its loss is strictly below tau."""
+    t = pm.loss_table([p], params, "member")
+    return pm.tpr_fpr(t, t, tau)[0]
+
+
 class TestMaskedMse:
     def test_perfect_prediction_is_zero(self):
         pred = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert pm.masked_mse(pred, pred, np.ones((2, 2))) == 0.0
+        assert masked_mse(pred, pred, np.ones((2, 2))) == 0.0
 
     def test_worked_example(self):
         pred = np.array([[1.0, 0.0], [2.0, 2.0]])
         truth = np.array([[0.0, 0.0], [2.0, 4.0]])
         mask = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert pm.masked_mse(pred, truth, mask) == pytest.approx(2.5, abs=1e-9)
+        assert masked_mse(pred, truth, mask) == pytest.approx(2.5, abs=1e-9)
 
     def test_mask_flip_on_zero_error_cells_changes_only_count(self):
         # recomputation oracle: numerator from masked cells, denominator |m|
@@ -54,15 +65,15 @@ class TestMaskedMse:
         pred = truth.copy()
         pred[0, 0] += 2.0  # single erroneous cell
         mask = np.ones((3, 3))
-        base = pm.masked_mse(pred, truth, mask)
+        base = masked_mse(pred, truth, mask)
         assert base == pytest.approx(4.0 / 9.0, abs=1e-12)
         mask2 = mask.copy()
         mask2[2, 2] = 0.0  # flips a zero-error cell
-        assert pm.masked_mse(pred, truth, mask2) == pytest.approx(4.0 / 8.0, abs=1e-12)
+        assert masked_mse(pred, truth, mask2) == pytest.approx(4.0 / 8.0, abs=1e-12)
 
     def test_empty_mask_is_domain_error(self):
         with pytest.raises(DomainError):
-            pm.masked_mse(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+            masked_mse(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_only_masked_cells_contribute(self):
         rng = np.random.default_rng(1)
@@ -70,7 +81,7 @@ class TestMaskedMse:
         truth = rng.standard_normal((4, 4))
         mask = (rng.random((4, 4)) < 0.5).astype(float)
         mask[0, 0] = 1.0
-        got = pm.masked_mse(pred, truth, mask)
+        got = masked_mse(pred, truth, mask)
         manual = sum(
             (pred[i, j] - truth[i, j]) ** 2 for i in range(4) for j in range(4) if mask[i, j] == 1
         ) / mask.sum()
@@ -81,7 +92,7 @@ class TestMseSet:
     def test_singleton(self):
         params = zero_params()
         p = point_with_loss(1.7)
-        assert pm.mse_set([p], params) == pytest.approx(pm.mmse(p, params), abs=1e-12)
+        assert pm.mse_set([p], params) == pytest.approx(pm.dataset_losses([p], params)[0], abs=1e-12)
 
     def test_mean_of_two(self):
         params = zero_params()
@@ -99,10 +110,12 @@ class TestMseSet:
 
 
 class TestAvgTrainLossTau:
+    """The attack threshold: the mean loss over the reference set, which is mse_set."""
+
     def test_mean_of_reference_losses(self):
         params = zero_params()
         pts = [point_with_loss(0.2), point_with_loss(0.4)]
-        assert pm.avg_train_loss_tau(pts, params) == pytest.approx(0.3, abs=1e-9)
+        assert pm.mse_set(pts, params) == pytest.approx(0.3, abs=1e-9)
 
     def test_recomputed_under_new_params(self):
         # tau follows the model: different params give a different threshold
@@ -119,22 +132,24 @@ class TestAvgTrainLossTau:
             b_out=np.array([0.1, 0.0]),
             horizon=2,
         )
-        assert pm.avg_train_loss_tau(pts, params) != pm.avg_train_loss_tau(pts, other)
+        assert pm.mse_set(pts, params) != pm.mse_set(pts, other)
 
 
 class TestPl:
+    """The positive-membership call is strict: a loss equal to tau is not a member."""
+
     def test_loss_equal_to_tau_is_not_member(self):
         params = zero_params()
         p = point_with_loss(0.25)
-        assert pm.pl(p, 0.25, params) == 0  # strict inequality
+        assert member_flag(p, 0.25, params) == 0  # strict inequality
 
     def test_low_loss_flags_member(self):
         params = zero_params()
-        assert pm.pl(point_with_loss(0.0), 0.1, params) == 1
+        assert member_flag(point_with_loss(0.0), 0.1, params) == 1
 
     def test_high_loss_is_non_member(self):
         params = zero_params()
-        assert pm.pl(point_with_loss(5.0), 0.1, params) == 0
+        assert member_flag(point_with_loss(5.0), 0.1, params) == 0
 
 
 class TestTprFpr:

@@ -80,24 +80,22 @@ class TestEvaluateCandidate:
         # re-evaluating the model the state was initialized from hits all three
         # inequalities with equality and is accepted
         _, wb = small_wb
-        m0 = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, wb.train_pts)
-        state = runner.AcceptanceState(priv_best=m0.priv, mse_best=m0.mse_heldout)
-        decision, new_state = runner.evaluate_candidate(
-            wb.baseline_params, state, wb.train_pts, wb.heldout_pts, wb.train_pts
-        )
+        m0 = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, [])
+        state = runner.AcceptanceState(priv_best=m0.report.priv, mse_best=m0.mse_heldout)
+        decision, new_state = runner.evaluate_candidate(wb.baseline_params, state, wb.train_pts, wb.heldout_pts, [])
         assert decision.accepted
-        assert decision.priv == m0.priv
-        assert decision.tau == m0.tau
-        assert (new_state.priv_best, new_state.mse_best) == (m0.priv, m0.mse_heldout)
+        assert decision.report.priv == m0.report.priv
+        assert decision.report.tau == m0.report.tau
+        assert (new_state.priv_best, new_state.mse_best) == (m0.report.priv, m0.mse_heldout)
 
     def test_reference_set_drives_tau(self, small_wb):
-        # a reference set with higher losses raises tau and both rates
+        # a pool with higher losses raises tau and both rates
         _, wb = small_wb
-        m_train_ref = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, wb.train_pts)
+        m_train_ref = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, [])
         m_held_ref = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, wb.heldout_pts)
-        assert m_held_ref.tau > m_train_ref.tau
-        assert m_held_ref.tpr >= m_train_ref.tpr
-        assert m_held_ref.fpr >= m_train_ref.fpr
+        assert m_held_ref.report.tau > m_train_ref.report.tau
+        assert m_held_ref.report.tpr >= m_train_ref.report.tpr
+        assert m_held_ref.report.fpr >= m_train_ref.report.fpr
 
 
 class TestReplayGate:
@@ -256,6 +254,35 @@ class TestAugmentationRun:
         cfg = tiny_cfg("zoo", 43, str(tmp_path / "o"), zoo=zoo, rounds=1)
         res = runner.run_augmentation_experiment(cfg)
         assert res.rows[1].tau > res.rows[0].tau
+
+
+class TestEvaluationPasses:
+    def test_each_split_forecast_once_per_model(self, monkeypatch):
+        # per round: train+pool under the current model (tau_ref) and under the
+        # candidate, heldout and test under the candidate, and nothing twice
+        from privtsf import metrics
+
+        windows = [0]  # forecast windows since the last metrics row
+        real_forecast, real_row = metrics.forecast_batch, runner._round_row
+
+        def counting_forecast(E, params):
+            windows[-1] += len(E)
+            return real_forecast(E, params)
+
+        def marking_row(*args, **kwargs):
+            row = real_row(*args, **kwargs)
+            windows.append(0)
+            return row
+
+        monkeypatch.setattr(metrics, "forecast_batch", counting_forecast)
+        monkeypatch.setattr(runner, "_round_row", marking_row)
+        zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
+        res = runner.run_augmentation_experiment(tiny_cfg("zoo", 31, "", zoo=zoo, rounds=3))
+        wb = res.workbench
+        assert len(windows) == 5  # before the baseline row, three rounds, after the last row
+        for r in (1, 2, 3):
+            once = 2 * (len(wb.train_pts) + res.audits[r].pool_size) + len(wb.heldout_pts) + len(wb.test_pts)
+            assert 0 < windows[r] <= once
 
 
 class TestMixupRun:
