@@ -43,7 +43,7 @@ log = logging.getLogger(__name__)
 class ZooConfig:
     """Step size, probe width, probes per step, step count, and objective mix."""
 
-    alpha: float
+    alpha: float = 0.75
     lam: float = 3000.0
     mu: float = 300.0
     k: int = 3
@@ -62,7 +62,7 @@ class ZooConfig:
 class MixupConfig:
     """Beta(beta, beta) concentration for the interpolation weight."""
 
-    beta: float
+    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if self.beta <= 0:

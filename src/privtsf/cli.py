@@ -2,13 +2,14 @@
 
 Subcommands: gen-data, pretrain, attack, augment, dp-train, report. Run
 commands read a JSON config file plus flag overrides; --seed is mandatory so
-every run is reproducible from its command line. The config schema mirrors
-RunConfig field names (see the README for a worked example).
+every run is reproducible from its command line. Config keys are RunConfig
+field names, and unknown keys are errors (the README gives the schema).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -16,6 +17,7 @@ import sys
 
 from .augment import MixupConfig, ZooConfig
 from .data import (
+    ConfigurationError,
     PipelineError,
     load_triplets,
     read_metrics_csv,
@@ -25,6 +27,8 @@ from .data import (
 )
 from .forecaster import DpConfig, TrainConfig, load_checkpoint
 from .runner import (
+    METHODS,
+    AcceptanceState,
     RunConfig,
     attack_row,
     build_tradeoff,
@@ -46,91 +50,58 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _generator_from(d: dict, seed: int) -> GeneratorConfig:
-    stay = d.get("stay_hours", (48, 120))
-    return GeneratorConfig(
-        n_episodes=d.get("n_episodes", 1000),
-        n_vars=d.get("n_vars", 16),
-        latent_dim=d.get("latent_dim", 4),
-        stay_hours=(int(stay[0]), int(stay[1])),
-        dense_var_count=d.get("dense_var_count", 1),
-        dense_rate=d.get("dense_rate", 0.9),
-        sparse_rate=d.get("sparse_rate", 0.08),
-        ar_coefficient=d.get("ar_coefficient", 0.95),
-        obs_noise_std=d.get("obs_noise_std", 0.1),
-        seed=d.get("seed", seed),
-    )
+# JSON keys that are not RunConfig field names
+_ALIASES = {"data": "data_path", "split": "split_fractions", "mixup_beta": "mixup"}
+# run flags and the RunConfig fields they override
+_FLAGS = {
+    "data": "data_path", "out_dir": "output_dir", "run_id": "run_id",
+    "checkpoint": "checkpoint", "pca_ratio": "pca_ratio", "rounds": "rounds",
+}
+# nested objects, and the methods that build theirs from defaults when the config has none
+_NESTED = {
+    "train": (TrainConfig, METHODS),
+    "zoo": (ZooConfig, ("zoo", "zoo_pca")),
+    "mixup": (MixupConfig, ("mixup",)),
+    "dp": (DpConfig, ("dp_sgd",)),
+    "generator": (GeneratorConfig, ()),
+}
+
+
+def _build(cls, values: dict, where: str, **overrides):
+    """A `cls` from a JSON object by field name, with the non-None `overrides` over it.
+
+    JSON lists become tuples; a key that names no field is an error.
+    """
+    if not isinstance(values, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {values!r}")
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown {where} key(s): {', '.join(unknown)}")
+    values = {**values, **{k: v for k, v in overrides.items() if v is not None}}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 def _runconfig_from(cfg: dict, args: argparse.Namespace, method: str) -> RunConfig:
-    t = cfg.get("train", {})
-    train = TrainConfig(
-        learning_rate=t.get("learning_rate", 0.05),
-        batch_size=t.get("batch_size", 32),
-        max_epochs=t.get("max_epochs", 100),
-        hidden_dim=t.get("hidden_dim", 32),
-        n=t.get("n", 32),
-        horizon=t.get("horizon", 24),
-        seed=args.seed,
-    )
-    zoo = None
-    if "zoo" in cfg or method in ("zoo", "zoo_pca"):
-        z = cfg.get("zoo", {})
-        zoo = ZooConfig(
-            alpha=getattr(args, "alpha", None) if getattr(args, "alpha", None) is not None else z.get("alpha", 0.75),
-            lam=z.get("lam", 3000.0),
-            mu=z.get("mu", 300.0),
-            k=z.get("k", 3),
-            steps=z.get("steps", 10),
-        )
-    mixup = None
-    if "mixup_beta" in cfg or method == "mixup":
-        beta = getattr(args, "beta", None)
-        mixup = MixupConfig(beta=beta if beta is not None else cfg.get("mixup_beta", 1.0))
-    dp = None
-    if "dp" in cfg or method == "dp_sgd":
-        d = cfg.get("dp", {})
-        dp = DpConfig(
-            noise_multiplier=d.get("noise_multiplier", 1.1),
-            clip_norm=d.get("clip_norm", 2.0),
-            lr_scale=d.get("lr_scale", 100.0),
-        )
-    generator = _generator_from(cfg["generator"], args.seed) if "generator" in cfg else None
-    pca_ratio = getattr(args, "pca_ratio", None)
-    rounds = getattr(args, "rounds", None)
-    if rounds is None:
-        rounds = cfg.get("rounds", 10)
-    split = cfg.get("split", (0.6, 0.2, 0.2))
-    return RunConfig(
-        method=method,
-        seed=args.seed,
-        data_path=getattr(args, "data", None) or cfg.get("data", ""),
-        generator=generator,
-        n_vars=cfg.get("n_vars", 16),
-        output_dir=getattr(args, "out_dir", None) or cfg.get("output_dir", "out"),
-        run_id=getattr(args, "run_id", None) or cfg.get("run_id", ""),
-        split_fractions=(float(split[0]), float(split[1]), float(split[2])),
-        train=train,
-        zoo=zoo,
-        mixup=mixup,
-        dp=dp,
-        pca_ratio=pca_ratio if pca_ratio is not None else cfg.get("pca_ratio", 0.70),
-        rounds=rounds,
-        samples_per_round=cfg.get("samples_per_round", 32_000),
-        baseline_epochs=cfg.get("baseline_epochs", 400),
-        retrain_epochs=cfg.get("retrain_epochs", 1),
-        dp_epochs=cfg.get("dp_epochs", 100),
-        dp_sigma_grid=tuple(cfg.get("dp_sigma_grid", (1.1, 1.5, 2.0))),
-        max_train_windows=cfg.get("max_train_windows", 0),
-        max_eval_windows=cfg.get("max_eval_windows", 0),
-        stride=cfg.get("stride", 4),
-        input_len=cfg.get("input_len", 24),
-        max_start=cfg.get("max_start", 96),
-        checkpoint=getattr(args, "checkpoint", None) or cfg.get("checkpoint", ""),
-        eps_priv=cfg.get("eps_priv", 0.005),
-        eps_mse=cfg.get("eps_mse", 0.005),
-        beta_accept=cfg.get("beta_accept", 3.0),
-    )
+    """A RunConfig from a JSON config, with the command line's flags over it.
+
+    `method` and `--seed` always come from the command line; `--seed` also
+    seeds training and, unless the config gives one, the inline generator.
+    """
+    flags = vars(args)  # each subcommand defines its own subset
+    d = {"output_dir": "out", **{_ALIASES.get(k, k): v for k, v in cfg.items()}}
+    if "mixup" in d:  # given as the bare Beta concentration
+        d["mixup"] = {"beta": d["mixup"]}
+    nested_overrides = {
+        "train": {"seed": args.seed},
+        "zoo": {"alpha": flags.get("alpha")},
+        "mixup": {"beta": flags.get("beta")},
+        "generator": {"seed": None if "seed" in d.get("generator", {}) else args.seed},
+    }
+    for key, (cls, methods) in _NESTED.items():
+        if key in d or method in methods:
+            d[key] = _build(cls, d.get(key, {}), key, **nested_overrides.get(key, {}))
+    overrides = {field: flags.get(flag) for flag, field in _FLAGS.items()}
+    return _build(RunConfig, d, "config", method=method, seed=args.seed, **overrides)
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -143,11 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a synthetic triplet CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--n-vars", type=int, default=16)
-    p.add_argument("--dense-vars", type=int, default=1)
-    p.add_argument("--dense-rate", type=float, default=0.9)
-    p.add_argument("--sparse-rate", type=float, default=0.08)
+    p.add_argument("--episodes", type=int, default=GeneratorConfig.n_episodes)
+    p.add_argument("--n-vars", type=int, default=GeneratorConfig.n_vars)
+    p.add_argument("--dense-vars", type=int, default=GeneratorConfig.dense_var_count)
+    p.add_argument("--dense-rate", type=float, default=GeneratorConfig.dense_rate)
+    p.add_argument("--sparse-rate", type=float, default=GeneratorConfig.sparse_rate)
     _add_seed(p)
 
     p = sub.add_parser("pretrain", help="pretrain embedding, train the baseline, save a checkpoint")
@@ -187,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="merge metrics files into a tradeoff CSV")
     p.add_argument("--metrics", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--eps-priv", type=float, default=0.005)
-    p.add_argument("--eps-mse", type=float, default=0.005)
-    p.add_argument("--beta", type=float, default=3.0)
+    p.add_argument("--eps-priv", type=float, default=AcceptanceState.eps_priv)
+    p.add_argument("--eps-mse", type=float, default=AcceptanceState.eps_mse)
+    p.add_argument("--beta", type=float, default=AcceptanceState.beta_accept)
 
     return parser
 

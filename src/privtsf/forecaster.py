@@ -36,7 +36,6 @@ from .data import (
 log = logging.getLogger(__name__)
 
 PARAM_FIELDS = ("pos", "w_hidden", "b_hidden", "w_state", "w_feedback", "b_state", "w_out", "b_out")
-EMBEDDING_FIELDS = ("emb_weight", "emb_bias")
 
 _SHUFFLE_STREAM = 7
 _NOISE_STREAM = 8
@@ -131,9 +130,9 @@ class ForecasterParams:
 class TrainConfig:
     """Optimization and model-size settings for plain minibatch gradient descent."""
 
-    learning_rate: float
-    batch_size: int
-    max_epochs: int
+    learning_rate: float = 0.05
+    batch_size: int = 32
+    max_epochs: int = 100
     hidden_dim: int = 32
     n: int = 32
     horizon: int = 24
@@ -148,8 +147,8 @@ class TrainConfig:
 class DpConfig:
     """Per-sample clipping norm, Gaussian noise multiplier, and learning-rate boost."""
 
-    noise_multiplier: float
-    clip_norm: float
+    noise_multiplier: float = 1.1
+    clip_norm: float = 2.0
     lr_scale: float = 100.0
 
     def __post_init__(self) -> None:
@@ -191,25 +190,11 @@ def init_params(
     return emb, params
 
 
-def embed_rows(values: np.ndarray, mask: np.ndarray, emb: EmbeddingMap) -> np.ndarray:
-    """Row-wise linear map: row h = weight applied to concat(values[h], mask[h]) plus bias."""
-    if values.shape != mask.shape or values.shape[-1] != emb.n_vars:
-        raise ConfigurationError(
-            f"rows have {values.shape[-1]} variables, embedding expects {emb.n_vars}"
-        )
-    x = np.concatenate([values, mask], axis=-1)
-    return x @ emb.weight + emb.bias
-
-
-def embed(window: BinnedWindow, emb: EmbeddingMap) -> np.ndarray:
-    """Embed one window under the frozen map."""
-    return embed_rows(window.values, window.mask_in, emb)
-
-
-def embed_windows(windows: Sequence[BinnedWindow], emb: EmbeddingMap) -> np.ndarray:
-    """Batched embed; returns (B, input_len, n)."""
-    X = np.stack([np.concatenate([w.values, w.mask_in], axis=1) for w in windows])
-    return X @ emb.weight + emb.bias
+def window_inputs(values: np.ndarray, mask: np.ndarray, n_vars: int) -> np.ndarray:
+    """The embedding map's input rows (..., input_len, 2F): each hour's values, then its input mask."""
+    if values.shape != mask.shape or values.shape[-1] != n_vars:
+        raise ConfigurationError(f"windows have {values.shape[-1]} variables, embedding expects {n_vars}")
+    return np.concatenate([values, mask], axis=-1)
 
 
 def bake_points(
@@ -220,7 +205,8 @@ def bake_points(
     if not id_windows:
         return []
     windows = [w for _, w in id_windows]
-    E = embed_windows(windows, emb)
+    X = window_inputs(np.stack([w.values for w in windows]), np.stack([w.mask_in for w in windows]), emb.n_vars)
+    E = X @ emb.weight + emb.bias
     return [
         DataPoint(e=E[i], y=w.target, m=w.mask_out, uid=f"{eid}:{w.window_start}")
         for i, (eid, w) in enumerate(id_windows)
@@ -479,13 +465,6 @@ def dp_train(
     return params
 
 
-def _stack_windows(windows: Sequence[BinnedWindow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    X = np.stack([np.concatenate([w.values, w.mask_in], axis=1) for w in windows])
-    Y = np.stack([w.target for w in windows])
-    M = np.stack([w.mask_out for w in windows])
-    return X, Y, M
-
-
 def pretrain_embedding(
     windows: Sequence[BinnedWindow],
     cfg: TrainConfig,
@@ -498,9 +477,11 @@ def pretrain_embedding(
     """
     if not windows:
         raise DomainError("empty pretraining set")
-    n_vars = windows[0].values.shape[1]
-    emb, params = init_params(cfg.n, cfg.hidden_dim, n_vars, cfg.horizon, cfg.seed)
-    X, Y, M = _stack_windows(windows)
+    input_hours, n_vars = windows[0].values.shape
+    emb, params = init_params(cfg.n, cfg.hidden_dim, n_vars, cfg.horizon, cfg.seed, input_hours=input_hours)
+    X = window_inputs(np.stack([w.values for w in windows]), np.stack([w.mask_in for w in windows]), n_vars)
+    Y = np.stack([w.target for w in windows])
+    M = np.stack([w.mask_out for w in windows])
     rng = np.random.default_rng([cfg.seed, _SHUFFLE_STREAM])
     weight, bias = emb.weight.copy(), emb.bias.copy()
     for _ in range(cfg.max_epochs):

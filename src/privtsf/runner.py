@@ -165,19 +165,6 @@ def evaluate_candidate(
     return replace(m, accepted=accepted, reason=reason), new_state
 
 
-def run_attack(
-    params: ForecasterParams,
-    members_pts: Sequence[DataPoint],
-    nonmembers_pts: Sequence[DataPoint],
-) -> AttackReport:
-    """Threshold attack with tau set to the members' average loss."""
-    if not members_pts or not nonmembers_pts:
-        raise DomainError("member and non-member sets must be nonempty")
-    members = loss_table(members_pts, params, "member")
-    nonmembers = loss_table(nonmembers_pts, params, "non-member")
-    return attack_report(members, nonmembers, float(members.losses.mean()))
-
-
 # ---------------------------------------------------------------------------
 # Run configuration and workbench
 # ---------------------------------------------------------------------------
@@ -200,7 +187,7 @@ class RunConfig:
     output_dir: str = ""
     run_id: str = ""
     split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=100))
+    train: TrainConfig = field(default_factory=TrainConfig)
     zoo: ZooConfig | None = None
     mixup: MixupConfig | None = None
     dp: DpConfig | None = None
@@ -217,9 +204,9 @@ class RunConfig:
     input_len: int = 24
     max_start: int = 96
     checkpoint: str = ""
-    eps_priv: float = 0.005
-    eps_mse: float = 0.005
-    beta_accept: float = 3.0
+    eps_priv: float = AcceptanceState.eps_priv
+    eps_mse: float = AcceptanceState.eps_mse
+    beta_accept: float = AcceptanceState.beta_accept
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -228,8 +215,8 @@ class RunConfig:
             raise ConfigurationError(f"method {self.method} requires a zoo config")
         if self.method == "mixup" and self.mixup is None:
             raise ConfigurationError("method mixup requires a mixup config")
-        if self.method == "dp_sgd" and self.dp is None:
-            raise ConfigurationError("method dp_sgd requires a dp config")
+        if self.method == "dp_sgd" and (self.dp is None or not self.dp_sigma_grid):
+            raise ConfigurationError("method dp_sgd requires a dp config and a nonempty dp_sigma_grid")
         if self.rounds < 0:
             raise ConfigurationError("rounds must be >= 0")
 
@@ -297,10 +284,8 @@ def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Wo
         "test": [ep for ep in episodes if ep.episode_id in test_ids],
     }
 
-    from_ckpt = None
     if cfg.checkpoint:
-        emb, params, std, _ = load_checkpoint(cfg.checkpoint)
-        from_ckpt = (emb, params)
+        emb, baseline, std, _ = load_checkpoint(cfg.checkpoint)
     else:
         std = Standardizer.fit(by_split["train"], cfg.n_vars)
 
@@ -317,18 +302,17 @@ def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Wo
     if not train_w or not held_w or not test_w:
         raise DomainError("one of the splits produced no usable windows")
 
-    if from_ckpt is not None:
-        emb, baseline = from_ckpt
-    else:
-        emb, params0 = pretrain_embedding([w for _, w in train_w], cfg.train)
-        train_pts0 = bake_points(train_w, emb)
+    if not cfg.checkpoint:
+        emb, baseline = pretrain_embedding([w for _, w in train_w], cfg.train)
+    train_pts = bake_points(train_w, emb)
+    if not cfg.checkpoint:
         baseline, _ = train(
-            train_pts0, params0, cfg.train, epochs=cfg.baseline_epochs, seed=derive_seed(cfg.seed, _BASELINE_STREAM)
+            train_pts, baseline, cfg.train, epochs=cfg.baseline_epochs, seed=derive_seed(cfg.seed, _BASELINE_STREAM)
         )
     return Workbench(
         emb=emb,
         baseline_params=baseline,
-        train_pts=bake_points(train_w, emb),
+        train_pts=train_pts,
         heldout_pts=bake_points(held_w, emb),
         test_pts=bake_points(test_w, emb),
         std=std,
@@ -393,7 +377,7 @@ def attack_row(
     tag: str,
     params: ForecasterParams,
     wb: Workbench,
-    nonmembers: str = "test",
+    nonmembers: str,
 ) -> tuple[MetricsRow, AttackReport]:
     """A row in the attack convention, forecasting each split once.
 
@@ -486,7 +470,8 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
     run_id, tag = cfg.resolved_run_id(), cfg.param_tag()
     params = wb.baseline_params
     decision0 = measure_candidate(params, wb.train_pts, wb.heldout_pts, [])
-    rows = [_round_row(run_id, cfg.method, tag, 0, decision0.report, decision0.mse_heldout, mse_set(wb.test_pts, params))]
+    report = decision0.report  # the last accepted model's
+    rows = [_round_row(run_id, cfg.method, tag, 0, report, decision0.mse_heldout, mse_set(wb.test_pts, params))]
     audits = [RoundAudit(epoch=0, accepted=True, pool_size=0, samples_generated=0, steps_executed=0)]
     state = None
     if rounds > 0:
@@ -502,7 +487,8 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
 
     try:
         for r in range(1, rounds + 1):
-            tau_ref = mse_set(list(wb.train_pts) + list(pool.items), params)
+            # an accepted round already measured the current model over train + the current pool
+            tau_ref = report.tau if audits[-1].accepted else mse_set(list(wb.train_pts) + list(pool.items), params)
             wave = _generate_wave(cfg, wb, params, tau_ref, r, n_samples, basis)
             pool.insert(wave)
 
@@ -531,13 +517,11 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
                 )
             )
             if decision.accepted:
-                params = candidate
-                state = new_state
-                final_epoch = r
+                params, state, final_epoch, report = candidate, new_state, r, decision.report
     finally:
         _flush_outputs(cfg, rows, audits)
 
-    _write_final_artifacts(cfg, wb, params)
+    _write_final_artifacts(cfg, wb, params, report)
     return RunResult(rows=rows, audits=audits, final_params=params, final_epoch=final_epoch, workbench=wb)
 
 
@@ -555,7 +539,6 @@ def run_dp_baseline(cfg: RunConfig, wb: Workbench | None = None) -> RunResult:
         wb = build_workbench(cfg)
     rows: list[MetricsRow] = []
     audits: list[RoundAudit] = []
-    params = wb.baseline_params
     try:
         for j, sigma in enumerate(cfg.dp_sigma_grid):
             dp = DpConfig(noise_multiplier=sigma, clip_norm=cfg.dp.clip_norm, lr_scale=cfg.dp.lr_scale)
@@ -575,11 +558,12 @@ def run_dp_baseline(cfg: RunConfig, wb: Workbench | None = None) -> RunResult:
                 epochs=cfg.dp_epochs,
                 seed=derive_seed(cfg.seed, _DP_TRAIN_STREAM * 100_000 + j),
             )
-            rows.append(attack_row(cfg.resolved_run_id(), cfg.method, repr(float(sigma)), params, wb)[0])
+            row, report = attack_row(cfg.resolved_run_id(), cfg.method, repr(float(sigma)), params, wb, "test")
+            rows.append(row)
             audits.append(RoundAudit(epoch=0, accepted=True, pool_size=0, samples_generated=0, steps_executed=0))
     finally:
         _flush_outputs(cfg, rows, audits)
-    _write_final_artifacts(cfg, wb, params)
+    _write_final_artifacts(cfg, wb, params, report)
     return RunResult(rows=rows, audits=audits, final_params=params, final_epoch=0, workbench=wb)
 
 
@@ -613,20 +597,20 @@ def _flush_outputs(cfg: RunConfig, rows: list[MetricsRow], audits: list[RoundAud
             )
 
 
-def _write_final_artifacts(cfg: RunConfig, wb: Workbench, params: ForecasterParams) -> None:
+def _write_final_artifacts(cfg: RunConfig, wb: Workbench, params: ForecasterParams, report: AttackReport) -> None:
+    """Checkpoint the final model and write the ROC of its own metrics row's report."""
     if not cfg.output_dir:
         return
     run_id = cfg.resolved_run_id()
-    report = run_attack(params, wb.train_pts, wb.heldout_pts)
     write_roc_csv(report.roc.tolist(), os.path.join(cfg.output_dir, f"roc_{run_id}.csv"))
     save_checkpoint(os.path.join(cfg.output_dir, f"checkpoint_{run_id}.npz"), wb.emb, params, wb.std, cfg.seed)
 
 
 def replay_gate(
     rows: Sequence[MetricsRow],
-    eps_priv: float = 0.005,
-    eps_mse: float = 0.005,
-    beta: float = 3.0,
+    eps_priv: float = AcceptanceState.eps_priv,
+    eps_mse: float = AcceptanceState.eps_mse,
+    beta: float = AcceptanceState.beta_accept,
 ) -> list[int]:
     """Re-run the acceptance gate over logged rows of one run.
 
@@ -646,7 +630,12 @@ def replay_gate(
     return accepted
 
 
-def build_tradeoff(rows: Sequence[MetricsRow], eps_priv: float = 0.005, eps_mse: float = 0.005, beta: float = 3.0):
+def build_tradeoff(
+    rows: Sequence[MetricsRow],
+    eps_priv: float = AcceptanceState.eps_priv,
+    eps_mse: float = AcceptanceState.eps_mse,
+    beta: float = AcceptanceState.beta_accept,
+):
     """One tradeoff entry per run: the final accepted model's priv and test MSE.
 
     Gated methods replay the acceptance gate to locate the final accepted row;

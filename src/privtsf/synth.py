@@ -31,7 +31,7 @@ class GeneratorConfig:
     z[h+1] = ar_coefficient * z[h] + noise, scaled to unit stationary variance.
     """
 
-    n_episodes: int
+    n_episodes: int = 1000
     n_vars: int = 16
     latent_dim: int = 4
     stay_hours: tuple[int, int] = (48, 120)

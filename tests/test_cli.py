@@ -3,9 +3,11 @@ import os
 
 import pytest
 
-from privtsf.cli import main
+from privtsf.augment import MixupConfig, ZooConfig
+from privtsf.cli import _runconfig_from, build_parser, main
 from privtsf.data import load_triplets, read_metrics_csv
-from privtsf.runner import TRADEOFF_HEADER
+from privtsf.forecaster import DpConfig, TrainConfig
+from privtsf.runner import TRADEOFF_HEADER, RunConfig
 
 
 def write_config(path, **overrides):
@@ -73,6 +75,48 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--out", str(tmp_path / "x.csv"), "--seed", "1", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestConfig:
+    def test_unknown_top_level_key_exits_1_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, baseline_epoch=5)
+        assert main(["pretrain", "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert "baseline_epoch" in capsys.readouterr().err
+
+    def test_unknown_nested_key_exits_1_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, train={"lr": 0.1})
+        assert main(["pretrain", "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert "unknown train key(s): lr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, method, extra",
+        [
+            (["pretrain"], "baseline", {}),
+            (["attack", "--checkpoint", "c.npz"], "baseline", {"checkpoint": "c.npz"}),
+            (["augment", "--method", "zoo"], "zoo", {"zoo": ZooConfig()}),
+            (["augment", "--method", "zoo-pca"], "zoo_pca", {"zoo": ZooConfig()}),
+            (["augment", "--method", "mixup"], "mixup", {"mixup": MixupConfig()}),
+            (["dp-train"], "dp_sgd", {"dp": DpConfig()}),
+        ],
+    )
+    def test_empty_config_takes_the_library_defaults(self, argv, method, extra):
+        args = build_parser().parse_args(argv + ["--config", "c.json", "--seed", "5"])
+        expected = RunConfig(method=method, seed=5, output_dir="out", train=TrainConfig(seed=5), **extra)
+        assert _runconfig_from({}, args, method) == expected
+
+    def test_aliases_and_flags(self):
+        cfg = {"data": "a.csv", "split": [0.5, 0.25, 0.25], "mixup_beta": 5.0, "generator": {"n_episodes": 9}}
+        args = build_parser().parse_args(["augment", "--method", "mixup", "--config", "c.json", "--seed", "7"])
+        got = _runconfig_from(cfg, args, "mixup")
+        assert (got.data_path, got.split_fractions, got.mixup) == ("a.csv", (0.5, 0.25, 0.25), MixupConfig(beta=5.0))
+        assert (got.generator.n_episodes, got.generator.seed) == (9, 7)
+        argv = ["pretrain", "--config", "c.json", "--seed", "7", "--data", "b.csv", "--out-dir", "o", "--run-id", "r"]
+        got = _runconfig_from({**cfg, "generator": {"seed": 3}}, build_parser().parse_args(argv), "baseline")
+        assert (got.data_path, got.output_dir, got.run_id, got.generator.seed) == ("b.csv", "o", "r", 3)
+        argv = ["augment", "--method", "mixup", "--config", "c.json", "--seed", "7", "--beta", "2"]
+        assert _runconfig_from(cfg, build_parser().parse_args(argv), "mixup").mixup == MixupConfig(beta=2.0)
 
 
 class TestPipeline:

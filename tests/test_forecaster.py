@@ -44,11 +44,16 @@ def window(values, mask):
     )
 
 
+def embed_one(values, mask, emb):
+    """The map applied to the input rows of one (values, mask) pair."""
+    return fc.window_inputs(values, mask, emb.n_vars) @ emb.weight + emb.bias
+
+
 class TestEmbed:
     def test_zero_input_gives_bias_rows(self):
         emb = fc.EmbeddingMap(weight=np.arange(12.0).reshape(6, 2), bias=np.array([3.0, -1.0]))
         w = window(np.zeros((4, 3)), np.zeros((4, 3)))
-        out = fc.embed(w, emb)
+        out = fc.bake_points([(0, w)], emb)[0].e
         assert np.allclose(out, np.tile(emb.bias, (4, 1)))
 
     def test_one_hot_row_selects_weight_row(self):
@@ -56,12 +61,12 @@ class TestEmbed:
         emb = fc.EmbeddingMap(weight=weight, bias=np.zeros(2))
         values = np.zeros((2, 3))
         values[0, 1] = 1.0  # one-hot on the value coordinate of variable 1
-        out = fc.embed_rows(values, np.zeros((2, 3)), emb)
+        out = embed_one(values, np.zeros((2, 3)), emb)
         assert np.allclose(out[0], weight[1])
         # one-hot on a mask coordinate selects the shifted row
         mask = np.zeros((2, 3))
         mask[0, 2] = 1.0
-        out = fc.embed_rows(np.zeros((2, 3)), mask, emb)
+        out = embed_one(np.zeros((2, 3)), mask, emb)
         assert np.allclose(out[0], weight[3 + 2])
 
     def test_doubling_values_doubles_output_minus_bias(self):
@@ -70,8 +75,8 @@ class TestEmbed:
         emb = fc.EmbeddingMap(weight=rng.standard_normal((6, 4)), bias=rng.standard_normal(4))
         v = np.abs(rng.standard_normal((5, 3)))
         zero_mask = np.zeros((5, 3))
-        base = fc.embed_rows(v, zero_mask, emb) - emb.bias
-        doubled = fc.embed_rows(2 * v, zero_mask, emb) - emb.bias
+        base = embed_one(v, zero_mask, emb) - emb.bias
+        doubled = embed_one(2 * v, zero_mask, emb) - emb.bias
         assert np.allclose(doubled, 2 * base, atol=1e-12)
 
     def test_joint_linearity_in_values_and_mask(self):
@@ -79,8 +84,8 @@ class TestEmbed:
         emb = fc.EmbeddingMap(weight=rng.standard_normal((6, 4)), bias=rng.standard_normal(4))
         v = rng.standard_normal((5, 3))
         m = (rng.random((5, 3)) < 0.5).astype(float)
-        mixed = fc.embed_rows(v, m, emb)
-        parts = fc.embed_rows(v, np.zeros_like(m), emb) + fc.embed_rows(v * 0, m, emb) - emb.bias
+        mixed = embed_one(v, m, emb)
+        parts = embed_one(v, np.zeros_like(m), emb) + embed_one(v * 0, m, emb) - emb.bias
         assert np.allclose(mixed, parts, atol=1e-12)
 
     def test_window_embed_matches_row_map(self):
@@ -89,13 +94,13 @@ class TestEmbed:
         m = (rng.random((4, 3)) < 0.5).astype(float)
         v = rng.standard_normal((4, 3)) * m
         w = window(v, m)
-        assert np.array_equal(fc.embed(w, emb), fc.embed_rows(v, m, emb))
+        assert np.array_equal(fc.bake_points([(0, w)], emb)[0].e, embed_one(v, m, emb))
 
     def test_dimension_mismatch(self):
         emb = fc.EmbeddingMap(weight=np.zeros((6, 2)), bias=np.zeros(2))
         w = window(np.zeros((4, 5)), np.zeros((4, 5)))
-        with pytest.raises(ConfigurationError):
-            fc.embed(w, emb)
+        with pytest.raises(ConfigurationError, match="5 variables, embedding expects 3"):
+            fc.bake_points([(0, w)], emb)
 
 
 def forecast_one(e, params):
@@ -321,8 +326,8 @@ class TestPretraining:
         fc.train(pts, params, cfg, epochs=2, seed=5)
         assert np.array_equal(emb.weight, snapshot)
         # embed output for a fixed window is bit-identical after further training
-        a = fc.embed(windows[0], emb)
-        b = fc.embed(windows[0], emb)
+        a = fc.bake_points([(0, windows[0])], emb)[0].e
+        b = fc.bake_points([(0, windows[0])], emb)[0].e
         assert np.array_equal(a, b)
 
     def test_pretraining_reduces_loss(self):

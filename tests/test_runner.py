@@ -9,7 +9,7 @@ from privtsf import runner
 from privtsf.augment import MixupConfig, ZooConfig
 from privtsf.data import ConfigurationError, MetricsRow, read_metrics_csv
 from privtsf.forecaster import DpConfig, TrainConfig, load_checkpoint
-from privtsf.metrics import mse_set
+from privtsf.metrics import attack_report, auroc_from_points, loss_table, mse_set
 from privtsf.synth import GeneratorConfig
 
 
@@ -137,10 +137,16 @@ class TestPoolSampling:
             runner.pool_sample_indices(0, 5, np.random.default_rng(0))
 
 
+def threshold_attack(params, members_pts, nonmembers_pts):
+    """The attack report with tau set to the members' average loss."""
+    members = loss_table(members_pts, params, "member")
+    return attack_report(members, loss_table(nonmembers_pts, params, "non-member"), float(members.losses.mean()))
+
+
 class TestRunAttack:
     def test_identical_member_and_nonmember_sets(self, small_wb):
         _, wb = small_wb
-        rep = runner.run_attack(wb.baseline_params, wb.train_pts, wb.train_pts)
+        rep = threshold_attack(wb.baseline_params, wb.train_pts, wb.train_pts)
         assert rep.tpr == rep.fpr
         assert rep.priv == 1.0
         assert rep.auroc == pytest.approx(0.5, abs=1e-9)
@@ -150,12 +156,12 @@ class TestRunAttack:
 
         _, wb = small_wb
         _, fresh = init_params(32, 32, 16, 24, seed=99)
-        rep = runner.run_attack(fresh, wb.train_pts, wb.heldout_pts)
+        rep = threshold_attack(fresh, wb.train_pts, wb.heldout_pts)
         assert abs(rep.auroc - 0.5) <= 0.05
 
     def test_overfit_model_leaks_membership(self, small_wb):
         _, wb = small_wb
-        rep = runner.run_attack(wb.baseline_params, wb.train_pts, wb.heldout_pts)
+        rep = threshold_attack(wb.baseline_params, wb.train_pts, wb.heldout_pts)
         assert rep.priv > 1.0
         assert rep.auroc > 0.5
 
@@ -173,6 +179,10 @@ def tiny_cfg(method, seed, outdir, **kw):
     )
     defaults.update(kw)
     return runner.RunConfig(method=method, seed=seed, **defaults)
+
+
+def roc_file_area(path):
+    return auroc_from_points(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
 
 
 class TestAugmentationRun:
@@ -248,6 +258,17 @@ class TestAugmentationRun:
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
 
+    def test_roc_file_is_final_accepted_rows(self, tmp_path):
+        zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
+        cfg = tiny_cfg("zoo", 31, str(tmp_path / "o"), zoo=zoo, rounds=3)
+        res = runner.run_augmentation_experiment(cfg)
+        assert roc_file_area(tmp_path / "o" / f"roc_{cfg.resolved_run_id()}.csv") == res.rows[res.final_epoch].auroc
+
+    def test_input_len_sets_pooling_hours(self):
+        zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=1)
+        res = runner.run_augmentation_experiment(tiny_cfg("zoo_pca", 31, "", zoo=zoo, rounds=1, input_len=12))
+        assert res.final_params.input_hours == 12
+
     def test_tau_uses_augmented_reference(self, tmp_path):
         # synthetic data generated for diversity raises the reference threshold
         zoo = ZooConfig(alpha=1.0, lam=30.0, mu=3.0, k=2, steps=6)
@@ -258,8 +279,8 @@ class TestAugmentationRun:
 
 class TestEvaluationPasses:
     def test_each_split_forecast_once_per_model(self, monkeypatch):
-        # per round: train+pool under the current model (tau_ref) and under the
-        # candidate, heldout and test under the candidate, and nothing twice
+        # per round: train+pool, heldout and test under the candidate, plus
+        # train+pool under the current model (tau_ref) after a rejected round only
         from privtsf import metrics
 
         windows = [0]  # forecast windows since the last metrics row
@@ -278,11 +299,15 @@ class TestEvaluationPasses:
         monkeypatch.setattr(runner, "_round_row", marking_row)
         zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
         res = runner.run_augmentation_experiment(tiny_cfg("zoo", 31, "", zoo=zoo, rounds=3))
-        wb = res.workbench
+        n_train, n_eval = len(res.workbench.train_pts), len(res.workbench.heldout_pts) + len(res.workbench.test_pts)
         assert len(windows) == 5  # before the baseline row, three rounds, after the last row
+        assert windows[0] == n_train + n_eval
+        assert [a.accepted for a in res.audits] == [True, True, False, False]  # rounds after both outcomes
         for r in (1, 2, 3):
-            once = 2 * (len(wb.train_pts) + res.audits[r].pool_size) + len(wb.heldout_pts) + len(wb.test_pts)
-            assert 0 < windows[r] <= once
+            # an accepted round already measured tau_ref: the candidate over train + the same pool
+            tau_ref = 0 if res.audits[r - 1].accepted else n_train + res.audits[r - 1].pool_size
+            assert windows[r] == tau_ref + n_train + res.audits[r].pool_size + n_eval
+        assert windows[4] == 0
 
 
 class TestMixupRun:
@@ -307,6 +332,8 @@ class TestDpRun:
         res = runner.run_dp_baseline(cfg)
         assert [r.alpha_or_beta for r in res.rows] == ["1.1", "2.0"]
         assert all(r.method == "dp_sgd" for r in res.rows)
+        # the ROC file is the last sigma's, in the row's own convention (test non-members)
+        assert roc_file_area(tmp_path / "o" / f"roc_{cfg.resolved_run_id()}.csv") == res.rows[-1].auroc
 
     def test_zero_noise_huge_clip_matches_plain_sgd(self, small_wb):
         # degenerate DP settings reduce to plain minibatch gradient descent
@@ -342,6 +369,8 @@ class TestWorkbench:
             runner.RunConfig(method="nope", seed=1)
         with pytest.raises(ConfigurationError):
             runner.RunConfig(method="mixup", seed=1)
+        with pytest.raises(ConfigurationError):
+            runner.RunConfig(method="dp_sgd", seed=1, dp=DpConfig(), dp_sigma_grid=())
 
 
 class TestTradeoff:
