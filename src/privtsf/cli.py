@@ -14,6 +14,8 @@ import json
 import logging
 import os
 import sys
+import types
+import typing
 
 from .augment import MixupConfig, ZooConfig
 from .data import (
@@ -47,7 +49,13 @@ def _load_json(path: str) -> dict:
         print(f"error: config file not found: {path}", file=sys.stderr)
         raise SystemExit(2)
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 # JSON keys that are not RunConfig field names
@@ -67,10 +75,29 @@ _NESTED = {
 }
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a field's annotated type; ints pass as floats, bools as neither."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(_fits(v, a) for v, a in zip(value, args))
+    return isinstance(value, hint)
+
+
 def _build(cls, values: dict, where: str, **overrides):
     """A `cls` from a JSON object by field name, with the non-None `overrides` over it.
 
-    JSON lists become tuples; a key that names no field is an error.
+    JSON lists become tuples; a key that names no field, or a value that does
+    not have its field's type, is an error.
     """
     if not isinstance(values, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {values!r}")
@@ -78,6 +105,11 @@ def _build(cls, values: dict, where: str, **overrides):
     if unknown:
         raise ConfigurationError(f"unknown {where} key(s): {', '.join(unknown)}")
     values = {**values, **{k: v for k, v in overrides.items() if v is not None}}
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        if not _fits(value, hints[key]):
+            expected = hints[key].__name__ if isinstance(hints[key], type) else str(hints[key])
+            raise ConfigurationError(f"{where} key {key} must be {expected}, got {value!r}")
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 

@@ -240,6 +240,14 @@ def stack_points(points: Sequence[DataPoint]) -> tuple[np.ndarray, np.ndarray, n
     return E, Y, M
 
 
+def _check_var_ids(ep: Episode, n_vars: int) -> None:
+    _, var, _ = ep.arrays
+    if var.size and int(var.max()) >= n_vars:
+        raise ConfigurationError(
+            f"episode {ep.episode_id} uses variable index {int(var.max())}, standardizer has {n_vars}"
+        )
+
+
 def _bin_range(ep: Episode, std: Standardizer, start: float, n_hours: int) -> tuple[np.ndarray, np.ndarray]:
     n_vars = std.n_vars
     values = np.zeros((n_hours, n_vars))
@@ -247,10 +255,7 @@ def _bin_range(ep: Episode, std: Standardizer, start: float, n_hours: int) -> tu
     if n_hours == 0:
         return values, mask
     t, var, val = ep.arrays
-    if t.size and int(var.max()) >= n_vars:
-        raise ConfigurationError(
-            f"episode {ep.episode_id} uses variable index {int(var.max())}, standardizer has {n_vars}"
-        )
+    _check_var_ids(ep, n_vars)
     lo, hi = np.searchsorted(t, [start, start + n_hours], side="left")
     if lo == hi:
         return values, mask
@@ -345,15 +350,33 @@ def build_windows(
     input_len: int = 24,
     horizon: int = 24,
     max_start: int = 96,
+    limit: int = 0,
+    rng: np.random.Generator | None = None,
 ) -> list[tuple[int, BinnedWindow]]:
-    """All admissible (episode_id, window) pairs; windows with an empty target mask are dropped."""
-    out: list[tuple[int, BinnedWindow]] = []
+    """Admissible (episode_id, window) pairs; windows with an empty target mask are dropped.
+
+    With a positive `limit` below the number of such windows, only a random
+    subset of `limit` of them, drawn from `rng` and kept in order, is binned.
+    Every episode with an admissible start has its variable indices checked
+    against the standardizer, whether or not one of its windows is kept.
+    """
+    if input_len <= 0 or horizon < 0:
+        raise ConfigurationError("input_len must be positive and horizon non-negative")
+    starts: list[tuple[Episode, int]] = []
     for ep in episodes:
-        for s in sliding_windows(ep, stride=stride, input_len=input_len, horizon=horizon, max_start=max_start):
-            w = bin_episode(ep, s, input_len, horizon, std)
-            if w.mask_out.sum() >= 1:
-                out.append((ep.episode_id, w))
-    return out
+        admissible = sliding_windows(ep, stride=stride, input_len=input_len, horizon=horizon, max_start=max_start)
+        if not admissible:
+            continue
+        _check_var_ids(ep, std.n_vars)
+        # a target block holds an observation exactly when its time range does
+        target_start = np.asarray(admissible) + input_len
+        lo = np.searchsorted(ep.arrays[0], target_start, side="left")
+        hi = np.searchsorted(ep.arrays[0], target_start + horizon, side="left")
+        starts.extend((ep, s) for s, a, b in zip(admissible, lo, hi) if a < b)
+    if limit and len(starts) > limit:
+        idx = np.sort(rng.choice(len(starts), size=limit, replace=False))
+        starts = [starts[i] for i in idx]
+    return [(ep.episode_id, bin_episode(ep, s, input_len, horizon, std)) for ep, s in starts]
 
 
 # ---------------------------------------------------------------------------

@@ -270,8 +270,9 @@ def _backward(
     """Backprop each sample's own masked MSE through the unroll.
 
     With per_sample=True the returned arrays keep the leading batch axis;
-    otherwise they are already averaged over the batch. Passing the raw
-    window inputs X (B, I, 2F) additionally yields embedding-map gradients.
+    otherwise they are already averaged over the batch. On the batch-mean
+    path only, passing the raw window inputs X (B, I, 2F) additionally yields
+    the embedding map's gradients.
     """
     B, T = Y.shape[0], Y.shape[1]
     counts = M.sum(axis=(1, 2))
@@ -300,20 +301,17 @@ def _backward(
     dpooled = da0 @ params.w_hidden
 
     if per_sample:
+        # per-example outer products as batched matmuls (Goodfellow 2015)
         g = {
-            "w_out": np.einsum("btf,bth->bfh", DY, S[:, 1:]),
+            "w_out": DY.transpose(0, 2, 1) @ S[:, 1:],
             "b_out": DY.sum(axis=1),
-            "w_state": np.einsum("bth,btk->bhk", DA, S[:, :T]),
-            "w_feedback": np.einsum("bth,btf->bhf", DA, Yh[:, :T]),
+            "w_state": DA.transpose(0, 2, 1) @ S[:, :T],
+            "w_feedback": DA.transpose(0, 2, 1) @ Yh[:, :T],
             "b_state": DA.sum(axis=1),
-            "w_hidden": np.einsum("bh,bn->bhn", da0, pooled),
+            "w_hidden": da0[:, :, None] * pooled[:, None, :],
             "b_hidden": da0,
-            "pos": np.einsum("bn,bin->bi", dpooled, E),
+            "pos": (E @ dpooled[:, :, None])[:, :, 0],
         }
-        if X is not None:
-            dE = params.pos[None, :, None] * dpooled[:, None, :]
-            g["emb_weight"] = np.einsum("bip,bin->bpn", X, dE)
-            g["emb_bias"] = dE.sum(axis=1)
     else:
         g = {
             "w_out": np.einsum("btf,bth->fh", DY, S[:, 1:]) / B,

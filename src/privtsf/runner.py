@@ -259,13 +259,6 @@ def load_episodes(cfg: RunConfig) -> list[Episode]:
     raise ConfigurationError("config needs data_path or an inline generator")
 
 
-def _cap(items: list, limit: int, rng: np.random.Generator) -> list:
-    if limit and len(items) > limit:
-        idx = np.sort(rng.choice(len(items), size=limit, replace=False))
-        return [items[i] for i in idx]
-    return items
-
-
 def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Workbench:
     """Split, standardize, window, pretrain, and train the baseline to convergence.
 
@@ -296,9 +289,9 @@ def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Wo
         max_start=cfg.max_start,
     )
     cap_rng = np.random.default_rng([cfg.seed, _CAP_STREAM])
-    train_w = _cap(build_windows(by_split["train"], std, **wcfg), cfg.max_train_windows, cap_rng)
-    held_w = _cap(build_windows(by_split["heldout"], std, **wcfg), cfg.max_eval_windows, cap_rng)
-    test_w = _cap(build_windows(by_split["test"], std, **wcfg), cfg.max_eval_windows, cap_rng)
+    train_w = build_windows(by_split["train"], std, limit=cfg.max_train_windows, rng=cap_rng, **wcfg)
+    held_w = build_windows(by_split["heldout"], std, limit=cfg.max_eval_windows, rng=cap_rng, **wcfg)
+    test_w = build_windows(by_split["test"], std, limit=cfg.max_eval_windows, rng=cap_rng, **wcfg)
     if not train_w or not held_w or not test_w:
         raise DomainError("one of the splits produced no usable windows")
 

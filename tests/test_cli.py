@@ -5,7 +5,7 @@ import pytest
 
 from privtsf.augment import MixupConfig, ZooConfig
 from privtsf.cli import _runconfig_from, build_parser, main
-from privtsf.data import load_triplets, read_metrics_csv
+from privtsf.data import ConfigurationError, load_triplets, read_metrics_csv
 from privtsf.forecaster import DpConfig, TrainConfig
 from privtsf.runner import TRADEOFF_HEADER, RunConfig
 
@@ -89,6 +89,53 @@ class TestConfig:
         write_config(cfg_path, train={"lr": 0.1})
         assert main(["pretrain", "--config", str(cfg_path), "--seed", "1"]) == 1
         assert "unknown train key(s): lr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"rounds": 2,}', "is not valid JSON"), ("[1, 2]", "must hold a JSON object, got list")],
+    )
+    def test_malformed_config_file_exits_1_naming_it(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["pretrain", "--config", str(cfg_path), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg_path) in err and message in err
+
+    def test_string_rounds_exits_1_naming_key_and_type(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, rounds="3")
+        assert main(["augment", "--method", "zoo", "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert "error: config key rounds must be int, got '3'" in capsys.readouterr().err
+
+    def test_fractional_batch_size_exits_1_naming_key_and_type(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, train={"batch_size": 0.5})
+        assert main(["pretrain", "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert "error: train key batch_size must be int, got 0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, ok",
+        [
+            ({"rounds": True}, False),
+            ({"rounds": 3.0}, False),
+            ({"pca_ratio": 1}, True),
+            ({"pca_ratio": False}, False),
+            ({"run_id": 5}, False),
+            ({"run_id": None}, False),
+            ({"split": [1, 0, 0]}, True),
+            ({"split": [0.5, 0.5]}, False),
+            ({"dp_sigma_grid": [1, 1.5]}, True),
+            ({"dp_sigma_grid": 1.5}, False),
+            ({"generator": {"stay_hours": [48.5, 96]}}, False),
+        ],
+    )
+    def test_values_checked_against_field_types(self, cfg, ok):
+        args = build_parser().parse_args(["pretrain", "--config", "c.json", "--seed", "5"])
+        if ok:
+            _runconfig_from(cfg, args, "baseline")
+        else:
+            with pytest.raises(ConfigurationError, match="must be"):
+                _runconfig_from(cfg, args, "baseline")
 
     @pytest.mark.parametrize(
         "argv, method, extra",

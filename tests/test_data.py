@@ -132,6 +132,32 @@ class TestSlidingWindows:
         e = ep(1, [(0.2, 0, 1.0)], 96.0)
         assert build_windows([e], Standardizer.identity(2)) == []
 
+    @pytest.mark.parametrize("limit", [0, 1, 40, 10_000])
+    def test_capped_build_equals_capping_every_window(self, limit):
+        # generated stays plus stays whose every target block is empty
+        episodes = generate(GeneratorConfig(n_episodes=60, seed=4))
+        episodes += [ep(1000 + i, [(0.2 + i, 0, 1.0)], 96.0) for i in range(3)]
+        std = Standardizer.fit(episodes, 16)
+        expected = build_windows(episodes, std)
+        rng = np.random.default_rng(9)
+        if limit and len(expected) > limit:
+            idx = np.sort(rng.choice(len(expected), size=limit, replace=False))
+            expected = [expected[i] for i in idx]
+        got = build_windows(episodes, std, limit=limit, rng=np.random.default_rng(9))
+        assert [(eid, w.window_start) for eid, w in got] == [(eid, w.window_start) for eid, w in expected]
+        for (_, a), (_, b) in zip(got, expected):
+            for name in ("values", "mask_in", "target", "mask_out"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_capped_build_checks_variables_of_every_admissible_episode(self):
+        good = [ep(i, [(float(h), 0, 1.0) for h in range(96)], 96.0) for i in range(3)]
+        bad = ep(9, [(1.0, 3, 1.0)], 96.0)  # admissible starts, but every target block is empty
+        short = ep(10, [(1.0, 3, 1.0)], 40.0)  # no admissible start, never checked
+        std = Standardizer.identity(2)
+        with pytest.raises(ConfigurationError, match="episode 9 uses variable index 3"):
+            build_windows(good + [bad], std, limit=1, rng=np.random.default_rng(0))
+        assert len(build_windows(good + [short], std, limit=1, rng=np.random.default_rng(0))) == 1
+
 
 class TestSplit:
     def _episodes(self, count):

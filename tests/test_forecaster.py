@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import batch_loss, fd_param_gradients, make_points, relative_error
 
@@ -187,6 +189,27 @@ class TestGradients:
         per, _ = fc.per_sample_gradients(pts, params)
         for name in fc.PARAM_FIELDS:
             assert np.allclose(per[name].mean(axis=0), batch[name], atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), clip_frac=st.floats(0.01, 2.0))
+    def test_per_sample_rows_are_single_point_gradients(self, batch, seed, clip_frac):
+        rng = np.random.default_rng(seed)
+        _, params = fc.init_params(4, 4, 3, 2, seed=int(rng.integers(2**31)), input_hours=5)
+        pts = make_points(rng, batch, 5, 4, 2, 3)
+        per, losses = fc.per_sample_gradients(pts, params)
+        mean, _ = fc.mean_gradients(pts, params)
+        for j in range(batch):
+            single, loss = fc.mean_gradients([pts[j]], params)
+            assert losses[j] == pytest.approx(loss, rel=1e-12)
+            for name in fc.PARAM_FIELDS:
+                assert relative_error(per[name][j], single[name]) < 1e-12, (name, j)
+        for name in fc.PARAM_FIELDS:
+            assert relative_error(per[name].mean(axis=0), mean[name]) < 1e-12, name
+        norms = np.sqrt(sum((g.reshape(batch, -1) ** 2).sum(axis=1) for g in per.values()))
+        C = clip_frac * float(np.median(norms))
+        clipped, _ = fc.clip_per_sample(per, C)
+        clipped_norms = np.sqrt(sum((g.reshape(batch, -1) ** 2).sum(axis=1) for g in clipped.values()))
+        assert np.all(clipped_norms <= C * (1 + 1e-12))
 
     def test_embedding_gradient_matches_central_differences(self):
         emb, params = fc.init_params(4, 4, 3, 2, seed=11, input_hours=5)
