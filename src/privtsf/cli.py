@@ -27,7 +27,7 @@ from .data import (
     write_roc_csv,
     write_triplets,
 )
-from .forecaster import DpConfig, TrainConfig, load_checkpoint
+from .forecaster import DpConfig, TrainConfig
 from .runner import (
     METHODS,
     AcceptanceState,
@@ -220,7 +220,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         episodes = generate(config)
         write_triplets(episodes, args.out)
-        log.info("wrote %d episodes (%d triplets) to %s", len(episodes), sum(len(e.triplets) for e in episodes), args.out)
+        log.info("wrote %d episodes (%d triplets) to %s", len(episodes), sum(e.t.size for e in episodes), args.out)
         return 0
 
     if args.command == "pretrain":
@@ -238,10 +238,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "attack":
         cfg = _runconfig_from(_load_json(args.config), args, method="baseline")
-        _, params, _, _ = load_checkpoint(args.checkpoint)
         wb = build_workbench(cfg)
         run_id = cfg.run_id or f"attack_s{args.seed}"
-        row, report = attack_row(run_id, "baseline", "", params, wb, args.nonmembers)
+        row, report = attack_row(run_id, "baseline", "", wb.baseline_params, wb, args.nonmembers)
         out_dir = cfg.output_dir
         os.makedirs(out_dir, exist_ok=True)
         write_roc_csv(report.roc.tolist(), os.path.join(out_dir, f"roc_{run_id}.csv"))

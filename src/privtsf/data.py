@@ -14,9 +14,9 @@ read-only, so windows and points can be shared freely across workers.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,42 +76,37 @@ def readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """One raw observation: variable `var_id` measured `t` hours after admission."""
-
-    t: float
-    var_id: int
-    value: float
-
-
-@dataclass
+@dataclass(eq=False)
 class Episode:
-    """All observations of one stay; triplets are kept sorted by time."""
+    """All observations of one stay as read-only (t, var_id, value) columns.
+
+    The columns are stable-sorted by time on construction, so observations
+    at the same time keep their input order.
+    """
 
     episode_id: int
-    triplets: tuple[Triplet, ...]
+    t: np.ndarray  # (K,) hours since admission
+    var_id: np.ndarray  # (K,) variable indices
+    value: np.ndarray  # (K,)
     length_hours: float
 
     def __post_init__(self) -> None:
         if self.length_hours <= 0:
             raise ValidationError(f"episode {self.episode_id}: non-positive length {self.length_hours}")
-        self.triplets = tuple(sorted(self.triplets, key=lambda tr: tr.t))
-        for tr in self.triplets:
-            if tr.t < 0:
-                raise ValidationError(f"episode {self.episode_id}: negative time {tr.t}")
-            if tr.t > self.length_hours:
-                raise ValidationError(
-                    f"episode {self.episode_id}: observation at {tr.t}h beyond stay of {self.length_hours}h"
-                )
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Time-sorted (t, var_id, value) arrays; ties keep input order."""
-        t = readonly(np.array([tr.t for tr in self.triplets], dtype=np.float64))
-        var = readonly(np.array([tr.var_id for tr in self.triplets], dtype=np.int64), dtype=np.int64)
-        val = readonly(np.array([tr.value for tr in self.triplets], dtype=np.float64))
-        return t, var, val
+        t = np.asarray(self.t, dtype=np.float64)
+        if not (t.ndim == 1 and np.shape(self.var_id) == t.shape == np.shape(self.value)):
+            raise ConfigurationError(f"episode {self.episode_id}: t, var_id and value must be 1-d and of equal length")
+        order = np.argsort(t, kind="stable")
+        self.t = readonly(t[order])
+        self.var_id = readonly(np.asarray(self.var_id)[order], dtype=np.int64)
+        self.value = readonly(np.asarray(self.value, dtype=np.float64)[order])
+        if self.t.size and self.t[0] < 0:
+            raise ValidationError(f"episode {self.episode_id}: negative time {self.t[0]}")
+        if self.t.size and self.t[-1] > self.length_hours:
+            beyond = self.t[self.t > self.length_hours][0]
+            raise ValidationError(
+                f"episode {self.episode_id}: observation at {beyond}h beyond stay of {self.length_hours}h"
+            )
 
 
 @dataclass
@@ -143,7 +138,7 @@ class Standardizer:
         sqsums = np.zeros(n_vars)
         counts = np.zeros(n_vars)
         for ep in episodes:
-            _, var, val = ep.arrays
+            var, val = ep.var_id, ep.value
             if var.size and int(var.max()) >= n_vars:
                 raise ValidationError(f"episode {ep.episode_id}: variable index {int(var.max())} >= {n_vars}")
             sums += np.bincount(var, weights=val, minlength=n_vars)
@@ -158,15 +153,8 @@ class Standardizer:
         std[std < 1e-12] = 1.0
         return cls(mean=mean, std=std)
 
-    @classmethod
-    def identity(cls, n_vars: int) -> "Standardizer":
-        return cls(mean=np.zeros(n_vars), std=np.ones(n_vars))
-
     def standardize(self, values: np.ndarray, var_ids: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.mean[var_ids]) / self.std[var_ids]
-
-    def destandardize(self, values: np.ndarray, var_ids: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64) * self.std[var_ids] + self.mean[var_ids]
 
 
 @dataclass
@@ -241,10 +229,9 @@ def stack_points(points: Sequence[DataPoint]) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _check_var_ids(ep: Episode, n_vars: int) -> None:
-    _, var, _ = ep.arrays
-    if var.size and int(var.max()) >= n_vars:
+    if ep.var_id.size and int(ep.var_id.max()) >= n_vars:
         raise ConfigurationError(
-            f"episode {ep.episode_id} uses variable index {int(var.max())}, standardizer has {n_vars}"
+            f"episode {ep.episode_id} uses variable index {int(ep.var_id.max())}, standardizer has {n_vars}"
         )
 
 
@@ -254,7 +241,7 @@ def _bin_range(ep: Episode, std: Standardizer, start: float, n_hours: int) -> tu
     mask = np.zeros((n_hours, n_vars))
     if n_hours == 0:
         return values, mask
-    t, var, val = ep.arrays
+    t, var, val = ep.t, ep.var_id, ep.value
     _check_var_ids(ep, n_vars)
     lo, hi = np.searchsorted(t, [start, start + n_hours], side="left")
     if lo == hi:
@@ -370,8 +357,8 @@ def build_windows(
         _check_var_ids(ep, std.n_vars)
         # a target block holds an observation exactly when its time range does
         target_start = np.asarray(admissible) + input_len
-        lo = np.searchsorted(ep.arrays[0], target_start, side="left")
-        hi = np.searchsorted(ep.arrays[0], target_start + horizon, side="left")
+        lo = np.searchsorted(ep.t, target_start, side="left")
+        hi = np.searchsorted(ep.t, target_start + horizon, side="left")
         starts.extend((ep, s) for s, a, b in zip(admissible, lo, hi) if a < b)
     if limit and len(starts) > limit:
         idx = np.sort(rng.choice(len(starts), size=limit, replace=False))
@@ -384,31 +371,70 @@ def build_windows(
 # ---------------------------------------------------------------------------
 
 
+# one observation of the triplet CSV, as the loader holds it
+_TRIPLET_ROW = np.dtype([("episode_id", np.int64), ("t", np.float64), ("var_id", np.int64), ("value", np.float64)])
+# the bytes of a plain numeric triplet CSV body, on which numpy's and Python's number grammars agree
+_PLAIN_BYTES = b"0123456789+-.,eEinfatyINFATY \t\r\n"
+
+
 def load_triplets(path: str, n_vars: int) -> list[Episode]:
     """Load episodes from a triplet CSV (header: episode_id,t_hours,var_id,value).
 
-    Episode lengths are inferred as ceil(last observation time). Malformed
-    rows raise ParseError and invariant violations ValidationError, both
-    naming the offending line.
+    Episodes come back in ascending id. Each one's observations are
+    stable-sorted by time, so ties keep file order, and its length is
+    max(ceil(last observation time), 1). Malformed rows raise ParseError and
+    invariant violations ValidationError, both naming the first offending line.
     """
-    grouped: dict[int, list[Triplet]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             return []
         if tuple(h.strip() for h in header) != TRIPLET_HEADER:
             raise ParseError(f"{path}:1: expected header {','.join(TRIPLET_HEADER)}, got {','.join(header)}")
+        try:
+            rows = _parse_plain(fh.read())
+        except ValueError:  # not plain numeric CSV, or not UTF-8
+            rows = None
+    if rows is None or not np.all(
+        np.isfinite(rows["t"]) & np.isfinite(rows["value"]) & (rows["t"] >= 0)
+        & (rows["var_id"] >= 0) & (rows["var_id"] < n_vars)
+    ):
+        rows = _parse_rows(path, n_vars)
+    if rows.size == 0:
+        return []
+    rows = rows[np.argsort(rows["episode_id"], kind="stable")]
+    eid = rows["episode_id"]
+    starts = np.flatnonzero(np.r_[True, eid[1:] != eid[:-1]])
+    ends = np.r_[starts[1:], eid.size]
+    lengths = np.maximum(np.ceil(np.maximum.reduceat(rows["t"], starts)), 1.0)
+    return [
+        Episode(int(eid[a]), rows["t"][a:b], rows["var_id"][a:b], rows["value"][a:b], float(length))
+        for a, b, length in zip(starts, ends, lengths)
+    ]
+
+
+def _parse_plain(body: str) -> np.ndarray:
+    """Rows of a CSV body in one vectorized pass; ValueError unless it is plain numeric CSV."""
+    if body.encode("ascii").translate(None, _PLAIN_BYTES):
+        raise ValueError("characters outside the plain numeric alphabet")
+    if not body.strip("\r\n"):
+        return np.empty(0, dtype=_TRIPLET_ROW)
+    return np.loadtxt(io.StringIO(body), dtype=_TRIPLET_ROW, delimiter=",", comments=None, ndmin=1)
+
+
+def _parse_rows(path: str, n_vars: int) -> np.ndarray:
+    """Rows of a triplet CSV parsed line by line; raises on the first bad line, naming it."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 4:
                 raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
             try:
-                eid = int(row[0])
-                t = float(row[1])
-                var = int(row[2])
-                val = float(row[3])
+                eid, t, var, val = int(row[0]), float(row[1]), int(row[2]), float(row[3])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             if not (math.isfinite(t) and math.isfinite(val)):
@@ -417,23 +443,20 @@ def load_triplets(path: str, n_vars: int) -> list[Episode]:
                 raise ValidationError(f"{path}:{lineno}: negative time {t}")
             if not 0 <= var < n_vars:
                 raise ValidationError(f"{path}:{lineno}: variable index {var} outside 0..{n_vars - 1}")
-            grouped.setdefault(eid, []).append(Triplet(t, var, val))
-    episodes = []
-    for eid in sorted(grouped):
-        trips = grouped[eid]
-        length = max(math.ceil(max(tr.t for tr in trips)), 1)
-        episodes.append(Episode(episode_id=eid, triplets=tuple(trips), length_hours=float(length)))
-    return episodes
+            if not -(2**63) <= eid < 2**63:
+                raise ParseError(f"{path}:{lineno}: episode id {eid} outside the 64-bit range")
+            rows.append((eid, t, var, val))
+    return np.array(rows, dtype=_TRIPLET_ROW)
 
 
 def write_triplets(episodes: Iterable[Episode], path: str) -> None:
-    """Write episodes in the triplet CSV format (one observation per row)."""
+    """Write episodes in the triplet CSV format (one observation per row, CRLF line ends)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIPLET_HEADER)
+        fh.write(",".join(TRIPLET_HEADER) + "\r\n")
         for ep in episodes:
-            for tr in ep.triplets:
-                writer.writerow([ep.episode_id, _fmt(tr.t), tr.var_id, _fmt(tr.value)])
+            # floats by repr, which round-trips exactly through float()
+            row = f"{ep.episode_id},{{!r}},{{}},{{!r}}\r\n".format
+            fh.writelines(map(row, ep.t.tolist(), ep.var_id.tolist(), ep.value.tolist()))
 
 
 def _fmt(x: float) -> str:
@@ -458,19 +481,8 @@ class MetricsRow:
     tau: float
 
     def as_list(self) -> list[str]:
-        return [
-            self.run_id,
-            self.method,
-            self.alpha_or_beta,
-            str(self.epoch),
-            _fmt(self.mse_test),
-            _fmt(self.mse_heldout),
-            _fmt(self.tpr_at_tau),
-            _fmt(self.fpr_at_tau),
-            _fmt(self.priv_ratio),
-            _fmt(self.auroc),
-            _fmt(self.tau),
-        ]
+        fields = [getattr(self, name) for name in METRICS_HEADER]
+        return [*fields[:3], str(self.epoch), *map(_fmt, fields[4:])]
 
 
 def write_report_csv(rows: Iterable[MetricsRow], path: str, append: bool = False) -> None:
@@ -498,21 +510,7 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
                 continue
             if len(row) != len(METRICS_HEADER):
                 raise ParseError(f"{path}:{lineno}: expected {len(METRICS_HEADER)} fields")
-            rows.append(
-                MetricsRow(
-                    run_id=row[0],
-                    method=row[1],
-                    alpha_or_beta=row[2],
-                    epoch=int(row[3]),
-                    mse_test=float(row[4]),
-                    mse_heldout=float(row[5]),
-                    tpr_at_tau=float(row[6]),
-                    fpr_at_tau=float(row[7]),
-                    priv_ratio=float(row[8]),
-                    auroc=float(row[9]),
-                    tau=float(row[10]),
-                )
-            )
+            rows.append(MetricsRow(*row[:3], int(row[3]), *map(float, row[4:])))
     return rows
 
 

@@ -62,10 +62,6 @@ class EmbeddingMap:
     def n_vars(self) -> int:
         return self.weight.shape[0] // 2
 
-    @property
-    def dim(self) -> int:
-        return self.weight.shape[1]
-
 
 @dataclass
 class ForecasterParams:

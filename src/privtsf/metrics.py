@@ -36,14 +36,6 @@ def mse_set(points: Sequence[DataPoint], params: ForecasterParams) -> float:
     return float(dataset_losses(points, params).mean())
 
 
-def predict_zero_mse(points: Sequence[DataPoint]) -> float:
-    """Masked MSE of the all-zero forecast, the natural floor for learnability checks."""
-    if not points:
-        raise DomainError("empty dataset")
-    _, Y, M = stack_points(points)
-    return float(masked_batch_losses(np.zeros_like(Y), Y, M).mean())
-
-
 @dataclass
 class LossTable:
     """Per-sample losses keyed by sample id, labelled member or non-member."""

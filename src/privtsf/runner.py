@@ -263,9 +263,18 @@ def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Wo
     """Split, standardize, window, pretrain, and train the baseline to convergence.
 
     When cfg.checkpoint points at a saved baseline, its embedding, forecaster
-    and standardizer are reused and only the datasets are rebuilt (the same
-    data/split/seed settings must be supplied).
+    and standardizer are reused and only the datasets are rebuilt. The
+    checkpoint's seed and shape must match the run config's, or the run
+    fails with ConfigurationError before any data is read.
     """
+    if cfg.checkpoint:
+        emb, baseline, std, meta = load_checkpoint(cfg.checkpoint)
+        run = dict(
+            seed=cfg.seed, horizon=cfg.train.horizon, input_hours=cfg.input_len, n_vars=cfg.n_vars, n=cfg.train.n
+        )
+        for key, value in run.items():
+            if meta[key] != value:
+                raise ConfigurationError(f"checkpoint {cfg.checkpoint} has {key} {meta[key]}, the run config {value}")
     if episodes is None:
         episodes = load_episodes(cfg)
     train_ids, held_ids, test_ids = split_by_episode(
@@ -277,9 +286,7 @@ def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Wo
         "test": [ep for ep in episodes if ep.episode_id in test_ids],
     }
 
-    if cfg.checkpoint:
-        emb, baseline, std, _ = load_checkpoint(cfg.checkpoint)
-    else:
+    if not cfg.checkpoint:
         std = Standardizer.fit(by_split["train"], cfg.n_vars)
 
     wcfg = dict(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConfigurationError, Episode, Triplet
+from .data import ConfigurationError, Episode
 
 _READOUT_STREAM = 0
 _EPISODE_STREAM = 1
@@ -68,30 +68,33 @@ def readout_matrix(config: GeneratorConfig) -> np.ndarray:
 
 
 def generate(config: GeneratorConfig) -> list[Episode]:
-    """Generate the full corpus; identical config yields identical triplets."""
+    """Generate the full corpus; identical config yields identical observations."""
     readout = readout_matrix(config)
     rates = np.full(config.n_vars, config.sparse_rate)
     rates[: config.dense_var_count] = config.dense_rate
     innov_std = math.sqrt(1.0 - config.ar_coefficient**2)
     lo, hi = config.stay_hours
 
-    episodes: list[Episode] = []
+    # latent states padded to the longest possible stay
+    z = np.zeros((config.n_episodes, hi, config.latent_dim))
+    innov = np.zeros((config.n_episodes, hi - 1, config.latent_dim))
+    draws = []
     for eid in range(config.n_episodes):
         rng = np.random.default_rng([config.seed, _EPISODE_STREAM, eid])
         length = int(rng.integers(lo, hi + 1))
-        z = np.empty((length, config.latent_dim))
-        z[0] = rng.standard_normal(config.latent_dim)
-        innov = rng.standard_normal((length - 1, config.latent_dim)) * innov_std
-        for h in range(1, length):
-            z[h] = config.ar_coefficient * z[h - 1] + innov[h - 1]
-        true_vals = z @ readout.T  # (length, n_vars)
-        emitted = rng.random((length, config.n_vars)) < rates[None, :]
+        z[eid, 0] = rng.standard_normal(config.latent_dim)
+        innov[eid, : length - 1] = rng.standard_normal((length - 1, config.latent_dim)) * innov_std
+        hs, fs = np.nonzero(rng.random((length, config.n_vars)) < rates[None, :])
         noise = rng.standard_normal((length, config.n_vars)) * config.obs_noise_std
         jitter = rng.random((length, config.n_vars))
-        hs, fs = np.nonzero(emitted)
-        triplets = tuple(
-            Triplet(t=float(h + jitter[h, f]), var_id=int(f), value=float(true_vals[h, f] + noise[h, f]))
-            for h, f in zip(hs, fs)
-        )
-        episodes.append(Episode(episode_id=eid, triplets=triplets, length_hours=float(length)))
+        draws.append((length, hs, fs, hs + jitter[hs, fs], noise[hs, fs]))
+    # the AR(1) recurrence is elementwise, so one step advances every episode at once
+    for h in range(1, hi):
+        z[:, h] = config.ar_coefficient * z[:, h - 1] + innov[:, h - 1]
+
+    episodes = []
+    for eid, (length, hs, fs, t, noise) in enumerate(draws):
+        true_vals = z[eid, :length] @ readout.T  # (length, n_vars)
+        value = true_vals[hs, fs] + noise
+        episodes.append(Episode(episode_id=eid, t=t, var_id=fs, value=value, length_hours=float(length)))
     return episodes

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference oracles and tiny corpus builders."""
+"""Shared test utilities: finite-difference oracles, tiny corpus builders and
+reference formulas that the package itself does not need."""
 
 from __future__ import annotations
 
@@ -8,7 +9,57 @@ import numpy as np
 
 from privtsf import augment as ag
 from privtsf import forecaster as fc
-from privtsf.data import DataPoint
+from privtsf.data import DataPoint, Episode, Standardizer, stack_points
+from privtsf.synth import _EPISODE_STREAM, readout_matrix
+
+
+def episode(eid, trips, length) -> Episode:
+    """An Episode from (t, var_id, value) tuples, in the given order."""
+    t, var, val = (list(col) for col in zip(*trips)) if trips else ([], [], [])
+    return Episode(episode_id=eid, t=t, var_id=var, value=val, length_hours=length)
+
+
+def generate_reference(config) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+    """`synth.generate` one episode and one hour at a time: (t, var_id, value, length) per
+    episode, columns stable-sorted by time."""
+    readout = readout_matrix(config)
+    rates = np.full(config.n_vars, config.sparse_rate)
+    rates[: config.dense_var_count] = config.dense_rate
+    innov_std = np.sqrt(1.0 - config.ar_coefficient**2)
+    out = []
+    for eid in range(config.n_episodes):
+        rng = np.random.default_rng([config.seed, _EPISODE_STREAM, eid])
+        length = int(rng.integers(config.stay_hours[0], config.stay_hours[1] + 1))
+        z = np.empty((length, config.latent_dim))
+        z[0] = rng.standard_normal(config.latent_dim)
+        innov = rng.standard_normal((length - 1, config.latent_dim)) * innov_std
+        for h in range(1, length):
+            z[h] = config.ar_coefficient * z[h - 1] + innov[h - 1]
+        true_vals = z @ readout.T
+        emitted = rng.random((length, config.n_vars)) < rates[None, :]
+        noise = rng.standard_normal((length, config.n_vars)) * config.obs_noise_std
+        jitter = rng.random((length, config.n_vars))
+        obs = [(h + jitter[h, f], f, true_vals[h, f] + noise[h, f]) for h, f in zip(*np.nonzero(emitted))]
+        obs.sort(key=lambda o: o[0])
+        t, var, val = (np.array(col) for col in zip(*obs)) if obs else (np.zeros(0), np.zeros(0, int), np.zeros(0))
+        out.append((t, var, val, float(length)))
+    return out
+
+
+def identity_standardizer(n_vars: int) -> Standardizer:
+    """A standardizer that leaves values unchanged."""
+    return Standardizer(mean=np.zeros(n_vars), std=np.ones(n_vars))
+
+
+def destandardize(std: Standardizer, values: np.ndarray, var_ids: np.ndarray) -> np.ndarray:
+    """The inverse of `std.standardize`."""
+    return np.asarray(values, dtype=np.float64) * std.std[var_ids] + std.mean[var_ids]
+
+
+def predict_zero_mse(points) -> float:
+    """Masked MSE of the all-zero forecast, the natural floor for learnability checks."""
+    _, Y, M = stack_points(points)
+    return float(fc.masked_batch_losses(np.zeros_like(Y), Y, M).mean())
 
 
 def make_points(rng: np.random.Generator, count: int, input_hours: int, n: int, horizon: int, n_vars: int):

@@ -3,10 +3,12 @@ import os
 
 import pytest
 
+from helpers import identity_standardizer
+
 from privtsf.augment import MixupConfig, ZooConfig
 from privtsf.cli import _runconfig_from, build_parser, main
 from privtsf.data import ConfigurationError, load_triplets, read_metrics_csv
-from privtsf.forecaster import DpConfig, TrainConfig
+from privtsf.forecaster import DpConfig, TrainConfig, init_params, save_checkpoint
 from privtsf.runner import TRADEOFF_HEADER, RunConfig
 
 
@@ -164,6 +166,18 @@ class TestConfig:
         assert (got.data_path, got.output_dir, got.run_id, got.generator.seed) == ("b.csv", "o", "r", 3)
         argv = ["augment", "--method", "mixup", "--config", "c.json", "--seed", "7", "--beta", "2"]
         assert _runconfig_from(cfg, build_parser().parse_args(argv), "mixup").mixup == MixupConfig(beta=2.0)
+
+
+class TestCheckpointBinding:
+    def test_attack_with_another_seed_exits_1_naming_it(self, tmp_path, capsys):
+        ckpt = tmp_path / "c.npz"
+        emb, params = init_params(16, 16, 16, 24, seed=0, input_hours=24)
+        save_checkpoint(str(ckpt), emb, params, identity_standardizer(16), seed=11)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, generator={"n_episodes": 30})
+        argv = ["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--seed", "12"]
+        assert main(argv) == 1
+        assert "has seed 11, the run config 12" in capsys.readouterr().err
 
 
 class TestPipeline:

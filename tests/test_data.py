@@ -1,17 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import destandardize, identity_standardizer
+from helpers import episode as ep
 
 from privtsf.data import (
     BinnedWindow,
     ConfigurationError,
     DataPoint,
-    Episode,
     MetricsRow,
     ParseError,
     Standardizer,
-    Triplet,
     ValidationError,
     bin_episode,
     build_windows,
@@ -25,26 +29,32 @@ from privtsf.data import (
 )
 from privtsf.synth import GeneratorConfig, generate
 
+HEADER = "episode_id,t_hours,var_id,value\n"
+# (t, var_id, value) observations: times drawn from a small set often, so ties are common,
+# and values at full precision (most need 17 significant digits to round-trip)
+observations = st.tuples(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.25, 7.0]), st.floats(0.0, 200.0)),
+    st.integers(0, 3),
+    st.one_of(st.just(0.1 + 0.2), st.floats(allow_nan=False, allow_infinity=False)),
+)
 
-def ep(eid, trips, length):
-    return Episode(episode_id=eid, triplets=tuple(Triplet(*t) for t in trips), length_hours=length)
 
 
 class TestBinning:
     def test_first_observation_per_hour_wins(self):
         e = ep(1, [(0.2, 0, 80.0), (0.7, 0, 90.0)], 48.0)
-        w = bin_episode(e, 0, 24, 24, Standardizer.identity(4))
+        w = bin_episode(e, 0, 24, 24, identity_standardizer(4))
         assert w.values[0, 0] == 80.0
         assert w.mask_in[0, 0] == 1.0
 
     def test_unsorted_ingest_still_keeps_earliest(self):
         e = ep(1, [(0.7, 0, 90.0), (0.2, 0, 80.0)], 48.0)
-        w = bin_episode(e, 0, 24, 24, Standardizer.identity(4))
+        w = bin_episode(e, 0, 24, 24, identity_standardizer(4))
         assert w.values[0, 0] == 80.0
 
     def test_unobserved_variable_yields_zero_column(self):
         e = ep(1, [(0.5, 0, 80.0)], 48.0)
-        w = bin_episode(e, 0, 24, 24, Standardizer.identity(4))
+        w = bin_episode(e, 0, 24, 24, identity_standardizer(4))
         assert np.all(w.values[:, 3] == 0)
         assert np.all(w.mask_in[:, 3] == 0)
 
@@ -56,31 +66,31 @@ class TestBinning:
 
     def test_target_block_follows_same_rule(self):
         e = ep(1, [(25.3, 1, 5.0), (25.9, 1, 7.0)], 48.0)
-        w = bin_episode(e, 0, 24, 24, Standardizer.identity(4))
+        w = bin_episode(e, 0, 24, 24, identity_standardizer(4))
         assert w.target[1, 1] == 5.0
         assert w.mask_out[1, 1] == 1.0
 
     def test_window_start_shifts_bucket_origin(self):
         e = ep(1, [(4.5, 0, 3.0)], 60.0)
-        w = bin_episode(e, 4, 24, 24, Standardizer.identity(2))
+        w = bin_episode(e, 4, 24, 24, identity_standardizer(2))
         assert w.values[0, 0] == 3.0
         assert w.window_start == 4
 
     def test_window_beyond_stay_is_config_error(self):
         e = ep(1, [(0.5, 0, 1.0)], 40.0)
         with pytest.raises(ConfigurationError):
-            bin_episode(e, 0, 24, 24, Standardizer.identity(2))
+            bin_episode(e, 0, 24, 24, identity_standardizer(2))
 
     def test_variable_out_of_range_is_config_error(self):
         e = ep(1, [(0.5, 3, 1.0)], 48.0)
         with pytest.raises(ConfigurationError):
-            bin_episode(e, 0, 24, 24, Standardizer.identity(2))
+            bin_episode(e, 0, 24, 24, identity_standardizer(2))
 
     def test_idempotence_on_hour_aligned_episode(self):
         rng = np.random.default_rng(3)
         trips = [(float(h), f, float(rng.standard_normal())) for h in range(30) for f in range(3)]
         e = ep(1, trips, 48.0)
-        w = bin_episode(e, 0, 24, 6, Standardizer.identity(3))
+        w = bin_episode(e, 0, 24, 6, identity_standardizer(3))
         grid = np.array([[v for (_, _, v) in trips[h * 3 : h * 3 + 3]] for h in range(24)])
         assert np.allclose(w.values, grid)
         assert np.all(w.mask_in == 1)
@@ -92,10 +102,32 @@ class TestBinning:
         for _ in range(200):
             trips.append((float(rng.uniform(0, 20)), int(rng.integers(0, 3)), float(rng.standard_normal())))
         e = ep(1, trips, 20.0)
-        w = bin_episode(e, 0, 20, 0, Standardizer.identity(3))
+        w = bin_episode(e, 0, 20, 0, identity_standardizer(3))
         discarded = len(trips) - int(w.mask_in.sum())
         keys = {(math.floor(t), f) for t, f, _ in trips}
         assert discarded == len(trips) - len(keys)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        obs=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 3.0, 3.5, 7.25, 11.0]), st.floats(0.0, 16.0)),
+                st.integers(0, 2),
+                st.floats(-1e6, 1e6),
+            ),
+            max_size=40,
+        ),
+        start=st.integers(0, 4),
+    )
+    def test_first_observation_per_hour_and_variable_wins(self, obs, start):
+        w = bin_episode(ep(1, obs, 16.0), start, 8, 4, identity_standardizer(3))
+        values, mask = np.zeros((12, 3)), np.zeros((12, 3))
+        for t, var, val in sorted(obs, key=lambda o: o[0]):
+            h = math.floor(t - start)
+            if 0 <= h < 12 and not mask[h, var]:
+                values[h, var], mask[h, var] = val, 1.0
+        assert np.array_equal(np.vstack([w.values, w.target]), values)
+        assert np.array_equal(np.vstack([w.mask_in, w.mask_out]), mask)
 
     def test_mask_value_consistency_full_scan(self):
         episodes = generate(GeneratorConfig(n_episodes=25, seed=9))
@@ -130,7 +162,7 @@ class TestSlidingWindows:
     def test_empty_target_windows_dropped_by_builder(self):
         # single observation at hour 0: every window's target block is empty
         e = ep(1, [(0.2, 0, 1.0)], 96.0)
-        assert build_windows([e], Standardizer.identity(2)) == []
+        assert build_windows([e], identity_standardizer(2)) == []
 
     @pytest.mark.parametrize("limit", [0, 1, 40, 10_000])
     def test_capped_build_equals_capping_every_window(self, limit):
@@ -153,7 +185,7 @@ class TestSlidingWindows:
         good = [ep(i, [(float(h), 0, 1.0) for h in range(96)], 96.0) for i in range(3)]
         bad = ep(9, [(1.0, 3, 1.0)], 96.0)  # admissible starts, but every target block is empty
         short = ep(10, [(1.0, 3, 1.0)], 40.0)  # no admissible start, never checked
-        std = Standardizer.identity(2)
+        std = identity_standardizer(2)
         with pytest.raises(ConfigurationError, match="episode 9 uses variable index 3"):
             build_windows(good + [bad], std, limit=1, rng=np.random.default_rng(0))
         assert len(build_windows(good + [short], std, limit=1, rng=np.random.default_rng(0))) == 1
@@ -187,7 +219,7 @@ class TestSplit:
         tr, ho, te = split_by_episode([e] + self._episodes(4), (0.6, 0.2, 0.2), seed=0)
         containing = [s for s in (tr, ho, te) if 5 in s]
         assert len(containing) == 1
-        windows = build_windows([e], Standardizer.identity(1))
+        windows = build_windows([e], identity_standardizer(1))
         assert len(windows) == 13
 
     def test_empty_input(self):
@@ -205,7 +237,7 @@ class TestStandardizer:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(100) * 5 + 2
         ids = rng.integers(0, 16, 100)
-        back = std.destandardize(std.standardize(v, ids), ids)
+        back = destandardize(std, std.standardize(v, ids), ids)
         assert np.max(np.abs(back - v)) < 1e-9
 
     def test_constant_variable_gets_unit_std(self):
@@ -231,7 +263,7 @@ class TestEpisodeValidation:
 
     def test_triplets_sorted_after_construction(self):
         e = ep(1, [(5.0, 0, 1.0), (1.0, 0, 2.0)], 10.0)
-        assert [t.t for t in e.triplets] == [1.0, 5.0]
+        assert e.t.tolist() == [1.0, 5.0]
 
 
 class TestWindowAndPointTypes:
@@ -273,7 +305,7 @@ class TestTripletIO:
         assert len(episodes) == 1
         e = episodes[0]
         assert e.episode_id == 7
-        assert e.triplets == (Triplet(0.25, 3, 91.5),)
+        assert (e.t.tolist(), e.var_id.tolist(), e.value.tolist()) == ([0.25], [3], [91.5])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -309,6 +341,13 @@ class TestTripletIO:
         with pytest.raises(ValidationError, match="variable index 9"):
             load_triplets(str(path), n_vars=4)
 
+    def test_python_number_grammar_accepted(self, tmp_path):
+        # numpy's parser rejects underscores; the line-by-line pass reads them as Python does
+        path = tmp_path / "t.csv"
+        path.write_text("episode_id,t_hours,var_id,value\n7,1_0.5,3,9_1.5\n")
+        (e,) = load_triplets(str(path), n_vars=4)
+        assert (e.episode_id, e.t.tolist(), e.var_id.tolist(), e.value.tolist()) == (7, [10.5], [3], [91.5])
+
     def test_write_load_round_trip(self, tmp_path):
         episodes = generate(GeneratorConfig(n_episodes=5, seed=3))
         path = tmp_path / "corpus.csv"
@@ -317,9 +356,89 @@ class TestTripletIO:
         assert len(loaded) == len(episodes)
         for a, b in zip(episodes, loaded):
             assert a.episode_id == b.episode_id
-            assert len(a.triplets) == len(b.triplets)
-            for ta, tb in zip(a.triplets, b.triplets):
-                assert ta == tb
+            assert len(a.t) == len(b.t)
+            for col in ("t", "var_id", "value"):
+                assert getattr(a, col).tolist() == getattr(b, col).tolist()
+
+
+class TestTripletIOProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=st.dictionaries(st.integers(-5, 10**12), st.lists(observations, min_size=1, max_size=12), max_size=6))
+    def test_write_load_round_trip_is_exact(self, tmp_path_factory, corpus):
+        episodes = [ep(eid, obs, max(math.ceil(max(o[0] for o in obs)), 1)) for eid, obs in corpus.items()]
+        path = str(tmp_path_factory.mktemp("io") / "c.csv")
+        write_triplets(episodes, path)
+        loaded = load_triplets(path, n_vars=4)
+        assert [e.episode_id for e in loaded] == sorted(corpus)
+        written = {e.episode_id: e for e in episodes}
+        for e in loaded:
+            for col in ("t", "var_id", "value"):
+                assert getattr(e, col).tobytes() == getattr(written[e.episode_id], col).tobytes()
+            assert e.length_hours == max(math.ceil(e.t[-1]), 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 3), observations), max_size=30))
+    def test_rows_grouped_by_id_and_stable_sorted_by_time(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("io") / "c.csv"
+        path.write_text(HEADER + "".join(f"{eid},{t!r},{var},{val!r}\n" for eid, (t, var, val) in rows))
+        loaded = load_triplets(str(path), n_vars=4)
+        assert [e.episode_id for e in loaded] == sorted({eid for eid, _ in rows})
+        for e in loaded:
+            expected = sorted((obs for eid, obs in rows if eid == e.episode_id), key=lambda o: o[0])
+            got = zip(e.t.tolist(), e.var_id.tolist(), e.value.tolist())
+            assert [(repr(t), var, repr(val)) for t, var, val in got] == [(repr(t), v, repr(x)) for t, v, x in expected]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_episodes=st.integers(0, 6),
+        n_vars=st.integers(1, 6),
+        sparse_rate=st.floats(0.0, 1.0),
+        stay=st.tuples(st.integers(1, 30), st.integers(0, 30)),
+    )
+    def test_generated_corpus_survives_a_load_write_cycle_byte_for_byte(
+        self, tmp_path_factory, seed, n_episodes, n_vars, sparse_rate, stay
+    ):
+        cfg = GeneratorConfig(
+            n_episodes=n_episodes,
+            n_vars=n_vars,
+            latent_dim=1,
+            dense_var_count=1,
+            sparse_rate=sparse_rate,
+            stay_hours=(stay[0], stay[0] + stay[1]),
+            seed=seed,
+        )
+        first, second = (tmp_path_factory.mktemp("io") / "c.csv" for _ in range(2))
+        write_triplets(generate(cfg), str(first))
+        write_triplets(load_triplets(str(first), n_vars=n_vars), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    BAD_LINES = {
+        "field count": ("1,0.5,0", ParseError),
+        "number": ("1,abc,0,1.0", ParseError),
+        "underscored number": ("1,0.5,0,1_0x", ParseError),
+        "non-finite": ("1,0.5,0,nan", ParseError),
+        "control character": ("1,0.5,0,1.0\x1c", ParseError),  # whitespace to numpy, not to float()
+        "negative time": ("1,-2.0,0,1.0", ValidationError),
+        "variable": ("1,0.5,9,1.0", ValidationError),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        good=st.lists(st.tuples(st.integers(0, 5), observations), min_size=2, max_size=30),
+        kinds=st.tuples(st.sampled_from(sorted(BAD_LINES)), st.sampled_from(sorted(BAD_LINES))),
+        data=st.data(),
+    )
+    def test_two_bad_lines_name_the_first(self, tmp_path_factory, good, kinds, data):
+        lines = [f"{eid},{t!r},{var},{val!r}" for eid, (t, var, val) in good]
+        first = data.draw(st.integers(0, len(lines) - 1))
+        second = data.draw(st.integers(first + 1, len(lines)))
+        lines.insert(second, self.BAD_LINES[kinds[1]][0])
+        lines.insert(first, self.BAD_LINES[kinds[0]][0])
+        path = tmp_path_factory.mktemp("io") / "c.csv"
+        path.write_text(HEADER + "\n".join(lines) + "\n")
+        with pytest.raises(self.BAD_LINES[kinds[0]][1], match=f"^{re.escape(str(path))}:{first + 2}:"):
+            load_triplets(str(path), n_vars=4)
 
 
 class TestReportIO:

@@ -5,10 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from helpers import identity_standardizer
+
 from privtsf import runner
 from privtsf.augment import MixupConfig, ZooConfig
 from privtsf.data import ConfigurationError, MetricsRow, read_metrics_csv
-from privtsf.forecaster import DpConfig, TrainConfig, load_checkpoint
+from privtsf.forecaster import DpConfig, TrainConfig, init_params, load_checkpoint, save_checkpoint
 from privtsf.metrics import attack_report, auroc_from_points, loss_table, mse_set
 from privtsf.synth import GeneratorConfig
 
@@ -361,6 +363,24 @@ class TestWorkbench:
         )
         emb1, params1, _, _ = load_checkpoint(str(ckpt))
         assert np.array_equal(emb1.weight, wb2.emb.weight)
+
+    @pytest.mark.parametrize(
+        "field, stored, run_value",
+        [("seed", 47, 48), ("horizon", 24, 12), ("input_hours", 24, 12), ("n_vars", 16, 8), ("n", 16, 8)],
+    )
+    def test_checkpoint_of_another_run_is_config_error(self, tmp_path, field, stored, run_value):
+        cfg = tiny_cfg("baseline", 47, "", checkpoint=str(tmp_path / "c.npz"))
+        emb, params = init_params(16, 16, 16, 24, seed=0, input_hours=24)
+        save_checkpoint(cfg.checkpoint, emb, params, identity_standardizer(16), seed=47)
+        overrides = {
+            "seed": {"seed": run_value},
+            "horizon": {"train": dataclasses.replace(cfg.train, horizon=run_value)},
+            "input_hours": {"input_len": run_value},
+            "n_vars": {"n_vars": run_value},
+            "n": {"train": dataclasses.replace(cfg.train, n=run_value)},
+        }[field]
+        with pytest.raises(ConfigurationError, match=f"has {field} {stored}, the run config {run_value}$"):
+            runner.build_workbench(dataclasses.replace(cfg, **overrides))
 
     def test_method_config_requirements(self):
         with pytest.raises(ConfigurationError):

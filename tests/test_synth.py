@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import generate_reference, identity_standardizer, predict_zero_mse
+
 from privtsf.data import ConfigurationError, Standardizer, bin_episode, build_windows, split_by_episode, write_triplets
 from privtsf.forecaster import TrainConfig, bake_points, pretrain_embedding
-from privtsf.metrics import mse_set, predict_zero_mse
+from privtsf.metrics import mse_set
 from privtsf.synth import GeneratorConfig, generate
 
 
@@ -13,7 +15,8 @@ class TestDeterminism:
         a, b = generate(cfg), generate(cfg)
         assert len(a) == len(b)
         for ea, eb in zip(a, b):
-            assert ea.triplets == eb.triplets
+            for col in ("t", "var_id", "value"):
+                assert getattr(ea, col).tolist() == getattr(eb, col).tolist()
             assert ea.length_hours == eb.length_hours
 
     def test_byte_identical_csv(self, tmp_path):
@@ -23,21 +26,46 @@ class TestDeterminism:
         write_triplets(generate(cfg), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            GeneratorConfig(n_episodes=40, seed=11),
+            GeneratorConfig(n_episodes=12, n_vars=5, latent_dim=5, stay_hours=(1, 9), dense_var_count=2, seed=3),
+            GeneratorConfig(n_episodes=6, stay_hours=(30, 30), sparse_rate=0.5, seed=99),
+            GeneratorConfig(n_episodes=0, seed=1),
+        ],
+    )
+    def test_columns_equal_the_per_episode_reference(self, cfg):
+        episodes = generate(cfg)
+        reference = generate_reference(cfg)
+        assert len(episodes) == len(reference)
+        for e, (t, var, val, length) in zip(episodes, reference):
+            assert (e.t.tobytes(), e.var_id.tobytes(), e.value.tobytes()) == (
+                t.tobytes(),
+                var.astype(np.int64).tobytes(),
+                val.tobytes(),
+            )
+            assert e.length_hours == length
+
     def test_seed_changes_output(self):
         a = generate(GeneratorConfig(n_episodes=3, seed=1))
         b = generate(GeneratorConfig(n_episodes=3, seed=2))
-        assert a[0].triplets != b[0].triplets
+        assert (a[0].t.tolist(), a[0].var_id.tolist(), a[0].value.tolist()) != (
+            b[0].t.tolist(),
+            b[0].var_id.tolist(),
+            b[0].value.tolist(),
+        )
 
 
 class TestSparsity:
     def test_zero_rates_give_zero_triplets(self):
         cfg = GeneratorConfig(n_episodes=5, dense_var_count=0, sparse_rate=0.0, seed=0)
-        assert all(len(e.triplets) == 0 for e in generate(cfg))
+        assert all(len(e.t) == 0 for e in generate(cfg))
 
     def test_overall_missingness_in_band(self):
         # full-stay binning over 1000 default episodes
         episodes = generate(GeneratorConfig(n_episodes=1000, seed=7))
-        std = Standardizer.identity(16)
+        std = identity_standardizer(16)
         observed = 0
         cells = 0
         for e in episodes:
@@ -50,7 +78,7 @@ class TestSparsity:
 
     def test_dense_and_sparse_groups(self):
         episodes = generate(GeneratorConfig(n_episodes=300, seed=8))
-        std = Standardizer.identity(16)
+        std = identity_standardizer(16)
         observed = np.zeros(16)
         hours = 0
         for e in episodes:
@@ -69,9 +97,9 @@ class TestTemporalStructure:
         pairs = []
         for e in generate(cfg):
             hourly = {}
-            for t in e.triplets:
-                if t.var_id == 0:
-                    hourly.setdefault(int(t.t), t.value)
+            for t, var, value in zip(e.t.tolist(), e.var_id.tolist(), e.value.tolist()):
+                if var == 0:
+                    hourly.setdefault(int(t), value)
             for h, v in hourly.items():
                 if h + 1 in hourly:
                     pairs.append((v, hourly[h + 1]))
