@@ -30,9 +30,9 @@ from .data import (
     DataPoint,
     DomainError,
     ORIGIN_SYNTHETIC,
+    PointSet,
     ValidationError,
     readonly,
-    stack_points,
 )
 from .forecaster import ForecasterParams, forecast_batch, masked_batch_losses
 
@@ -93,14 +93,15 @@ class PcaBasis:
 
 
 def pca_fit(embeddings: Sequence[np.ndarray] | np.ndarray, variance_threshold: float = 0.70) -> PcaBasis:
-    """Fit a PCA basis on flattened embedding matrices.
+    """Fit a PCA basis on flattened embedding matrices, given as an (N, ...) array or a sequence of them.
 
     Components come from the eigendecomposition of the sample covariance in
     descending eigenvalue order; directions below numerical rank are dropped
     before applying the threshold, so a threshold of 1.0 keeps exactly the
     covariance rank.
     """
-    X = np.stack([np.asarray(e, dtype=np.float64).ravel() for e in embeddings])
+    X = np.asarray(embeddings, dtype=np.float64)
+    X = X.reshape(X.shape[0], -1)
     if X.shape[0] < 2:
         raise DomainError("PCA needs at least 2 samples")
     if not 0.0 < variance_threshold <= 1.0:
@@ -191,22 +192,22 @@ def zoo_descend(
 
 
 def zoo_generate(
-    seed_points: Sequence[DataPoint],
+    seed_points: PointSet,
     tau: float,
     params: ForecasterParams,
     cfg: ZooConfig,
     seed: int,
     epoch: int,
     basis: PcaBasis | None = None,
-) -> list[DataPoint]:
+) -> PointSet:
     """Run the multi-step update on every seed point and emit synthetic points.
 
     Each output keeps its seed's target and mask; only the embedding moves.
     Point j draws its perturbations from the stream (seed, j).
     """
-    if not seed_points:
+    if len(seed_points) == 0:
         raise DomainError("no seed points")
-    E, Y, M = stack_points(seed_points)
+    E, Y, M = seed_points.E, seed_points.Y, seed_points.M
     if cfg.steps > 0:
         shape = E.shape[1:]
         U = np.stack(
@@ -218,17 +219,14 @@ def zoo_generate(
             ]
         )
         E, _ = zoo_descend(E, zoo_objective(Y, M, tau, params, cfg.alpha), U, cfg)
-    return [
-        DataPoint(
-            e=E[j],
-            y=p.y,
-            m=p.m,
-            origin=ORIGIN_SYNTHETIC,
-            created_epoch=epoch,
-            uid=f"syn{epoch}:{j}",
-        )
-        for j, p in enumerate(seed_points)
-    ]
+    return PointSet(
+        E=E,
+        Y=Y,
+        M=M,
+        origin=ORIGIN_SYNTHETIC,
+        created_epoch=epoch,
+        uid=[f"syn{epoch}:{j}" for j in range(len(seed_points))],
+    )
 
 
 def mixup_generate(
@@ -270,20 +268,19 @@ class SyntheticPool:
         if cap < 0:
             raise ConfigurationError("pool cap must be non-negative")
         self.cap = cap
-        self._items: list[DataPoint] = []
+        # holds no rows, so it takes on the shape of the first insert
+        self._items = PointSet(E=np.empty((0, 0, 0)), Y=np.empty((0, 0, 0)), M=np.empty((0, 0, 0)))
 
-    def insert(self, items: Sequence[DataPoint]) -> None:
-        for it in items:
-            if it.origin != ORIGIN_SYNTHETIC:
-                raise ValidationError("pool accepts synthetic points only")
-        self._items.extend(items)
-        overflow = len(self._items) - self.cap
-        if overflow > 0:
-            del self._items[:overflow]
+    def insert(self, items: PointSet) -> None:
+        if np.any(items.origin != ORIGIN_SYNTHETIC):
+            raise ValidationError("pool accepts synthetic points only")
+        merged = PointSet.concat(self._items, items)
+        # the newest `cap` rows; at cap 0 that is none of them
+        self._items = merged[len(merged) - min(self.cap, len(merged)) :]
 
     @property
-    def items(self) -> tuple[DataPoint, ...]:
-        return tuple(self._items)
+    def items(self) -> PointSet:
+        return self._items
 
     def __len__(self) -> int:
         return len(self._items)

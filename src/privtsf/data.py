@@ -96,10 +96,13 @@ class Episode:
         t = np.asarray(self.t, dtype=np.float64)
         if not (t.ndim == 1 and np.shape(self.var_id) == t.shape == np.shape(self.value)):
             raise ConfigurationError(f"episode {self.episode_id}: t, var_id and value must be 1-d and of equal length")
+        value = np.asarray(self.value, dtype=np.float64)
+        if not (np.isfinite(t).all() and np.isfinite(value).all()):
+            raise ValidationError(f"episode {self.episode_id}: non-finite time or value")
         order = np.argsort(t, kind="stable")
         self.t = readonly(t[order])
         self.var_id = readonly(np.asarray(self.var_id)[order], dtype=np.int64)
-        self.value = readonly(np.asarray(self.value, dtype=np.float64)[order])
+        self.value = readonly(value[order])
         if self.t.size and self.t[0] < 0:
             raise ValidationError(f"episode {self.episode_id}: negative time {self.t[0]}")
         if self.t.size and self.t[-1] > self.length_hours:
@@ -190,13 +193,13 @@ class BinnedWindow:
             raise ValidationError("unobserved target cells must hold 0")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DataPoint:
-    """Embedding, forecast target, and observation mask for one window.
+    """One point: a PointSet row, or a mixup output before its wave is stacked.
 
     `origin` distinguishes points baked from real windows from generated ones;
     `created_epoch` is the augmentation round that produced a synthetic point
-    (0 for originals). Arrays are read-only after construction.
+    (0 for originals).
     """
 
     e: np.ndarray  # (input_len, n)
@@ -206,26 +209,72 @@ class DataPoint:
     created_epoch: int = 0
     uid: str = ""
 
+
+_POINT_COLUMNS = {"origin": object, "created_epoch": np.int64, "uid": object}
+_POINT_ARRAYS = ("E", "Y", "M", *_POINT_COLUMNS)
+
+
+@dataclass(frozen=True, eq=False)
+class PointSet:
+    """N points as stacked read-only arrays plus per-row origin, epoch and id columns.
+
+    The set is validated once, on construction; a scalar column value applies
+    to every row. Indexing with a slice or an index array returns a PointSet
+    without validating again, an int index returns that row as a DataPoint of
+    views, and iteration yields the rows in order.
+    """
+
+    E: np.ndarray  # (N, input_len, n)
+    Y: np.ndarray  # (N, horizon, F)
+    M: np.ndarray  # (N, horizon, F) in {0, 1}
+    origin: np.ndarray | str = ORIGIN_ORIGINAL
+    created_epoch: np.ndarray | int = 0
+    uid: np.ndarray | Sequence[str] | str = ""
+
     def __post_init__(self) -> None:
-        self.e = readonly(self.e)
-        self.y = readonly(self.y)
-        self.m = readonly(self.m)
-        if self.origin not in (ORIGIN_ORIGINAL, ORIGIN_SYNTHETIC):
-            raise ValidationError(f"unknown origin {self.origin!r}")
-        if self.y.shape != self.m.shape:
-            raise ConfigurationError("target/mask shape mismatch")
-        if not np.all((self.m == 0) | (self.m == 1)):
+        for name in ("E", "Y", "M"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
+        n = len(self.E)
+        for name, dtype in _POINT_COLUMNS.items():
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            if col.shape not in ((), (n,)):
+                raise ConfigurationError(f"{name} column of shape {col.shape} for {n} points")
+            object.__setattr__(self, name, readonly(np.broadcast_to(col, (n,)).copy(), dtype))
+        if self.E.ndim != 3 or self.Y.ndim != 3 or self.Y.shape != self.M.shape or len(self.Y) != n:
+            raise ConfigurationError(f"point arrays of shapes {self.E.shape}, {self.Y.shape}, {self.M.shape}")
+        if not np.all((self.M == 0) | (self.M == 1)):
             raise ValidationError("mask entries must be 0 or 1")
+        if not set(self.origin) <= {ORIGIN_ORIGINAL, ORIGIN_SYNTHETIC}:
+            raise ValidationError(f"unknown origin among {sorted(set(self.origin))}")
+
+    def __len__(self) -> int:
+        return self.E.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            i = index
+            return DataPoint(self.E[i], self.Y[i], self.M[i], self.origin[i], int(self.created_epoch[i]), self.uid[i])
+        return _trusted_points({name: getattr(self, name)[index] for name in _POINT_ARRAYS})
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @staticmethod
+    def concat(*parts: "PointSet") -> "PointSet":
+        """The rows of every part in order; parts without rows are left out."""
+        parts = [p for p in parts if len(p)] or parts[:1]
+        if len({(p.E.shape[1:], p.Y.shape[1:]) for p in parts}) > 1:
+            raise ConfigurationError("cannot concatenate point sets of different shapes")
+        return _trusted_points({name: np.concatenate([getattr(p, name) for p in parts]) for name in _POINT_ARRAYS})
 
 
-def stack_points(points: Sequence[DataPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack DataPoints into (E, Y, M) batch arrays."""
-    if not points:
-        raise DomainError("cannot stack an empty list of points")
-    E = np.stack([p.e for p in points])
-    Y = np.stack([p.y for p in points])
-    M = np.stack([p.m for p in points])
-    return E, Y, M
+def _trusted_points(arrays: dict[str, np.ndarray]) -> PointSet:
+    """A PointSet of arrays cut from validated ones, made read-only but not validated again."""
+    points = object.__new__(PointSet)
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(points, name, arr)
+    return points
 
 
 def _check_var_ids(ep: Episode, n_vars: int) -> None:
@@ -510,7 +559,10 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
                 continue
             if len(row) != len(METRICS_HEADER):
                 raise ParseError(f"{path}:{lineno}: expected {len(METRICS_HEADER)} fields")
-            rows.append(MetricsRow(*row[:3], int(row[3]), *map(float, row[4:])))
+            try:
+                rows.append(MetricsRow(*row[:3], int(row[3]), *map(float, row[4:])))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 

@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .data import (
     BinnedWindow,
     ConfigurationError,
-    DataPoint,
     DomainError,
     EvaluationError,
+    PointSet,
     Standardizer,
     TrainingError,
     readonly,
-    stack_points,
 )
 
 log = logging.getLogger(__name__)
@@ -196,17 +195,18 @@ def window_inputs(values: np.ndarray, mask: np.ndarray, n_vars: int) -> np.ndarr
 def bake_points(
     id_windows: Sequence[tuple[int, BinnedWindow]],
     emb: EmbeddingMap,
-) -> list[DataPoint]:
-    """Freeze windows into DataPoints under the fixed embedding map."""
+) -> PointSet:
+    """Freeze non-empty (episode id, window) pairs into a PointSet under the fixed embedding map."""
     if not id_windows:
-        return []
+        raise DomainError("no windows to bake")
     windows = [w for _, w in id_windows]
     X = window_inputs(np.stack([w.values for w in windows]), np.stack([w.mask_in for w in windows]), emb.n_vars)
-    E = X @ emb.weight + emb.bias
-    return [
-        DataPoint(e=E[i], y=w.target, m=w.mask_out, uid=f"{eid}:{w.window_start}")
-        for i, (eid, w) in enumerate(id_windows)
-    ]
+    return PointSet(
+        E=X @ emb.weight + emb.bias,
+        Y=np.stack([w.target for w in windows]),
+        M=np.stack([w.mask_out for w in windows]),
+        uid=[f"{eid}:{w.window_start}" for eid, w in id_windows],
+    )
 
 
 def _forward(E: np.ndarray, params: ForecasterParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,17 +230,13 @@ def _forward(E: np.ndarray, params: ForecasterParams) -> tuple[np.ndarray, np.nd
     return pooled, S, Yh
 
 
-def _check_finite(params: ForecasterParams) -> None:
-    if not params.is_finite():
-        raise EvaluationError("forecaster parameters contain non-finite values")
-
-
 def forecast_batch(E: np.ndarray, params: ForecasterParams) -> np.ndarray:
     """Forecast a batch of embeddings; returns (B, horizon, F)."""
     E = np.asarray(E, dtype=np.float64)
     if E.shape[1:] != (params.input_hours, params.n):
         raise ConfigurationError(f"embedding batch shape {E.shape} does not match (B, {params.input_hours}, {params.n})")
-    _check_finite(params)
+    if not params.is_finite():
+        raise EvaluationError("forecaster parameters contain non-finite values")
     return _forward(E, params)[2][:, 1:]
 
 
@@ -326,28 +322,23 @@ def _backward(
     return g
 
 
-def mean_gradients(
-    points: Sequence[DataPoint],
-    params: ForecasterParams,
-) -> tuple[dict[str, np.ndarray], float]:
-    """Batch-mean gradient of the masked MSE and the mean loss itself."""
-    E, Y, M = stack_points(points)
+def _gradients(points: PointSet, params: ForecasterParams, per_sample: bool):
+    """Gradients of each point's masked MSE (or their batch mean) and the per-point losses."""
+    E, Y, M = points.E, points.Y, points.M
     pooled, S, Yh = _forward(E, params)
     losses = masked_batch_losses(Yh[:, 1:], Y, M)
-    grads = _backward(E, Y, M, params, pooled, S, Yh, per_sample=False)
+    return _backward(E, Y, M, params, pooled, S, Yh, per_sample=per_sample), losses
+
+
+def mean_gradients(points: PointSet, params: ForecasterParams) -> tuple[dict[str, np.ndarray], float]:
+    """Batch-mean gradient of the masked MSE and the mean loss itself."""
+    grads, losses = _gradients(points, params, per_sample=False)
     return grads, float(losses.mean())
 
 
-def per_sample_gradients(
-    points: Sequence[DataPoint],
-    params: ForecasterParams,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def per_sample_gradients(points: PointSet, params: ForecasterParams) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Per-sample gradients (leading batch axis) and per-sample losses."""
-    E, Y, M = stack_points(points)
-    pooled, S, Yh = _forward(E, params)
-    losses = masked_batch_losses(Yh[:, 1:], Y, M)
-    grads = _backward(E, Y, M, params, pooled, S, Yh, per_sample=True)
-    return grads, losses
+    return _gradients(points, params, per_sample=True)
 
 
 def _assert_finite_grads(grads: dict[str, np.ndarray], loss: float) -> None:
@@ -356,12 +347,12 @@ def _assert_finite_grads(grads: dict[str, np.ndarray], loss: float) -> None:
 
 
 def train_step(
-    points: Sequence[DataPoint],
+    points: PointSet,
     params: ForecasterParams,
     cfg: TrainConfig,
 ) -> tuple[ForecasterParams, float]:
     """One plain gradient-descent step on the batch-mean masked MSE."""
-    if not points:
+    if len(points) == 0:
         raise DomainError("empty batch")
     grads, loss = mean_gradients(points, params)
     _assert_finite_grads(grads, loss)
@@ -384,7 +375,7 @@ def clip_per_sample(grads: dict[str, np.ndarray], clip_norm: float) -> tuple[dic
 
 
 def dp_train_step(
-    points: Sequence[DataPoint],
+    points: PointSet,
     params: ForecasterParams,
     cfg: TrainConfig,
     dp: DpConfig,
@@ -395,7 +386,7 @@ def dp_train_step(
     The noise is Gaussian with per-coordinate std noise_multiplier * clip_norm /
     batch_size, and the step uses cfg.learning_rate * dp.lr_scale.
     """
-    if not points:
+    if len(points) == 0:
         raise DomainError("empty batch")
     grads, losses = per_sample_gradients(points, params)
     _assert_finite_grads(grads, float(losses.mean()))
@@ -414,49 +405,53 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> Iterabl
         yield perm[start : start + batch_size]
 
 
+def _run_epochs(state, n: int, batch_size: int, epochs: int, rng: np.random.Generator, step: Callable):
+    """The one minibatch loop: each epoch shuffles n items with `rng` and calls
+    `state, loss = step(state, idx)` on each batch's indices. Returns the final
+    state and each epoch's mean loss."""
+    history: list[float] = []
+    for _ in range(epochs):
+        total = 0.0
+        for idx in _epoch_batches(n, batch_size, rng):
+            state, loss = step(state, idx)
+            total += loss * len(idx)
+        history.append(total / n)
+    return state, history
+
+
 def train(
-    points: Sequence[DataPoint],
+    points: PointSet,
     params: ForecasterParams,
     cfg: TrainConfig,
     epochs: int | None = None,
     seed: int | None = None,
 ) -> tuple[ForecasterParams, list[float]]:
     """Minibatch SGD for a fixed number of epochs; returns params and per-epoch mean loss."""
-    if not points:
+    if len(points) == 0:
         raise DomainError("empty training set")
     epochs = cfg.max_epochs if epochs is None else epochs
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng([seed, _SHUFFLE_STREAM])
-    history: list[float] = []
-    for _ in range(epochs):
-        total, count = 0.0, 0
-        for idx in _epoch_batches(len(points), cfg.batch_size, rng):
-            batch = [points[i] for i in idx]
-            params, loss = train_step(batch, params, cfg)
-            total += loss * len(idx)
-            count += len(idx)
-        history.append(total / count)
-    return params, history
+    rng = np.random.default_rng([cfg.seed if seed is None else seed, _SHUFFLE_STREAM])
+    return _run_epochs(params, len(points), cfg.batch_size, epochs, rng, lambda p, idx: train_step(points[idx], p, cfg))
 
 
 def dp_train(
-    points: Sequence[DataPoint],
+    points: PointSet,
     params: ForecasterParams,
     cfg: TrainConfig,
     dp: DpConfig,
     epochs: int,
     seed: int,
 ) -> ForecasterParams:
-    """DP-SGD training loop with independent shuffle and noise streams."""
-    if not points:
+    """DP-SGD training loop with independent shuffle and noise streams; a DP step reports no loss."""
+    if len(points) == 0:
         raise DomainError("empty training set")
     shuffle_rng = np.random.default_rng([seed, _SHUFFLE_STREAM])
     noise_rng = np.random.default_rng([seed, _NOISE_STREAM])
-    for _ in range(epochs):
-        for idx in _epoch_batches(len(points), cfg.batch_size, shuffle_rng):
-            batch = [points[i] for i in idx]
-            params = dp_train_step(batch, params, cfg, dp, noise_rng)
-    return params
+
+    def step(p: ForecasterParams, idx: np.ndarray) -> tuple[ForecasterParams, float]:
+        return dp_train_step(points[idx], p, cfg, dp, noise_rng), 0.0
+
+    return _run_epochs(params, len(points), cfg.batch_size, epochs, shuffle_rng, step)[0]
 
 
 def pretrain_embedding(
@@ -476,20 +471,23 @@ def pretrain_embedding(
     X = window_inputs(np.stack([w.values for w in windows]), np.stack([w.mask_in for w in windows]), n_vars)
     Y = np.stack([w.target for w in windows])
     M = np.stack([w.mask_out for w in windows])
+
+    def step(state, idx: np.ndarray):
+        params, weight, bias = state
+        Xb, Yb, Mb = X[idx], Y[idx], M[idx]
+        Eb = Xb @ weight + bias
+        pooled, S, Yh = _forward(Eb, params)
+        loss = float(masked_batch_losses(Yh[:, 1:], Yb, Mb).mean())
+        grads = _backward(Eb, Yb, Mb, params, pooled, S, Yh, per_sample=False, X=Xb)
+        _assert_finite_grads(grads, loss)
+        params = params.updated({k: grads[k] for k in PARAM_FIELDS}, -cfg.learning_rate)
+        weight = weight - cfg.learning_rate * grads["emb_weight"]
+        bias = bias - cfg.learning_rate * grads["emb_bias"]
+        return (params, weight, bias), loss
+
     rng = np.random.default_rng([cfg.seed, _SHUFFLE_STREAM])
-    weight, bias = emb.weight.copy(), emb.bias.copy()
-    for _ in range(cfg.max_epochs):
-        for idx in _epoch_batches(len(windows), cfg.batch_size, rng):
-            Xb, Yb, Mb = X[idx], Y[idx], M[idx]
-            Eb = Xb @ weight + bias
-            pooled, S, Yh = _forward(Eb, params)
-            losses = masked_batch_losses(Yh[:, 1:], Yb, Mb)
-            grads = _backward(Eb, Yb, Mb, params, pooled, S, Yh, per_sample=False, X=Xb)
-            _assert_finite_grads(grads, float(losses.mean()))
-            forecaster_grads = {k: grads[k] for k in PARAM_FIELDS}
-            params = params.updated(forecaster_grads, -cfg.learning_rate)
-            weight = weight - cfg.learning_rate * grads["emb_weight"]
-            bias = bias - cfg.learning_rate * grads["emb_bias"]
+    state = (params, emb.weight, emb.bias)
+    (params, weight, bias), _ = _run_epochs(state, len(windows), cfg.batch_size, cfg.max_epochs, rng, step)
     return EmbeddingMap(weight=weight, bias=bias), params
 
 

@@ -15,23 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .data import DataPoint, DomainError, readonly, stack_points
+from .data import DomainError, PointSet, readonly
 from .forecaster import ForecasterParams, forecast_batch, masked_batch_losses
 
 
-def dataset_losses(points: Sequence[DataPoint], params: ForecasterParams) -> np.ndarray:
+def dataset_losses(points: PointSet, params: ForecasterParams) -> np.ndarray:
     """Per-sample masked MSE for every point, batched."""
-    if not points:
+    if len(points) == 0:
         raise DomainError("empty dataset")
-    E, Y, M = stack_points(points)
-    return masked_batch_losses(forecast_batch(E, params), Y, M)
+    return masked_batch_losses(forecast_batch(points.E, params), points.Y, points.M)
 
 
-def mse_set(points: Sequence[DataPoint], params: ForecasterParams) -> float:
+def mse_set(points: PointSet, params: ForecasterParams) -> float:
     """Unweighted mean of per-sample masked MSE over a dataset."""
     return float(dataset_losses(points, params).mean())
 
@@ -55,10 +52,13 @@ class LossTable:
         return self.losses.shape[0]
 
 
-def loss_table(points: Sequence[DataPoint], params: ForecasterParams, label: str) -> LossTable:
-    losses = dataset_losses(points, params)
-    ids = tuple(p.uid or str(i) for i, p in enumerate(points))
-    return LossTable(ids=ids, losses=losses, label=label)
+def point_ids(points: PointSet) -> tuple[str, ...]:
+    """Each point's uid, or its position for a point without one."""
+    return tuple(uid or str(i) for i, uid in enumerate(points.uid))
+
+
+def loss_table(points: PointSet, params: ForecasterParams, label: str) -> LossTable:
+    return LossTable(ids=point_ids(points), losses=dataset_losses(points, params), label=label)
 
 
 def tpr_fpr(members: LossTable, nonmembers: LossTable, tau: float) -> tuple[float, float]:

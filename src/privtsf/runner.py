@@ -29,12 +29,14 @@ import numpy as np
 
 from .augment import MixupConfig, PcaBasis, SyntheticPool, ZooConfig, mixup_generate, pca_fit, zoo_generate
 from .data import (
+    ORIGIN_SYNTHETIC,
     ConfigurationError,
-    DataPoint,
     DomainError,
     Episode,
     MetricsRow,
+    PointSet,
     Standardizer,
+    ValidationError,
     build_windows,
     load_triplets,
     split_by_episode,
@@ -54,7 +56,7 @@ from .forecaster import (
     save_checkpoint,
     train,
 )
-from .metrics import AttackReport, LossTable, attack_report, dataset_losses, loss_table, mse_set
+from .metrics import AttackReport, LossTable, attack_report, dataset_losses, loss_table, mse_set, point_ids
 from .synth import GeneratorConfig, generate
 
 METHODS = ("baseline", "zoo", "zoo_pca", "mixup", "dp_sgd")
@@ -114,14 +116,8 @@ def apply_gate(state: AcceptanceState, priv_value: float, mse_value: float) -> t
     ok_combined = combined <= state.priv_best + state.beta_accept * state.mse_best
     if ok_priv and ok_mse and ok_combined:
         return True, "", replace(state, priv_best=priv_value, mse_best=mse_value)
-    reasons = []
-    if not ok_priv:
-        reasons.append("priv")
-    if not ok_mse:
-        reasons.append("mse")
-    if not ok_combined:
-        reasons.append("combined")
-    return False, "+".join(reasons), state
+    failed = (name for name, ok in (("priv", ok_priv), ("mse", ok_mse), ("combined", ok_combined)) if not ok)
+    return False, "+".join(failed), state
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,9 @@ class CandidateDecision:
 
 def measure_candidate(
     params: ForecasterParams,
-    train_pts: Sequence[DataPoint],
-    heldout_pts: Sequence[DataPoint],
-    pool_pts: Sequence[DataPoint],
+    train_pts: PointSet,
+    heldout_pts: PointSet,
+    pool_pts: PointSet,
 ) -> CandidateDecision:
     """Gate metrics for one model, without applying the gate.
 
@@ -144,9 +140,8 @@ def measure_candidate(
     tau (the mean loss over all of them) and the member losses (the first
     len(train_pts) entries); the heldout points are the non-members.
     """
-    losses = dataset_losses(list(train_pts) + list(pool_pts), params)
-    ids = tuple(p.uid or str(i) for i, p in enumerate(train_pts))
-    members = LossTable(ids=ids, losses=losses[: len(train_pts)], label="member")
+    losses = dataset_losses(PointSet.concat(train_pts, pool_pts), params)
+    members = LossTable(ids=point_ids(train_pts), losses=losses[: len(train_pts)], label="member")
     nonmembers = loss_table(heldout_pts, params, "non-member")
     report = attack_report(members, nonmembers, float(losses.mean()))
     return CandidateDecision(accepted=False, mse_heldout=float(nonmembers.losses.mean()), reason="", report=report)
@@ -155,9 +150,9 @@ def measure_candidate(
 def evaluate_candidate(
     candidate: ForecasterParams,
     state: AcceptanceState,
-    train_pts: Sequence[DataPoint],
-    heldout_pts: Sequence[DataPoint],
-    pool_pts: Sequence[DataPoint],
+    train_pts: PointSet,
+    heldout_pts: PointSet,
+    pool_pts: PointSet,
 ) -> tuple[CandidateDecision, AcceptanceState]:
     """Gate one retrained candidate; on accept the state's bests move to it."""
     m = measure_candidate(candidate, train_pts, heldout_pts, pool_pts)
@@ -244,9 +239,9 @@ class Workbench:
 
     emb: EmbeddingMap
     baseline_params: ForecasterParams
-    train_pts: list[DataPoint]
-    heldout_pts: list[DataPoint]
-    test_pts: list[DataPoint]
+    train_pts: PointSet
+    heldout_pts: PointSet
+    test_pts: PointSet
     std: Standardizer
     seed: int
 
@@ -277,28 +272,18 @@ def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Wo
                 raise ConfigurationError(f"checkpoint {cfg.checkpoint} has {key} {meta[key]}, the run config {value}")
     if episodes is None:
         episodes = load_episodes(cfg)
-    train_ids, held_ids, test_ids = split_by_episode(
-        episodes, cfg.split_fractions, derive_seed(cfg.seed, _SPLIT_STREAM)
+    train_eps, held_eps, test_eps = (
+        [ep for ep in episodes if ep.episode_id in ids]
+        for ids in split_by_episode(episodes, cfg.split_fractions, derive_seed(cfg.seed, _SPLIT_STREAM))
     )
-    by_split = {
-        "train": [ep for ep in episodes if ep.episode_id in train_ids],
-        "heldout": [ep for ep in episodes if ep.episode_id in held_ids],
-        "test": [ep for ep in episodes if ep.episode_id in test_ids],
-    }
-
     if not cfg.checkpoint:
-        std = Standardizer.fit(by_split["train"], cfg.n_vars)
+        std = Standardizer.fit(train_eps, cfg.n_vars)
 
-    wcfg = dict(
-        stride=cfg.stride,
-        input_len=cfg.input_len,
-        horizon=cfg.train.horizon,
-        max_start=cfg.max_start,
-    )
+    wcfg = dict(stride=cfg.stride, input_len=cfg.input_len, horizon=cfg.train.horizon, max_start=cfg.max_start)
     cap_rng = np.random.default_rng([cfg.seed, _CAP_STREAM])
-    train_w = build_windows(by_split["train"], std, limit=cfg.max_train_windows, rng=cap_rng, **wcfg)
-    held_w = build_windows(by_split["heldout"], std, limit=cfg.max_eval_windows, rng=cap_rng, **wcfg)
-    test_w = build_windows(by_split["test"], std, limit=cfg.max_eval_windows, rng=cap_rng, **wcfg)
+    train_w = build_windows(train_eps, std, limit=cfg.max_train_windows, rng=cap_rng, **wcfg)
+    held_w = build_windows(held_eps, std, limit=cfg.max_eval_windows, rng=cap_rng, **wcfg)
+    test_w = build_windows(test_eps, std, limit=cfg.max_eval_windows, rng=cap_rng, **wcfg)
     if not train_w or not held_w or not test_w:
         raise DomainError("one of the splits produced no usable windows")
 
@@ -329,9 +314,9 @@ def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Wo
 class RoundAudit:
     epoch: int
     accepted: bool
-    pool_size: int
-    samples_generated: int
-    steps_executed: int
+    pool_size: int = 0
+    samples_generated: int = 0
+    steps_executed: int = 0
 
 
 @dataclass
@@ -357,17 +342,8 @@ def _round_row(
     bench/tracing.py marks the end of each gated round by this function's name.
     """
     return MetricsRow(
-        run_id=run_id,
-        method=method,
-        alpha_or_beta=tag,
-        epoch=epoch,
-        mse_test=mse_test,
-        mse_heldout=mse_heldout,
-        tpr_at_tau=report.tpr,
-        fpr_at_tau=report.fpr,
-        priv_ratio=report.priv,
-        auroc=report.auroc,
-        tau=report.tau,
+        run_id=run_id, method=method, alpha_or_beta=tag, epoch=epoch, mse_test=mse_test, mse_heldout=mse_heldout,
+        tpr_at_tau=report.tpr, fpr_at_tau=report.fpr, priv_ratio=report.priv, auroc=report.auroc, tau=report.tau,
     )
 
 
@@ -401,26 +377,18 @@ def _generate_wave(
     epoch: int,
     n_samples: int,
     basis: PcaBasis | None,
-) -> list[DataPoint]:
+) -> PointSet:
     wave_rng = np.random.default_rng([cfg.seed, _WAVE_STREAM, epoch])
     n_train = len(wb.train_pts)
     if cfg.method in ("zoo", "zoo_pca"):
         idx = wave_rng.choice(n_train, size=n_samples, replace=False)
-        seeds = [wb.train_pts[i] for i in idx]
-        return zoo_generate(
-            seeds,
-            tau_ref,
-            params,
-            cfg.zoo,
-            seed=derive_seed(cfg.seed, _WAVE_STREAM * 100_000 + epoch),
-            epoch=epoch,
-            basis=basis,
-        )
+        seed = derive_seed(cfg.seed, _WAVE_STREAM * 100_000 + epoch)
+        return zoo_generate(wb.train_pts[idx], tau_ref, params, cfg.zoo, seed=seed, epoch=epoch, basis=basis)
     if cfg.method == "mixup":
         i1 = wave_rng.choice(n_train, size=n_samples, replace=False)
         i2 = wave_rng.choice(n_train, size=n_samples, replace=False)
         pair_seed = derive_seed(cfg.seed, _WAVE_STREAM * 100_000 + epoch)
-        return [
+        rows = [
             mixup_generate(
                 wb.train_pts[i1[j]],
                 wb.train_pts[i2[j]],
@@ -431,6 +399,14 @@ def _generate_wave(
             )
             for j in range(n_samples)
         ]
+        return PointSet(
+            E=np.stack([p.e for p in rows]),
+            Y=np.stack([p.y for p in rows]),
+            M=np.stack([p.m for p in rows]),
+            origin=ORIGIN_SYNTHETIC,
+            created_epoch=epoch,
+            uid=[p.uid for p in rows],
+        )
     raise ConfigurationError(f"method {cfg.method} generates no synthetic data")
 
 
@@ -465,37 +441,33 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
     pool = SyntheticPool(cap=n_train // 2)
     basis: PcaBasis | None = None
     if cfg.method == "zoo_pca":
-        basis = pca_fit([p.e for p in wb.train_pts], cfg.pca_ratio)
+        basis = pca_fit(wb.train_pts.E, cfg.pca_ratio)
 
     run_id, tag = cfg.resolved_run_id(), cfg.param_tag()
     params = wb.baseline_params
-    decision0 = measure_candidate(params, wb.train_pts, wb.heldout_pts, [])
+    decision0 = measure_candidate(params, wb.train_pts, wb.heldout_pts, wb.train_pts[:0])
     report = decision0.report  # the last accepted model's
     rows = [_round_row(run_id, cfg.method, tag, 0, report, decision0.mse_heldout, mse_set(wb.test_pts, params))]
-    audits = [RoundAudit(epoch=0, accepted=True, pool_size=0, samples_generated=0, steps_executed=0)]
+    audits = [RoundAudit(epoch=0, accepted=True)]
     state = None
     if rounds > 0:
         # an infinite baseline priv cannot seed the gate; surfaced as a config error
         state = AcceptanceState(
-            priv_best=decision0.report.priv,
-            mse_best=decision0.mse_heldout,
-            eps_priv=cfg.eps_priv,
-            eps_mse=cfg.eps_mse,
-            beta_accept=cfg.beta_accept,
+            priv_best=decision0.report.priv, mse_best=decision0.mse_heldout,
+            eps_priv=cfg.eps_priv, eps_mse=cfg.eps_mse, beta_accept=cfg.beta_accept,
         )
     final_epoch = 0
 
     try:
         for r in range(1, rounds + 1):
             # an accepted round already measured the current model over train + the current pool
-            tau_ref = report.tau if audits[-1].accepted else mse_set(list(wb.train_pts) + list(pool.items), params)
+            tau_ref = report.tau if audits[-1].accepted else mse_set(PointSet.concat(wb.train_pts, pool.items), params)
             wave = _generate_wave(cfg, wb, params, tau_ref, r, n_samples, basis)
             pool.insert(wave)
 
-            pool_items = pool.items
             mix_rng = np.random.default_rng([cfg.seed, _MIX_STREAM, r])
-            pidx = pool_sample_indices(len(pool_items), n_train, mix_rng)
-            mixture = list(wb.train_pts) + [pool_items[i] for i in pidx]
+            pidx = pool_sample_indices(len(pool), n_train, mix_rng)
+            mixture = PointSet.concat(wb.train_pts, pool.items[pidx])
 
             candidate, _ = train(
                 mixture,
@@ -507,14 +479,9 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
             decision, new_state = evaluate_candidate(candidate, state, wb.train_pts, wb.heldout_pts, pool.items)
             mse_test = mse_set(wb.test_pts, candidate)
             rows.append(_round_row(run_id, cfg.method, tag, r, decision.report, decision.mse_heldout, mse_test))
+            steps = cfg.zoo.steps if cfg.method in ("zoo", "zoo_pca") else 0
             audits.append(
-                RoundAudit(
-                    epoch=r,
-                    accepted=decision.accepted,
-                    pool_size=len(pool),
-                    samples_generated=len(wave),
-                    steps_executed=cfg.zoo.steps if cfg.method in ("zoo", "zoo_pca") else 0,
-                )
+                RoundAudit(r, decision.accepted, pool_size=len(pool), samples_generated=len(wave), steps_executed=steps)
             )
             if decision.accepted:
                 params, state, final_epoch, report = candidate, new_state, r, decision.report
@@ -542,25 +509,14 @@ def run_dp_baseline(cfg: RunConfig, wb: Workbench | None = None) -> RunResult:
     try:
         for j, sigma in enumerate(cfg.dp_sigma_grid):
             dp = DpConfig(noise_multiplier=sigma, clip_norm=cfg.dp.clip_norm, lr_scale=cfg.dp.lr_scale)
-            _, fresh = init_params(
-                cfg.train.n,
-                cfg.train.hidden_dim,
-                cfg.n_vars,
-                cfg.train.horizon,
-                derive_seed(cfg.seed, _DP_INIT_STREAM * 100_000 + j),
-                input_hours=cfg.input_len,
-            )
-            params = dp_train(
-                wb.train_pts,
-                fresh,
-                cfg.train,
-                dp,
-                epochs=cfg.dp_epochs,
-                seed=derive_seed(cfg.seed, _DP_TRAIN_STREAM * 100_000 + j),
-            )
+            init_seed = derive_seed(cfg.seed, _DP_INIT_STREAM * 100_000 + j)
+            t = cfg.train
+            _, fresh = init_params(t.n, t.hidden_dim, cfg.n_vars, t.horizon, init_seed, input_hours=cfg.input_len)
+            train_seed = derive_seed(cfg.seed, _DP_TRAIN_STREAM * 100_000 + j)
+            params = dp_train(wb.train_pts, fresh, cfg.train, dp, epochs=cfg.dp_epochs, seed=train_seed)
             row, report = attack_row(cfg.resolved_run_id(), cfg.method, repr(float(sigma)), params, wb, "test")
             rows.append(row)
-            audits.append(RoundAudit(epoch=0, accepted=True, pool_size=0, samples_generated=0, steps_executed=0))
+            audits.append(RoundAudit(epoch=0, accepted=True))
     finally:
         _flush_outputs(cfg, rows, audits)
     _write_final_artifacts(cfg, wb, params, report)
@@ -583,18 +539,8 @@ def _flush_outputs(cfg: RunConfig, rows: list[MetricsRow], audits: list[RoundAud
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for a in audits:
-            writer.writerow(
-                [
-                    cfg.resolved_run_id(),
-                    cfg.method,
-                    cfg.param_tag(),
-                    a.epoch,
-                    int(a.accepted),
-                    a.pool_size,
-                    a.samples_generated,
-                    a.steps_executed,
-                ]
-            )
+            fields = (a.epoch, int(a.accepted), a.pool_size, a.samples_generated, a.steps_executed)
+            writer.writerow([cfg.resolved_run_id(), cfg.method, cfg.param_tag(), *fields])
 
 
 def _write_final_artifacts(cfg: RunConfig, wb: Workbench, params: ForecasterParams, report: AttackReport) -> None:
@@ -640,7 +586,8 @@ def build_tradeoff(
 
     Gated methods replay the acceptance gate to locate the final accepted row;
     baseline runs contribute their single row and DP runs one row per noise
-    level.
+    level. Two rows of one run at the same epoch (or, for DP, the same sigma)
+    mean two runs logged under one run id, a ValidationError.
     """
     by_run: dict[str, list[MetricsRow]] = {}
     for row in rows:
@@ -648,6 +595,11 @@ def build_tradeoff(
     out = []
     for run_id, run_rows in by_run.items():
         method = run_rows[0].method
+        what = "sigma" if method == "dp_sgd" else "epoch"
+        keys = [r.alpha_or_beta if method == "dp_sgd" else r.epoch for r in run_rows]
+        twice = [k for i, k in enumerate(keys) if k in keys[:i]]
+        if twice:
+            raise ValidationError(f"run {run_id} has two rows at {what} {twice[0]}; give each run its own run id")
         if method == "dp_sgd":
             chosen = run_rows
         elif method == "baseline":

@@ -9,7 +9,7 @@ import numpy as np
 
 from privtsf import augment as ag
 from privtsf import forecaster as fc
-from privtsf.data import DataPoint, Episode, Standardizer, stack_points
+from privtsf.data import Episode, PointSet, Standardizer
 from privtsf.synth import _EPISODE_STREAM, readout_matrix
 
 
@@ -58,13 +58,12 @@ def destandardize(std: Standardizer, values: np.ndarray, var_ids: np.ndarray) ->
 
 def predict_zero_mse(points) -> float:
     """Masked MSE of the all-zero forecast, the natural floor for learnability checks."""
-    _, Y, M = stack_points(points)
-    return float(fc.masked_batch_losses(np.zeros_like(Y), Y, M).mean())
+    return float(fc.masked_batch_losses(np.zeros_like(points.Y), points.Y, points.M).mean())
 
 
-def make_points(rng: np.random.Generator, count: int, input_hours: int, n: int, horizon: int, n_vars: int):
-    """Random DataPoints with at least one observed target cell each."""
-    pts = []
+def make_points(rng: np.random.Generator, count: int, input_hours: int, n: int, horizon: int, n_vars: int) -> PointSet:
+    """Random points with at least one observed target cell each."""
+    rows = []
     for _ in range(count):
         e = rng.standard_normal((input_hours, n))
         y = rng.standard_normal((horizon, n_vars))
@@ -72,17 +71,14 @@ def make_points(rng: np.random.Generator, count: int, input_hours: int, n: int, 
         if m.sum() == 0:
             m = m.copy()
             m[0, 0] = 1.0
-        y = y * m
-        pts.append(DataPoint(e=e, y=y, m=m))
-    return pts
+        rows.append((e, y * m, m))
+    E, Y, M = (np.stack(col) for col in zip(*rows))
+    return PointSet(E=E, Y=Y, M=M)
 
 
 def batch_loss(points, params) -> float:
-    E = np.stack([p.e for p in points])
-    Y = np.stack([p.y for p in points])
-    M = np.stack([p.m for p in points])
-    pred = fc.forecast_batch(E, params)
-    return float(fc.masked_batch_losses(pred, Y, M).mean())
+    pred = fc.forecast_batch(points.E, params)
+    return float(fc.masked_batch_losses(pred, points.Y, points.M).mean())
 
 
 def fd_param_gradients(points, params, step: float = 1e-4) -> dict[str, np.ndarray]:

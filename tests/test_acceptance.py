@@ -17,7 +17,7 @@ from privtsf import augment as ag
 from privtsf import forecaster as fc
 from privtsf import metrics as pm
 from privtsf import runner
-from privtsf.data import DataPoint, read_metrics_csv
+from privtsf.data import PointSet, read_metrics_csv
 from privtsf.synth import GeneratorConfig
 
 
@@ -129,12 +129,12 @@ class TestCriterion2MetricUnits:
                 horizon=2,
             )
 
-        def point(loss):
-            y = np.zeros((2, 2))
-            m = np.zeros((2, 2))
-            m[0, 0] = 1.0
-            y[0, 0] = math.sqrt(loss)
-            return DataPoint(e=np.zeros((3, 2)), y=y, m=m)
+        def point(*losses):
+            y = np.zeros((len(losses), 2, 2))
+            m = np.zeros((len(losses), 2, 2))
+            m[:, 0, 0] = 1.0
+            y[:, 0, 0] = np.sqrt(losses)
+            return PointSet(E=np.zeros((len(losses), 3, 2)), Y=y, M=m)
 
         def table(losses):
             return pm.LossTable(tuple(map(str, range(len(losses)))), np.asarray(losses, float), "x")
@@ -143,7 +143,7 @@ class TestCriterion2MetricUnits:
             return fc.masked_batch_losses(pred[None], truth[None], mask[None])[0]
 
         def member_flag(p, tau):
-            t = pm.loss_table([p], params, "x")
+            t = pm.loss_table(p, params, "x")
             return pm.tpr_fpr(t, t, tau)[0]
 
         params = zero_params()
@@ -158,9 +158,9 @@ class TestCriterion2MetricUnits:
         )
         checks.append(abs(got - 2.5) <= tol)
         # set MSE
-        checks.append(abs(pm.mse_set([point(1.7)], params) - 1.7) <= tol)
-        checks.append(abs(pm.mse_set([point(1.0), point(3.0)], params) - 2.0) <= tol)
-        pts = [point(v) for v in (0.5, 1.5, 2.5)]
+        checks.append(abs(pm.mse_set(point(1.7), params) - 1.7) <= tol)
+        checks.append(abs(pm.mse_set(point(1.0, 3.0), params) - 2.0) <= tol)
+        pts = point(0.5, 1.5, 2.5)
         checks.append(abs(pm.mse_set(pts, params) - pm.mse_set(pts[::-1], params)) <= tol)
         # membership indicator (strict threshold)
         checks.append(member_flag(point(0.25), 0.25) == 0)
@@ -180,7 +180,7 @@ class TestCriterion2MetricUnits:
         checks.append(pm.priv(table([0.0] * 3 + [0.2] * 7), table([0.5, 0.6]), 0.1) == math.inf)
         checks.append(pm.priv(table([0.5]), table([0.6]), 0.1) == 1.0)
         # reference-set threshold
-        checks.append(abs(pm.mse_set([point(0.2), point(0.4)], params) - 0.3) <= tol)
+        checks.append(abs(pm.mse_set(point(0.2, 0.4), params) - 0.3) <= tol)
 
         elapsed = time.time() - t0
         ok = all(checks) and elapsed < 1.0
@@ -393,16 +393,14 @@ class TestCriterion10PoolFuzz:
             pool = ag.SyntheticPool(cap=cap)
             shadow: list[str] = []
             for _ in range(int(rng.integers(1, 12))):
-                batch = [
-                    DataPoint(
-                        e=np.zeros((1, 1)),
-                        y=np.ones((1, 1)),
-                        m=np.ones((1, 1)),
-                        origin="synthetic",
-                        uid=f"{ops}",
-                    )
-                    for _ in range(int(rng.integers(0, 2 * max(cap, 1) + 2)))
-                ]
+                count = int(rng.integers(0, 2 * max(cap, 1) + 2))
+                batch = PointSet(
+                    E=np.zeros((count, 1, 1)),
+                    Y=np.ones((count, 1, 1)),
+                    M=np.ones((count, 1, 1)),
+                    origin="synthetic",
+                    uid=f"{ops}",
+                )
                 for it in batch:
                     shadow.append(it.uid)
                 pool.insert(batch)

@@ -8,17 +8,19 @@ from helpers import FixedRng, zoo_descend_one
 
 from privtsf import augment as ag
 from privtsf import metrics as pm
-from privtsf.data import ConfigurationError, DataPoint, DomainError, ValidationError
+from privtsf.data import ConfigurationError, DataPoint, DomainError, PointSet, ValidationError
 
 
-def syn_point(tag=0, epoch=0):
-    return DataPoint(
-        e=np.full((2, 2), float(tag)),
-        y=np.ones((1, 1)),
-        m=np.ones((1, 1)),
+def syn_points(tags, epoch=0):
+    """Synthetic points with embeddings filled with their tag and uids s<tag>."""
+    tags = list(tags)
+    return PointSet(
+        E=np.ones((len(tags), 2, 2)) * np.asarray(tags, dtype=float)[:, None, None],
+        Y=np.ones((len(tags), 1, 1)),
+        M=np.ones((len(tags), 1, 1)),
         origin="synthetic",
         created_epoch=epoch,
-        uid=f"s{tag}",
+        uid=[f"s{tag}" for tag in tags],
     )
 
 
@@ -245,7 +247,7 @@ class TestZooPcaStep:
 
     def test_model_backed_step_stays_in_span(self, small_wb, small_tau):
         _, wb = small_wb
-        basis = ag.pca_fit([p.e for p in wb.train_pts], 0.70)
+        basis = ag.pca_fit(wb.train_pts.E, 0.70)
         x = wb.train_pts[0]
         cfg = ag.ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=3, steps=1)
         U = ag.unit_perturbations(x.e.shape, cfg.k, np.random.default_rng(7), basis)[None, None]
@@ -357,30 +359,31 @@ class TestMixup:
 class TestSyntheticPool:
     def test_fifo_eviction(self):
         pool = ag.SyntheticPool(cap=3)
-        pool.insert([syn_point(i) for i in range(5)])
+        pool.insert(syn_points(range(5)))
         assert [p.uid for p in pool.items] == ["s2", "s3", "s4"]
 
     def test_empty_insert_is_noop(self):
         pool = ag.SyntheticPool(cap=3)
-        pool.insert([syn_point(0)])
+        pool.insert(syn_points([0]))
         before = pool.items
-        pool.insert([])
-        assert pool.items == before
+        pool.insert(syn_points([]))
+        assert list(pool.items.uid) == list(before.uid)
+        assert np.array_equal(pool.items.E, before.E)
 
     def test_half_train_cap(self):
         cap = 100 // 2
         pool = ag.SyntheticPool(cap=cap)
-        pool.insert([syn_point(i) for i in range(60)])
+        pool.insert(syn_points(range(60)))
         assert len(pool) == 50
         assert pool.items[0].uid == "s10"
 
     def test_rejects_original_points(self):
         pool = ag.SyntheticPool(cap=3)
         with pytest.raises(ValidationError):
-            pool.insert([DataPoint(e=np.zeros((2, 2)), y=np.ones((1, 1)), m=np.ones((1, 1)))])
+            pool.insert(PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.ones((1, 1, 1))))
 
     def test_eviction_is_oldest_epoch_first(self):
         pool = ag.SyntheticPool(cap=4)
         for epoch in range(4):
-            pool.insert([syn_point(epoch * 10 + j, epoch=epoch) for j in range(2)])
+            pool.insert(syn_points([epoch * 10 + j for j in range(2)], epoch=epoch))
         assert [p.created_epoch for p in pool.items] == [2, 2, 3, 3]

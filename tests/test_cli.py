@@ -7,7 +7,7 @@ from helpers import identity_standardizer
 
 from privtsf.augment import MixupConfig, ZooConfig
 from privtsf.cli import _runconfig_from, build_parser, main
-from privtsf.data import ConfigurationError, load_triplets, read_metrics_csv
+from privtsf.data import METRICS_HEADER, ConfigurationError, load_triplets, read_metrics_csv
 from privtsf.forecaster import DpConfig, TrainConfig, init_params, save_checkpoint
 from privtsf.runner import TRADEOFF_HEADER, RunConfig
 
@@ -77,6 +77,14 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--out", str(tmp_path / "x.csv"), "--seed", "1", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("field, bad", [("epoch", "x"), ("priv_ratio", "high")])
+    def test_non_numeric_metrics_field_exits_1_naming_the_line(self, tmp_path, capsys, field, bad):
+        metrics = tmp_path / "m.csv"
+        row = dict(zip(METRICS_HEADER, ["r", "zoo", "0.75", "0", *["0.5"] * 7]), **{field: bad})
+        metrics.write_text(",".join(METRICS_HEADER) + "\n" + ",".join(row[k] for k in METRICS_HEADER) + "\n")
+        assert main(["report", "--metrics", str(metrics), "--out", str(tmp_path / "t.csv")]) == 1
+        assert f"error: {metrics}:2: " in capsys.readouterr().err
 
 
 class TestConfig:

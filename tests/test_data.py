@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from helpers import destandardize, identity_standardizer
 from helpers import episode as ep
 
+from privtsf.augment import SyntheticPool
 from privtsf.data import (
     BinnedWindow,
     ConfigurationError,
-    DataPoint,
+    Episode,
     MetricsRow,
     ParseError,
+    PointSet,
     Standardizer,
     ValidationError,
     bin_episode,
@@ -265,6 +267,11 @@ class TestEpisodeValidation:
         e = ep(1, [(5.0, 0, 1.0), (1.0, 0, 2.0)], 10.0)
         assert e.t.tolist() == [1.0, 5.0]
 
+    @pytest.mark.parametrize("t, value", [(0.5, math.nan), (0.5, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_non_finite_time_or_value_rejected_naming_episode(self, t, value):
+        with pytest.raises(ValidationError, match="^episode 7: non-finite"):
+            Episode(7, [t], [0], [value], 1.0)
+
 
 class TestWindowAndPointTypes:
     def test_mask_must_be_binary(self):
@@ -288,13 +295,68 @@ class TestWindowAndPointTypes:
             )
 
     def test_datapoint_arrays_read_only(self):
-        p = DataPoint(e=np.zeros((2, 2)), y=np.ones((1, 1)), m=np.ones((1, 1)))
+        p = PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.ones((1, 1, 1)))[0]
         with pytest.raises(ValueError):
             p.e[0, 0] = 1.0
 
     def test_datapoint_origin_validated(self):
         with pytest.raises(ValidationError):
-            DataPoint(e=np.zeros((2, 2)), y=np.ones((1, 1)), m=np.ones((1, 1)), origin="weird")
+            PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.ones((1, 1, 1)), origin="weird")
+
+    def test_point_mask_must_be_binary(self):
+        with pytest.raises(ValidationError):
+            PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.full((1, 1, 1), 0.5))
+
+
+def random_points(rng: np.random.Generator, count: int, epoch: int = 0) -> PointSet:
+    """Random points whose uids are their positions prefixed with the epoch."""
+    return PointSet(
+        E=rng.standard_normal((count, 3, 2)),
+        Y=rng.standard_normal((count, 2, 2)),
+        M=(rng.random((count, 2, 2)) < 0.5).astype(float),
+        origin="synthetic",
+        created_epoch=epoch,
+        uid=[f"{epoch}:{j}" for j in range(count)],
+    )
+
+
+class TestPointSetProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        picks=st.lists(st.integers(0, 23), max_size=30),
+    )
+    def test_indexing_and_concatenation_equal_stacked_rows(self, seed, sizes, picks):
+        rng = np.random.default_rng(seed)
+        a, b = random_points(rng, sizes[0], 1), random_points(rng, sizes[1], 2)
+        both = PointSet.concat(a, b)
+        rows = list(a) + list(b)
+        assert len(both) == len(rows)
+        idx = np.array([i for i in picks if i < len(rows)], dtype=np.int64)
+        for name, field in (("E", "e"), ("Y", "y"), ("M", "m")):
+            stacked = np.array([getattr(r, field) for r in rows]).reshape(getattr(both, name).shape)
+            assert getattr(both, name).tobytes() == stacked.tobytes()
+            assert getattr(both[idx], name).tobytes() == stacked[idx].tobytes()
+        assert [r.uid for r in both[idx]] == [rows[i].uid for i in idx]
+        assert [r.created_epoch for r in both[idx]] == [rows[i].created_epoch for i in idx]
+        assert [r.uid for r in both[1:]] == [r.uid for r in rows[1:]]
+        assert not any(arr.flags.writeable for arr in (both.E, both[idx].Y, both[1:].M, both[idx].uid))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cap=st.integers(0, 6), inserts=st.lists(st.integers(0, 9), max_size=8))
+    def test_pool_keeps_the_newest_cap_rows_in_order(self, seed, cap, inserts):
+        rng = np.random.default_rng(seed)
+        pool = SyntheticPool(cap=cap)
+        inserted = []
+        for epoch, count in enumerate(inserts, start=1):
+            wave = random_points(rng, count, epoch)
+            pool.insert(wave)
+            inserted.extend(wave)
+            newest = inserted[-cap:] if cap else []
+            assert [p.uid for p in pool.items] == [p.uid for p in newest]
+            assert pool.items.E.tobytes() == b"".join(p.e.tobytes() for p in newest)
+            assert len(pool) == len(newest)
 
 
 class TestTripletIO:

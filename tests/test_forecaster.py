@@ -11,8 +11,8 @@ from privtsf import forecaster as fc
 from privtsf.data import (
     BinnedWindow,
     ConfigurationError,
-    DataPoint,
     EvaluationError,
+    PointSet,
     Standardizer,
     TrainingError,
 )
@@ -199,7 +199,7 @@ class TestGradients:
         per, losses = fc.per_sample_gradients(pts, params)
         mean, _ = fc.mean_gradients(pts, params)
         for j in range(batch):
-            single, loss = fc.mean_gradients([pts[j]], params)
+            single, loss = fc.mean_gradients(pts[j : j + 1], params)
             assert losses[j] == pytest.approx(loss, rel=1e-12)
             for name in fc.PARAM_FIELDS:
                 assert relative_error(per[name][j], single[name]) < 1e-12, (name, j)
@@ -244,6 +244,15 @@ class TestGradients:
 
 
 class TestTrainStep:
+    def test_history_is_each_epochs_mean_loss(self):
+        # with a vanishing step the model stays put, so every epoch's size-weighted
+        # mean of batch losses (batches of 4, 4 and 3) is the set's mean loss
+        _, params = fc.init_params(4, 4, 3, 2, seed=1, input_hours=5)
+        pts = make_points(np.random.default_rng(3), 11, 5, 4, 2, 3)
+        cfg = fc.TrainConfig(learning_rate=1e-300, batch_size=4, max_epochs=3, hidden_dim=4, n=4, horizon=2)
+        _, history = fc.train(pts, params, cfg, seed=7)
+        assert history == pytest.approx([mse_set(pts, params)] * 3, rel=1e-12)
+
     def test_zero_learning_rate_leaves_params_unchanged(self):
         _, params = fc.init_params(4, 4, 3, 2, seed=1, input_hours=5)
         pts = make_points(np.random.default_rng(2), 4, 5, 4, 2, 3)
@@ -265,10 +274,10 @@ class TestTrainStep:
     def test_nan_input_aborts_with_diagnostic(self):
         _, params = fc.init_params(4, 4, 3, 2, seed=5, input_hours=5)
         pts = make_points(np.random.default_rng(6), 2, 5, 4, 2, 3)
-        bad = DataPoint(e=np.full((5, 4), np.nan), y=pts[0].y, m=pts[0].m)
+        bad = PointSet(E=np.full((1, 5, 4), np.nan), Y=pts.Y[:1], M=pts.M[:1])
         cfg = fc.TrainConfig(learning_rate=0.01, batch_size=4, max_epochs=1, hidden_dim=4, n=4, horizon=2)
         with pytest.raises(TrainingError):
-            fc.train_step([bad] + pts, params, cfg)
+            fc.train_step(PointSet.concat(bad, pts), params, cfg)
 
 
 class TestDpStep:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from privtsf import metrics as pm
-from privtsf.data import DataPoint, DomainError
+from privtsf.data import DomainError, PointSet
 from privtsf.forecaster import ForecasterParams, masked_batch_losses
 
 
@@ -22,13 +22,13 @@ def zero_params(n=2, H=2, F=2, T=2, input_hours=3):
     )
 
 
-def point_with_loss(loss: float, T=2, F=2):
-    """Under all-zero params the forecast is 0, so the masked MSE is y[0,0]^2 with a single mask bit."""
-    y = np.zeros((T, F))
-    m = np.zeros((T, F))
-    m[0, 0] = 1.0
-    y[0, 0] = math.sqrt(loss)
-    return DataPoint(e=np.zeros((3, 2)), y=y, m=m)
+def points_with_losses(*losses: float, T=2, F=2) -> PointSet:
+    """Under all-zero params the forecast is 0, so point i's masked MSE is Y[i,0,0]^2 with a single mask bit."""
+    y = np.zeros((len(losses), T, F))
+    m = np.zeros((len(losses), T, F))
+    m[:, 0, 0] = 1.0
+    y[:, 0, 0] = np.sqrt(losses)
+    return PointSet(E=np.zeros((len(losses), 3, 2)), Y=y, M=m)
 
 
 def table(losses, label="member"):
@@ -43,7 +43,7 @@ def masked_mse(pred, truth, mask):
 
 def member_flag(p, tau, params):
     """Membership call for one point: its TPR through tpr_fpr, 1.0 iff its loss is strictly below tau."""
-    t = pm.loss_table([p], params, "member")
+    t = pm.loss_table(p, params, "member")
     return pm.tpr_fpr(t, t, tau)[0]
 
 
@@ -91,22 +91,22 @@ class TestMaskedMse:
 class TestMseSet:
     def test_singleton(self):
         params = zero_params()
-        p = point_with_loss(1.7)
-        assert pm.mse_set([p], params) == pytest.approx(pm.dataset_losses([p], params)[0], abs=1e-12)
+        p = points_with_losses(1.7)
+        assert pm.mse_set(p, params) == pytest.approx(pm.dataset_losses(p, params)[0], abs=1e-12)
 
     def test_mean_of_two(self):
         params = zero_params()
-        pts = [point_with_loss(1.0), point_with_loss(3.0)]
+        pts = points_with_losses(1.0, 3.0)
         assert pm.mse_set(pts, params) == pytest.approx(2.0, abs=1e-9)
 
     def test_permutation_invariance(self):
         params = zero_params()
-        pts = [point_with_loss(v) for v in (0.5, 1.5, 2.5, 4.0)]
+        pts = points_with_losses(0.5, 1.5, 2.5, 4.0)
         assert pm.mse_set(pts, params) == pytest.approx(pm.mse_set(pts[::-1], params), abs=1e-12)
 
     def test_empty_is_domain_error(self):
         with pytest.raises(DomainError):
-            pm.mse_set([], zero_params())
+            pm.mse_set(points_with_losses(), zero_params())
 
 
 class TestAvgTrainLossTau:
@@ -114,12 +114,12 @@ class TestAvgTrainLossTau:
 
     def test_mean_of_reference_losses(self):
         params = zero_params()
-        pts = [point_with_loss(0.2), point_with_loss(0.4)]
+        pts = points_with_losses(0.2, 0.4)
         assert pm.mse_set(pts, params) == pytest.approx(0.3, abs=1e-9)
 
     def test_recomputed_under_new_params(self):
         # tau follows the model: different params give a different threshold
-        pts = [point_with_loss(0.2), point_with_loss(0.4)]
+        pts = points_with_losses(0.2, 0.4)
         params = zero_params()
         other = ForecasterParams(
             pos=np.zeros(3),
@@ -140,16 +140,16 @@ class TestPl:
 
     def test_loss_equal_to_tau_is_not_member(self):
         params = zero_params()
-        p = point_with_loss(0.25)
+        p = points_with_losses(0.25)
         assert member_flag(p, 0.25, params) == 0  # strict inequality
 
     def test_low_loss_flags_member(self):
         params = zero_params()
-        assert member_flag(point_with_loss(0.0), 0.1, params) == 1
+        assert member_flag(points_with_losses(0.0), 0.1, params) == 1
 
     def test_high_loss_is_non_member(self):
         params = zero_params()
-        assert member_flag(point_with_loss(5.0), 0.1, params) == 0
+        assert member_flag(points_with_losses(5.0), 0.1, params) == 0
 
 
 class TestTprFpr:

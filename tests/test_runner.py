@@ -9,7 +9,7 @@ from helpers import identity_standardizer
 
 from privtsf import runner
 from privtsf.augment import MixupConfig, ZooConfig
-from privtsf.data import ConfigurationError, MetricsRow, read_metrics_csv
+from privtsf.data import ConfigurationError, MetricsRow, ValidationError, read_metrics_csv
 from privtsf.forecaster import DpConfig, TrainConfig, init_params, load_checkpoint, save_checkpoint
 from privtsf.metrics import attack_report, auroc_from_points, loss_table, mse_set
 from privtsf.synth import GeneratorConfig
@@ -82,9 +82,10 @@ class TestEvaluateCandidate:
         # re-evaluating the model the state was initialized from hits all three
         # inequalities with equality and is accepted
         _, wb = small_wb
-        m0 = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, [])
+        sets = (wb.train_pts, wb.heldout_pts, wb.train_pts[:0])  # members, non-members, an empty pool
+        m0 = runner.measure_candidate(wb.baseline_params, *sets)
         state = runner.AcceptanceState(priv_best=m0.report.priv, mse_best=m0.mse_heldout)
-        decision, new_state = runner.evaluate_candidate(wb.baseline_params, state, wb.train_pts, wb.heldout_pts, [])
+        decision, new_state = runner.evaluate_candidate(wb.baseline_params, state, *sets)
         assert decision.accepted
         assert decision.report.priv == m0.report.priv
         assert decision.report.tau == m0.report.tau
@@ -93,7 +94,7 @@ class TestEvaluateCandidate:
     def test_reference_set_drives_tau(self, small_wb):
         # a pool with higher losses raises tau and both rates
         _, wb = small_wb
-        m_train_ref = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, [])
+        m_train_ref = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, wb.train_pts[:0])
         m_held_ref = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, wb.heldout_pts)
         assert m_held_ref.report.tau > m_train_ref.report.tau
         assert m_held_ref.report.tpr >= m_train_ref.report.tpr
@@ -250,12 +251,18 @@ class TestAugmentationRun:
         accepted = [a.epoch for a in res.audits if a.accepted]
         assert replayed == accepted
 
-    def test_reproducible_metrics_bytes(self, tmp_path):
-        zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
-        cfg_a = tiny_cfg("zoo", 41, str(tmp_path / "a"), zoo=zoo)
-        cfg_b = tiny_cfg("zoo", 41, str(tmp_path / "b"), zoo=zoo)
-        runner.run_augmentation_experiment(cfg_a)
-        runner.run_augmentation_experiment(cfg_b)
+    @pytest.mark.parametrize("method", ["zoo", "zoo_pca", "mixup", "dp_sgd"])
+    def test_reproducible_metrics_bytes(self, tmp_path, method):
+        extra = {
+            "zoo": dict(zoo=ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)),
+            "zoo_pca": dict(zoo=ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)),
+            "mixup": dict(mixup=MixupConfig(beta=1.0)),
+            "dp_sgd": dict(dp=DpConfig(), dp_sigma_grid=(1.1, 2.0), dp_epochs=2),
+        }[method]
+        for side in ("a", "b"):
+            cfg = tiny_cfg(method, 41, str(tmp_path / side), **extra)
+            run = runner.run_dp_baseline if method == "dp_sgd" else runner.run_augmentation_experiment
+            run(cfg)
         a = (tmp_path / "a" / "metrics.csv").read_bytes()
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
@@ -425,3 +432,14 @@ class TestTradeoff:
         rows = [row(0, 2.0, 0.5, run_id="base", method="baseline", ab="")]
         entries = runner.build_tradeoff(rows)
         assert len(entries) == 1
+
+    def test_two_gated_runs_under_one_run_id_rejected(self):
+        # two sweeps of one alpha, differing only in pca_ratio, share a run id
+        rows = [row(0, 2.0, 0.5, run_id="zoo_a0.75_s1"), row(1, 1.9, 0.5, run_id="zoo_a0.75_s1")] * 2
+        with pytest.raises(ValidationError, match="run zoo_a0.75_s1 has two rows at epoch 0"):
+            runner.build_tradeoff(rows)
+
+    def test_two_dp_rows_at_one_sigma_rejected(self):
+        rows = [row(0, 1.0, 0.7, run_id="dp", method="dp_sgd", ab=ab) for ab in ("1.1", "1.5", "1.1")]
+        with pytest.raises(ValidationError, match="run dp has two rows at sigma 1.1"):
+            runner.build_tradeoff(rows)
