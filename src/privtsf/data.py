@@ -160,37 +160,104 @@ class Standardizer:
         return (np.asarray(values, dtype=np.float64) - self.mean[var_ids]) / self.std[var_ids]
 
 
-@dataclass
-class BinnedWindow:
-    """One observation window plus its forecast target, both hourly binned.
+class _RowSet:
+    """Stacked read-only arrays, one row per item, plus per-row columns: WindowSet and PointSet.
 
-    `values` is standardized and zero-imputed; wherever `mask_in` is 0 the
-    value is exactly 0. `target`/`mask_out` follow the same convention over
-    the forecast horizon.
+    A subclass names its arrays (`_ARRAYS`), its columns and their dtypes
+    (`_COLUMNS`) and builds one row (`_row`). Construction makes the arrays
+    read-only and gives every column one value per row (a scalar applies to
+    every row). Indexing with a slice or an index array returns a set of the
+    same class without validating again, an int index returns that row of
+    views, and iteration yields the rows in order.
     """
+
+    _ARRAYS: tuple[str, ...] = ()
+    _COLUMNS: dict[str, type] = {}
+
+    def _freeze(self) -> int:
+        for name in self._ARRAYS:
+            object.__setattr__(self, name, readonly(getattr(self, name)))
+        n = len(self)
+        for name, dtype in self._COLUMNS.items():
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            if col.shape not in ((), (n,)):
+                raise ConfigurationError(f"{name} column of shape {col.shape} for {n} rows")
+            object.__setattr__(self, name, readonly(np.broadcast_to(col, (n,)).copy(), dtype))
+        return n
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._ARRAYS[0]))
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return self._row(index)
+        return self._trusted({name: getattr(self, name)[index] for name in (*self._ARRAYS, *self._COLUMNS)})
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @classmethod
+    def _trusted(cls, arrays: dict[str, np.ndarray]):
+        """A set of arrays cut from validated ones, made read-only but not validated again."""
+        out = object.__new__(cls)
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(out, name, arr)
+        return out
+
+
+def _check_mask(m: np.ndarray) -> None:
+    if not np.all((m == 0) | (m == 1)):
+        raise ValidationError("mask entries must be 0 or 1")
+
+
+@dataclass(frozen=True, eq=False)
+class BinnedWindow:
+    """One WindowSet row: an observation window and its forecast target, as views."""
 
     values: np.ndarray  # (input_len, F)
     mask_in: np.ndarray  # (input_len, F) in {0, 1}
     target: np.ndarray  # (horizon, F)
     mask_out: np.ndarray  # (horizon, F) in {0, 1}
     window_start: int
+    episode_id: int
+
+
+@dataclass(frozen=True, eq=False)
+class WindowSet(_RowSet):
+    """N observation windows plus their forecast targets, hourly binned, with episode id and start columns.
+
+    `values` is standardized and zero-imputed; wherever `mask_in` is 0 the
+    value is exactly 0. `target`/`mask_out` follow the same convention over
+    the forecast horizon. Rows are BinnedWindows.
+    """
+
+    values: np.ndarray  # (N, input_len, F)
+    mask_in: np.ndarray  # (N, input_len, F) in {0, 1}
+    target: np.ndarray  # (N, horizon, F)
+    mask_out: np.ndarray  # (N, horizon, F) in {0, 1}
+    episode_id: np.ndarray | int = 0
+    window_start: np.ndarray | int = 0
+
+    _ARRAYS = ("values", "mask_in", "target", "mask_out")
+    _COLUMNS = {"episode_id": np.int64, "window_start": np.int64}
 
     def __post_init__(self) -> None:
-        self.values = readonly(self.values)
-        self.mask_in = readonly(self.mask_in)
-        self.target = readonly(self.target)
-        self.mask_out = readonly(self.mask_out)
-        if self.values.shape != self.mask_in.shape or self.target.shape != self.mask_out.shape:
+        self._freeze()
+        if self.values.ndim != 3 or self.values.shape != self.mask_in.shape or self.target.shape != self.mask_out.shape:
             raise ConfigurationError("value/mask shape mismatch")
-        if self.values.shape[1] != self.target.shape[1]:
-            raise ConfigurationError("input and target variable counts differ")
-        for m in (self.mask_in, self.mask_out):
-            if not np.all((m == 0) | (m == 1)):
-                raise ValidationError("mask entries must be 0 or 1")
+        if self.target.ndim != 3 or self.values.shape[::2] != self.target.shape[::2]:
+            raise ConfigurationError("input and target row or variable counts differ")
+        _check_mask(self.mask_in)
+        _check_mask(self.mask_out)
         if np.any(self.values[self.mask_in == 0] != 0):
             raise ValidationError("unobserved input cells must hold 0")
         if np.any(self.target[self.mask_out == 0] != 0):
             raise ValidationError("unobserved target cells must hold 0")
+
+    def _row(self, i: int) -> BinnedWindow:
+        cols = int(self.window_start[i]), int(self.episode_id[i])
+        return BinnedWindow(self.values[i], self.mask_in[i], self.target[i], self.mask_out[i], *cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,19 +277,9 @@ class DataPoint:
     uid: str = ""
 
 
-_POINT_COLUMNS = {"origin": object, "created_epoch": np.int64, "uid": object}
-_POINT_ARRAYS = ("E", "Y", "M", *_POINT_COLUMNS)
-
-
 @dataclass(frozen=True, eq=False)
-class PointSet:
-    """N points as stacked read-only arrays plus per-row origin, epoch and id columns.
-
-    The set is validated once, on construction; a scalar column value applies
-    to every row. Indexing with a slice or an index array returns a PointSet
-    without validating again, an int index returns that row as a DataPoint of
-    views, and iteration yields the rows in order.
-    """
+class PointSet(_RowSet):
+    """N points as stacked read-only arrays plus per-row origin, epoch and id columns; rows are DataPoints."""
 
     E: np.ndarray  # (N, input_len, n)
     Y: np.ndarray  # (N, horizon, F)
@@ -231,33 +288,19 @@ class PointSet:
     created_epoch: np.ndarray | int = 0
     uid: np.ndarray | Sequence[str] | str = ""
 
+    _ARRAYS = ("E", "Y", "M")
+    _COLUMNS = {"origin": object, "created_epoch": np.int64, "uid": object}
+
     def __post_init__(self) -> None:
-        for name in ("E", "Y", "M"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
-        n = len(self.E)
-        for name, dtype in _POINT_COLUMNS.items():
-            col = np.asarray(getattr(self, name), dtype=dtype)
-            if col.shape not in ((), (n,)):
-                raise ConfigurationError(f"{name} column of shape {col.shape} for {n} points")
-            object.__setattr__(self, name, readonly(np.broadcast_to(col, (n,)).copy(), dtype))
+        n = self._freeze()
         if self.E.ndim != 3 or self.Y.ndim != 3 or self.Y.shape != self.M.shape or len(self.Y) != n:
             raise ConfigurationError(f"point arrays of shapes {self.E.shape}, {self.Y.shape}, {self.M.shape}")
-        if not np.all((self.M == 0) | (self.M == 1)):
-            raise ValidationError("mask entries must be 0 or 1")
+        _check_mask(self.M)
         if not set(self.origin) <= {ORIGIN_ORIGINAL, ORIGIN_SYNTHETIC}:
             raise ValidationError(f"unknown origin among {sorted(set(self.origin))}")
 
-    def __len__(self) -> int:
-        return self.E.shape[0]
-
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            i = index
-            return DataPoint(self.E[i], self.Y[i], self.M[i], self.origin[i], int(self.created_epoch[i]), self.uid[i])
-        return _trusted_points({name: getattr(self, name)[index] for name in _POINT_ARRAYS})
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+    def _row(self, i: int) -> DataPoint:
+        return DataPoint(self.E[i], self.Y[i], self.M[i], self.origin[i], int(self.created_epoch[i]), self.uid[i])
 
     @staticmethod
     def concat(*parts: "PointSet") -> "PointSet":
@@ -265,16 +308,8 @@ class PointSet:
         parts = [p for p in parts if len(p)] or parts[:1]
         if len({(p.E.shape[1:], p.Y.shape[1:]) for p in parts}) > 1:
             raise ConfigurationError("cannot concatenate point sets of different shapes")
-        return _trusted_points({name: np.concatenate([getattr(p, name) for p in parts]) for name in _POINT_ARRAYS})
-
-
-def _trusted_points(arrays: dict[str, np.ndarray]) -> PointSet:
-    """A PointSet of arrays cut from validated ones, made read-only but not validated again."""
-    points = object.__new__(PointSet)
-    for name, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(points, name, arr)
-    return points
+        names = (*PointSet._ARRAYS, *PointSet._COLUMNS)
+        return PointSet._trusted({name: np.concatenate([getattr(p, name) for p in parts]) for name in names})
 
 
 def _check_var_ids(ep: Episode, n_vars: int) -> None:
@@ -284,17 +319,13 @@ def _check_var_ids(ep: Episode, n_vars: int) -> None:
         )
 
 
-def _bin_range(ep: Episode, std: Standardizer, start: float, n_hours: int) -> tuple[np.ndarray, np.ndarray]:
-    n_vars = std.n_vars
-    values = np.zeros((n_hours, n_vars))
-    mask = np.zeros((n_hours, n_vars))
-    if n_hours == 0:
-        return values, mask
+def _bin_range(ep: Episode, std: Standardizer, start: float, values: np.ndarray, mask: np.ndarray) -> None:
+    """Bin hours [start, start + len(values)) of `ep` into the zeroed `values` and `mask` rows."""
+    n_hours, n_vars = values.shape
     t, var, val = ep.t, ep.var_id, ep.value
-    _check_var_ids(ep, n_vars)
     lo, hi = np.searchsorted(t, [start, start + n_hours], side="left")
     if lo == hi:
-        return values, mask
+        return
     hours = np.floor(t[lo:hi] - start).astype(np.int64)
     key = hours * n_vars + var[lo:hi]
     # t-sorted input makes the first occurrence of each key the earliest observation
@@ -303,30 +334,28 @@ def _bin_range(ep: Episode, std: Standardizer, start: float, n_hours: int) -> tu
     vsel = var[lo:hi][first]
     values[hsel, vsel] = std.standardize(val[lo:hi][first], vsel)
     mask[hsel, vsel] = 1.0
-    return values, mask
 
 
-def bin_episode(
-    ep: Episode,
-    window_start: int,
-    input_len: int,
-    horizon: int,
-    std: Standardizer,
-) -> BinnedWindow:
-    """Bin one window: first observation per hour/variable, standardized, zero-imputed.
+def bin_windows(starts: Sequence[tuple[Episode, int]], input_len: int, horizon: int, std: Standardizer) -> WindowSet:
+    """Bin each (episode, window start) into one WindowSet row, in place.
 
-    The observation block covers hours [window_start, window_start + input_len),
-    the target block the following `horizon` hours.
+    A row's observation block covers hours [start, start + input_len) of its
+    episode, its target block the following `horizon` hours. The first
+    observation per hour and variable wins; values are standardized and
+    unobserved cells hold 0.
     """
-    if input_len <= 0 or horizon < 0 or window_start < 0:
-        raise ConfigurationError("window_start/input_len/horizon must be non-negative (input_len > 0)")
-    if window_start + input_len + horizon > ep.length_hours + 1e-9:
-        raise ConfigurationError(
-            f"window [{window_start}, {window_start + input_len + horizon}) exceeds stay of {ep.length_hours}h"
-        )
-    values, mask_in = _bin_range(ep, std, window_start, input_len)
-    target, mask_out = _bin_range(ep, std, window_start + input_len, horizon)
-    return BinnedWindow(values=values, mask_in=mask_in, target=target, mask_out=mask_out, window_start=window_start)
+    if input_len <= 0 or horizon < 0:
+        raise ConfigurationError("input_len must be positive and horizon non-negative")
+    shape_in, shape_out = (len(starts), input_len, std.n_vars), (len(starts), horizon, std.n_vars)
+    values, mask_in, target, mask_out = np.zeros(shape_in), np.zeros(shape_in), np.zeros(shape_out), np.zeros(shape_out)
+    for i, (ep, s) in enumerate(starts):
+        if s < 0 or s + input_len + horizon > ep.length_hours + 1e-9:
+            raise ConfigurationError(f"window [{s}, {s + input_len + horizon}) outside stay of {ep.length_hours}h")
+        _check_var_ids(ep, std.n_vars)
+        _bin_range(ep, std, s, values[i], mask_in[i])
+        _bin_range(ep, std, s + input_len, target[i], mask_out[i])
+    ids, window_starts = [ep.episode_id for ep, _ in starts], [s for _, s in starts]
+    return WindowSet(values, mask_in, target, mask_out, episode_id=ids, window_start=window_starts)
 
 
 def sliding_windows(
@@ -388,11 +417,12 @@ def build_windows(
     max_start: int = 96,
     limit: int = 0,
     rng: np.random.Generator | None = None,
-) -> list[tuple[int, BinnedWindow]]:
-    """Admissible (episode_id, window) pairs; windows with an empty target mask are dropped.
+) -> WindowSet:
+    """Every admissible window of `episodes`, in order, binned into one WindowSet.
 
-    With a positive `limit` below the number of such windows, only a random
-    subset of `limit` of them, drawn from `rng` and kept in order, is binned.
+    Windows with an empty target mask are dropped. With a positive `limit`
+    below the number of such windows, only a random subset of `limit` of
+    them, drawn from `rng` and kept in order, is binned.
     Every episode with an admissible start has its variable indices checked
     against the standardizer, whether or not one of its windows is kept.
     """
@@ -412,7 +442,7 @@ def build_windows(
     if limit and len(starts) > limit:
         idx = np.sort(rng.choice(len(starts), size=limit, replace=False))
         starts = [starts[i] for i in idx]
-    return [(ep.episode_id, bin_episode(ep, s, input_len, horizon, std)) for ep, s in starts]
+    return bin_windows(starts, input_len, horizon, std)
 
 
 # ---------------------------------------------------------------------------

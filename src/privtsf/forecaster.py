@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .data import (
-    BinnedWindow,
     ConfigurationError,
     DomainError,
     EvaluationError,
     PointSet,
     Standardizer,
     TrainingError,
+    WindowSet,
     readonly,
 )
 
@@ -192,20 +192,19 @@ def window_inputs(values: np.ndarray, mask: np.ndarray, n_vars: int) -> np.ndarr
     return np.concatenate([values, mask], axis=-1)
 
 
-def bake_points(
-    id_windows: Sequence[tuple[int, BinnedWindow]],
-    emb: EmbeddingMap,
-) -> PointSet:
-    """Freeze non-empty (episode id, window) pairs into a PointSet under the fixed embedding map."""
-    if not id_windows:
+def bake_points(windows: WindowSet, emb: EmbeddingMap) -> PointSet:
+    """Freeze a non-empty WindowSet into a PointSet under the fixed embedding map.
+
+    The points share the windows' target and mask arrays; each uid is "<episode id>:<window start>".
+    """
+    if not len(windows):
         raise DomainError("no windows to bake")
-    windows = [w for _, w in id_windows]
-    X = window_inputs(np.stack([w.values for w in windows]), np.stack([w.mask_in for w in windows]), emb.n_vars)
+    X = window_inputs(windows.values, windows.mask_in, emb.n_vars)
     return PointSet(
         E=X @ emb.weight + emb.bias,
-        Y=np.stack([w.target for w in windows]),
-        M=np.stack([w.mask_out for w in windows]),
-        uid=[f"{eid}:{w.window_start}" for eid, w in id_windows],
+        Y=windows.target,
+        M=windows.mask_out,
+        uid=[f"{eid}:{s}" for eid, s in zip(windows.episode_id.tolist(), windows.window_start.tolist())],
     )
 
 
@@ -454,23 +453,19 @@ def dp_train(
     return _run_epochs(params, len(points), cfg.batch_size, epochs, shuffle_rng, step)[0]
 
 
-def pretrain_embedding(
-    windows: Sequence[BinnedWindow],
-    cfg: TrainConfig,
-) -> tuple[EmbeddingMap, ForecasterParams]:
+def pretrain_embedding(windows: WindowSet, cfg: TrainConfig) -> tuple[EmbeddingMap, ForecasterParams]:
     """Jointly train embedding map and forecaster, then freeze the embedding.
 
     Runs cfg.max_epochs of minibatch SGD on the masked MSE. The returned map
     is the one all later augmentation and retraining operates on; only the
     forecaster parameters remain trainable afterwards.
     """
-    if not windows:
+    if not len(windows):
         raise DomainError("empty pretraining set")
-    input_hours, n_vars = windows[0].values.shape
+    input_hours, n_vars = windows.values.shape[1:]
     emb, params = init_params(cfg.n, cfg.hidden_dim, n_vars, cfg.horizon, cfg.seed, input_hours=input_hours)
-    X = window_inputs(np.stack([w.values for w in windows]), np.stack([w.mask_in for w in windows]), n_vars)
-    Y = np.stack([w.target for w in windows])
-    M = np.stack([w.mask_out for w in windows])
+    X = window_inputs(windows.values, windows.mask_in, n_vars)
+    Y, M = windows.target, windows.mask_out
 
     def step(state, idx: np.ndarray):
         params, weight, bias = state

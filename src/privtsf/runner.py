@@ -284,11 +284,11 @@ def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Wo
     train_w = build_windows(train_eps, std, limit=cfg.max_train_windows, rng=cap_rng, **wcfg)
     held_w = build_windows(held_eps, std, limit=cfg.max_eval_windows, rng=cap_rng, **wcfg)
     test_w = build_windows(test_eps, std, limit=cfg.max_eval_windows, rng=cap_rng, **wcfg)
-    if not train_w or not held_w or not test_w:
+    if not len(train_w) or not len(held_w) or not len(test_w):
         raise DomainError("one of the splits produced no usable windows")
 
     if not cfg.checkpoint:
-        emb, baseline = pretrain_embedding([w for _, w in train_w], cfg.train)
+        emb, baseline = pretrain_embedding(train_w, cfg.train)
     train_pts = bake_points(train_w, emb)
     if not cfg.checkpoint:
         baseline, _ = train(

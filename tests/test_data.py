@@ -11,7 +11,6 @@ from helpers import episode as ep
 
 from privtsf.augment import SyntheticPool
 from privtsf.data import (
-    BinnedWindow,
     ConfigurationError,
     Episode,
     MetricsRow,
@@ -19,7 +18,8 @@ from privtsf.data import (
     PointSet,
     Standardizer,
     ValidationError,
-    bin_episode,
+    WindowSet,
+    bin_windows,
     build_windows,
     load_triplets,
     read_metrics_csv,
@@ -45,54 +45,54 @@ observations = st.tuples(
 class TestBinning:
     def test_first_observation_per_hour_wins(self):
         e = ep(1, [(0.2, 0, 80.0), (0.7, 0, 90.0)], 48.0)
-        w = bin_episode(e, 0, 24, 24, identity_standardizer(4))
+        w = bin_windows([(e, 0)], 24, 24, identity_standardizer(4))[0]
         assert w.values[0, 0] == 80.0
         assert w.mask_in[0, 0] == 1.0
 
     def test_unsorted_ingest_still_keeps_earliest(self):
         e = ep(1, [(0.7, 0, 90.0), (0.2, 0, 80.0)], 48.0)
-        w = bin_episode(e, 0, 24, 24, identity_standardizer(4))
+        w = bin_windows([(e, 0)], 24, 24, identity_standardizer(4))[0]
         assert w.values[0, 0] == 80.0
 
     def test_unobserved_variable_yields_zero_column(self):
         e = ep(1, [(0.5, 0, 80.0)], 48.0)
-        w = bin_episode(e, 0, 24, 24, identity_standardizer(4))
+        w = bin_windows([(e, 0)], 24, 24, identity_standardizer(4))[0]
         assert np.all(w.values[:, 3] == 0)
         assert np.all(w.mask_in[:, 3] == 0)
 
     def test_zscore_storage(self):
         std = Standardizer(mean=np.array([70.0]), std=np.array([10.0]))
         e = ep(1, [(0.5, 0, 80.0)], 48.0)
-        w = bin_episode(e, 0, 24, 24, std)
+        w = bin_windows([(e, 0)], 24, 24, std)[0]
         assert w.values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_target_block_follows_same_rule(self):
         e = ep(1, [(25.3, 1, 5.0), (25.9, 1, 7.0)], 48.0)
-        w = bin_episode(e, 0, 24, 24, identity_standardizer(4))
+        w = bin_windows([(e, 0)], 24, 24, identity_standardizer(4))[0]
         assert w.target[1, 1] == 5.0
         assert w.mask_out[1, 1] == 1.0
 
     def test_window_start_shifts_bucket_origin(self):
         e = ep(1, [(4.5, 0, 3.0)], 60.0)
-        w = bin_episode(e, 4, 24, 24, identity_standardizer(2))
+        w = bin_windows([(e, 4)], 24, 24, identity_standardizer(2))[0]
         assert w.values[0, 0] == 3.0
         assert w.window_start == 4
 
     def test_window_beyond_stay_is_config_error(self):
         e = ep(1, [(0.5, 0, 1.0)], 40.0)
         with pytest.raises(ConfigurationError):
-            bin_episode(e, 0, 24, 24, identity_standardizer(2))
+            bin_windows([(e, 0)], 24, 24, identity_standardizer(2))
 
     def test_variable_out_of_range_is_config_error(self):
         e = ep(1, [(0.5, 3, 1.0)], 48.0)
         with pytest.raises(ConfigurationError):
-            bin_episode(e, 0, 24, 24, identity_standardizer(2))
+            bin_windows([(e, 0)], 24, 24, identity_standardizer(2))
 
     def test_idempotence_on_hour_aligned_episode(self):
         rng = np.random.default_rng(3)
         trips = [(float(h), f, float(rng.standard_normal())) for h in range(30) for f in range(3)]
         e = ep(1, trips, 48.0)
-        w = bin_episode(e, 0, 24, 6, identity_standardizer(3))
+        w = bin_windows([(e, 0)], 24, 6, identity_standardizer(3))[0]
         grid = np.array([[v for (_, _, v) in trips[h * 3 : h * 3 + 3]] for h in range(24)])
         assert np.allclose(w.values, grid)
         assert np.all(w.mask_in == 1)
@@ -104,7 +104,7 @@ class TestBinning:
         for _ in range(200):
             trips.append((float(rng.uniform(0, 20)), int(rng.integers(0, 3)), float(rng.standard_normal())))
         e = ep(1, trips, 20.0)
-        w = bin_episode(e, 0, 20, 0, identity_standardizer(3))
+        w = bin_windows([(e, 0)], 20, 0, identity_standardizer(3))[0]
         discarded = len(trips) - int(w.mask_in.sum())
         keys = {(math.floor(t), f) for t, f, _ in trips}
         assert discarded == len(trips) - len(keys)
@@ -122,7 +122,7 @@ class TestBinning:
         start=st.integers(0, 4),
     )
     def test_first_observation_per_hour_and_variable_wins(self, obs, start):
-        w = bin_episode(ep(1, obs, 16.0), start, 8, 4, identity_standardizer(3))
+        w = bin_windows([(ep(1, obs, 16.0), start)], 8, 4, identity_standardizer(3))[0]
         values, mask = np.zeros((12, 3)), np.zeros((12, 3))
         for t, var, val in sorted(obs, key=lambda o: o[0]):
             h = math.floor(t - start)
@@ -134,7 +134,7 @@ class TestBinning:
     def test_mask_value_consistency_full_scan(self):
         episodes = generate(GeneratorConfig(n_episodes=25, seed=9))
         std = Standardizer.fit(episodes, 16)
-        for _, w in build_windows(episodes, std):
+        for w in build_windows(episodes, std):
             assert np.all(w.values[w.mask_in == 0] == 0)
             assert np.all(w.target[w.mask_out == 0] == 0)
 
@@ -164,7 +164,7 @@ class TestSlidingWindows:
     def test_empty_target_windows_dropped_by_builder(self):
         # single observation at hour 0: every window's target block is empty
         e = ep(1, [(0.2, 0, 1.0)], 96.0)
-        assert build_windows([e], identity_standardizer(2)) == []
+        assert len(build_windows([e], identity_standardizer(2))) == 0
 
     @pytest.mark.parametrize("limit", [0, 1, 40, 10_000])
     def test_capped_build_equals_capping_every_window(self, limit):
@@ -178,8 +178,8 @@ class TestSlidingWindows:
             idx = np.sort(rng.choice(len(expected), size=limit, replace=False))
             expected = [expected[i] for i in idx]
         got = build_windows(episodes, std, limit=limit, rng=np.random.default_rng(9))
-        assert [(eid, w.window_start) for eid, w in got] == [(eid, w.window_start) for eid, w in expected]
-        for (_, a), (_, b) in zip(got, expected):
+        assert [(w.episode_id, w.window_start) for w in got] == [(w.episode_id, w.window_start) for w in expected]
+        for a, b in zip(got, expected):
             for name in ("values", "mask_in", "target", "mask_out"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -191,6 +191,43 @@ class TestSlidingWindows:
         with pytest.raises(ConfigurationError, match="episode 9 uses variable index 3"):
             build_windows(good + [bad], std, limit=1, rng=np.random.default_rng(0))
         assert len(build_windows(good + [short], std, limit=1, rng=np.random.default_rng(0))) == 1
+
+
+class TestWindowSet:
+    def _windows(self, n_episodes=20, seed=5):
+        episodes = generate(GeneratorConfig(n_episodes=n_episodes, seed=seed))
+        std = Standardizer.fit(episodes, 16)
+        return episodes, std, build_windows(episodes, std)
+
+    def test_rows_equal_binning_each_window_alone(self):
+        episodes, std, windows = self._windows()
+        by_id = {e.episode_id: e for e in episodes}
+        assert len(windows) > 0
+        for w in windows:
+            alone = bin_windows([(by_id[w.episode_id], w.window_start)], 24, 24, std)[0]
+            for name in ("values", "mask_in", "target", "mask_out"):
+                assert np.array_equal(getattr(w, name), getattr(alone, name))
+
+    def test_index_arrays_and_slices_give_read_only_window_sets(self):
+        _, _, windows = self._windows(10, 6)
+        part = windows[np.array([2, 0])]
+        assert isinstance(part, WindowSet) and isinstance(windows[1:3], WindowSet)
+        assert part.window_start.tolist() == [windows[2].window_start, windows[0].window_start]
+        assert part.episode_id.tolist() == [windows[2].episode_id, windows[0].episode_id]
+        assert np.array_equal(part.target[1], windows.target[0])
+        for a in (windows.values, part.target, windows[0].mask_in, windows[1:3].mask_out, part.episode_id):
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_column_length_checked(self):
+        with pytest.raises(ConfigurationError, match="episode_id column"):
+            WindowSet(
+                values=np.zeros((2, 2, 1)),
+                mask_in=np.zeros((2, 2, 1)),
+                target=np.zeros((2, 1, 1)),
+                mask_out=np.ones((2, 1, 1)),
+                episode_id=[1, 2, 3],
+            )
 
 
 class TestSplit:
@@ -213,7 +250,7 @@ class TestSplit:
         std = Standardizer.fit([e for e in episodes if e.episode_id in tr], 16)
         seen = {}
         for name, ids in (("train", tr), ("heldout", ho), ("test", te)):
-            for eid, _ in build_windows([e for e in episodes if e.episode_id in ids], std):
+            for eid in build_windows([e for e in episodes if e.episode_id in ids], std).episode_id.tolist():
                 assert seen.setdefault(eid, name) == name
 
     def test_every_window_of_episode_in_one_split(self):
@@ -276,22 +313,20 @@ class TestEpisodeValidation:
 class TestWindowAndPointTypes:
     def test_mask_must_be_binary(self):
         with pytest.raises(ValidationError):
-            BinnedWindow(
-                values=np.zeros((2, 1)),
-                mask_in=np.full((2, 1), 0.5),
-                target=np.zeros((1, 1)),
-                mask_out=np.ones((1, 1)),
-                window_start=0,
+            WindowSet(
+                values=np.zeros((1, 2, 1)),
+                mask_in=np.full((1, 2, 1), 0.5),
+                target=np.zeros((1, 1, 1)),
+                mask_out=np.ones((1, 1, 1)),
             )
 
     def test_unobserved_cells_must_hold_zero(self):
         with pytest.raises(ValidationError):
-            BinnedWindow(
-                values=np.ones((2, 1)),
-                mask_in=np.zeros((2, 1)),
-                target=np.zeros((1, 1)),
-                mask_out=np.ones((1, 1)),
-                window_start=0,
+            WindowSet(
+                values=np.ones((1, 2, 1)),
+                mask_in=np.zeros((1, 2, 1)),
+                target=np.zeros((1, 1, 1)),
+                mask_out=np.ones((1, 1, 1)),
             )
 
     def test_datapoint_arrays_read_only(self):

@@ -9,12 +9,12 @@ from helpers import batch_loss, fd_param_gradients, make_points, relative_error
 
 from privtsf import forecaster as fc
 from privtsf.data import (
-    BinnedWindow,
     ConfigurationError,
     EvaluationError,
     PointSet,
     Standardizer,
     TrainingError,
+    WindowSet,
 )
 from privtsf.metrics import mse_set
 from privtsf.synth import GeneratorConfig, generate
@@ -36,14 +36,9 @@ def zero_params(n=4, H=4, F=3, T=2, input_hours=5):
 
 
 def window(values, mask):
+    """A one-row WindowSet with the given inputs and a fully observed zero target."""
     F = values.shape[1]
-    return BinnedWindow(
-        values=values,
-        mask_in=mask,
-        target=np.zeros((1, F)),
-        mask_out=np.ones((1, F)),
-        window_start=0,
-    )
+    return WindowSet(values=values[None], mask_in=mask[None], target=np.zeros((1, 1, F)), mask_out=np.ones((1, 1, F)))
 
 
 def embed_one(values, mask, emb):
@@ -52,10 +47,26 @@ def embed_one(values, mask, emb):
 
 
 class TestEmbed:
+    def test_points_share_the_window_targets_and_name_their_window(self):
+        rng = np.random.default_rng(3)
+        emb = fc.EmbeddingMap(weight=rng.standard_normal((6, 2)), bias=rng.standard_normal(2))
+        m = (rng.random((2, 4, 3)) < 0.5).astype(float)
+        ws = WindowSet(
+            values=rng.standard_normal((2, 4, 3)) * m,
+            mask_in=m,
+            target=np.zeros((2, 1, 3)),
+            mask_out=np.ones((2, 1, 3)),
+            episode_id=[7, 8],
+            window_start=[0, 4],
+        )
+        pts = fc.bake_points(ws, emb)
+        assert np.shares_memory(pts.Y, ws.target) and np.shares_memory(pts.M, ws.mask_out)
+        assert list(pts.uid) == ["7:0", "8:4"]
+
     def test_zero_input_gives_bias_rows(self):
         emb = fc.EmbeddingMap(weight=np.arange(12.0).reshape(6, 2), bias=np.array([3.0, -1.0]))
         w = window(np.zeros((4, 3)), np.zeros((4, 3)))
-        out = fc.bake_points([(0, w)], emb)[0].e
+        out = fc.bake_points(w, emb)[0].e
         assert np.allclose(out, np.tile(emb.bias, (4, 1)))
 
     def test_one_hot_row_selects_weight_row(self):
@@ -96,13 +107,13 @@ class TestEmbed:
         m = (rng.random((4, 3)) < 0.5).astype(float)
         v = rng.standard_normal((4, 3)) * m
         w = window(v, m)
-        assert np.array_equal(fc.bake_points([(0, w)], emb)[0].e, embed_one(v, m, emb))
+        assert np.array_equal(fc.bake_points(w, emb)[0].e, embed_one(v, m, emb))
 
     def test_dimension_mismatch(self):
         emb = fc.EmbeddingMap(weight=np.zeros((6, 2)), bias=np.zeros(2))
         w = window(np.zeros((4, 5)), np.zeros((4, 5)))
         with pytest.raises(ConfigurationError, match="5 variables, embedding expects 3"):
-            fc.bake_points([(0, w)], emb)
+            fc.bake_points(w, emb)
 
 
 def forecast_one(e, params):
@@ -336,7 +347,7 @@ class TestPretraining:
     def _windows(self, count=60):
         episodes = generate(GeneratorConfig(n_episodes=30, seed=21))
         std = Standardizer.fit(episodes, 16)
-        return [w for _, w in build_windows(episodes, std)][:count]
+        return build_windows(episodes, std)[:count]
 
     def test_same_seed_gives_identical_embedding(self):
         windows = self._windows()
@@ -354,22 +365,22 @@ class TestPretraining:
         with pytest.raises(ValueError):
             emb.weight[0, 0] = 1.0
         snapshot = emb.weight.copy()
-        pts = fc.bake_points([(0, w) for w in windows], emb)
+        pts = fc.bake_points(windows, emb)
         fc.train(pts, params, cfg, epochs=2, seed=5)
         assert np.array_equal(emb.weight, snapshot)
         # embed output for a fixed window is bit-identical after further training
-        a = fc.bake_points([(0, windows[0])], emb)[0].e
-        b = fc.bake_points([(0, windows[0])], emb)[0].e
+        a = fc.bake_points(windows[:1], emb)[0].e
+        b = fc.bake_points(windows[:1], emb)[0].e
         assert np.array_equal(a, b)
 
     def test_pretraining_reduces_loss(self):
         windows = self._windows(80)
         cfg = fc.TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=25, hidden_dim=16, n=16, horizon=24, seed=6)
         emb0, params0 = fc.init_params(cfg.n, cfg.hidden_dim, 16, cfg.horizon, cfg.seed)
-        pts0 = fc.bake_points([(0, w) for w in windows], emb0)
+        pts0 = fc.bake_points(windows, emb0)
         before = mse_set(pts0, params0)
         emb, params = fc.pretrain_embedding(windows, cfg)
-        pts = fc.bake_points([(0, w) for w in windows], emb)
+        pts = fc.bake_points(windows, emb)
         after = mse_set(pts, params)
         assert after < before
 
