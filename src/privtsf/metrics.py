@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .data import DomainError, PointSet, readonly
+from .data import DomainError, PointSet
 from .forecaster import ForecasterParams, forecast_batch, masked_batch_losses
 
 
@@ -34,84 +34,6 @@ def mse_set(points: PointSet, params: ForecasterParams) -> float:
 
 
 @dataclass
-class LossTable:
-    """Per-sample losses keyed by sample id, labelled member or non-member."""
-
-    ids: tuple[str, ...]
-    losses: np.ndarray
-    label: str
-
-    def __post_init__(self) -> None:
-        self.losses = readonly(self.losses)
-        if self.losses.ndim != 1 or len(self.ids) != self.losses.shape[0]:
-            raise DomainError("ids and losses must align")
-        if self.losses.size and (not np.all(np.isfinite(self.losses)) or np.any(self.losses < 0)):
-            raise DomainError("losses must be finite and non-negative")
-
-    def __len__(self) -> int:
-        return self.losses.shape[0]
-
-
-def point_ids(points: PointSet) -> tuple[str, ...]:
-    """Each point's uid, or its position for a point without one."""
-    return tuple(uid or str(i) for i, uid in enumerate(points.uid))
-
-
-def loss_table(points: PointSet, params: ForecasterParams, label: str) -> LossTable:
-    return LossTable(ids=point_ids(points), losses=dataset_losses(points, params), label=label)
-
-
-def tpr_fpr(members: LossTable, nonmembers: LossTable, tau: float) -> tuple[float, float]:
-    """Fractions of member and non-member losses strictly below tau."""
-    if len(members) == 0 or len(nonmembers) == 0:
-        raise DomainError("member and non-member tables must be nonempty")
-    tpr = float((members.losses < tau).mean())
-    fpr = float((nonmembers.losses < tau).mean())
-    return tpr, fpr
-
-
-def priv(members: LossTable, nonmembers: LossTable, tau: float) -> float:
-    """TPR/FPR ratio at tau.
-
-    A zero FPR with zero TPR reports 1.0 (the attack is exactly random
-    guessing); a zero FPR with positive TPR reports +inf, serialized as
-    `inf` in CSV output.
-    """
-    tpr, fpr = tpr_fpr(members, nonmembers, tau)
-    if fpr == 0.0:
-        return 1.0 if tpr == 0.0 else math.inf
-    return tpr / fpr
-
-
-def roc_points(members: LossTable, nonmembers: LossTable) -> np.ndarray:
-    """Exact empirical ROC: one point per observed loss value plus -inf/+inf ends.
-
-    Returns an array of (threshold, fpr, tpr) rows in ascending threshold
-    order; both rates are non-decreasing in the threshold.
-    """
-    if len(members) == 0 or len(nonmembers) == 0:
-        raise DomainError("member and non-member tables must be nonempty")
-    thresholds = np.concatenate(
-        [[-np.inf], np.unique(np.concatenate([members.losses, nonmembers.losses])), [np.inf]]
-    )
-    m_sorted = np.sort(members.losses)
-    n_sorted = np.sort(nonmembers.losses)
-    tpr = np.searchsorted(m_sorted, thresholds, side="left") / len(members)
-    fpr = np.searchsorted(n_sorted, thresholds, side="left") / len(nonmembers)
-    return np.column_stack([thresholds, fpr, tpr])
-
-
-def auroc_from_points(points: np.ndarray) -> float:
-    """Trapezoidal area under a (threshold, fpr, tpr) curve."""
-    return float(np.trapezoid(points[:, 2], points[:, 1]))
-
-
-def roc_curve(members: LossTable, nonmembers: LossTable) -> tuple[np.ndarray, float]:
-    pts = roc_points(members, nonmembers)
-    return pts, auroc_from_points(pts)
-
-
-@dataclass
 class AttackReport:
     """Threshold attack summary for one model/dataset pair."""
 
@@ -123,15 +45,35 @@ class AttackReport:
     auroc: float
 
 
-def attack_report(members: LossTable, nonmembers: LossTable, tau: float) -> AttackReport:
-    """Assemble TPR/FPR/Priv at tau plus the full swept ROC and its area."""
-    tpr, fpr = tpr_fpr(members, nonmembers, tau)
-    pts, area = roc_curve(members, nonmembers)
-    return AttackReport(
-        tau=tau,
-        tpr=tpr,
-        fpr=fpr,
-        priv=priv(members, nonmembers, tau),
-        roc=pts,
-        auroc=area,
+def attack_report(member_losses: np.ndarray, nonmember_losses: np.ndarray, tau: float) -> AttackReport:
+    """The attack at tau plus the full swept ROC and its area: the one path from losses to rates.
+
+    TPR and FPR are the fractions of member and non-member losses strictly
+    below tau. Priv is TPR/FPR; a zero FPR with zero TPR reports 1.0 (the
+    attack is exactly random guessing), a zero FPR with positive TPR +inf,
+    serialized as `inf` in CSV output. The exact empirical ROC has one
+    (threshold, fpr, tpr) row per observed loss value plus -inf/+inf ends, in
+    ascending threshold order, so both rates are non-decreasing; the AUROC is
+    its trapezoidal area.
+    """
+    members, nonmembers = (np.asarray(x, dtype=np.float64) for x in (member_losses, nonmember_losses))
+    for losses in (members, nonmembers):
+        if losses.ndim != 1 or losses.size == 0:
+            raise DomainError("member and non-member losses must be nonempty 1-d arrays")
+        if not np.all(np.isfinite(losses)) or np.any(losses < 0):
+            raise DomainError("losses must be finite and non-negative")
+    tpr = float((members < tau).mean())
+    fpr = float((nonmembers < tau).mean())
+    if fpr == 0.0:
+        ratio = 1.0 if tpr == 0.0 else math.inf
+    else:
+        ratio = tpr / fpr
+    thresholds = np.concatenate([[-np.inf], np.unique(np.concatenate([members, nonmembers])), [np.inf]])
+    roc = np.column_stack(
+        [
+            thresholds,
+            np.searchsorted(np.sort(nonmembers), thresholds, side="left") / len(nonmembers),
+            np.searchsorted(np.sort(members), thresholds, side="left") / len(members),
+        ]
     )
+    return AttackReport(tau=tau, tpr=tpr, fpr=fpr, priv=ratio, roc=roc, auroc=float(np.trapezoid(roc[:, 2], roc[:, 1])))

@@ -10,11 +10,14 @@ factor, heldout error may not degrade beyond a small factor, and the combined
 objective priv + beta * mse must not increase. Rejected candidates are
 discarded entirely; every candidate leaves exactly one metrics row.
 
-Two evaluation conventions coexist and are kept explicit:
-- gate rows use the heldout split as non-members and the augmented set
-  (originals plus pool) as the reference for the loss threshold;
-- attack/DP rows use the test split as non-members and the training set as
-  the reference.
+Every metrics row comes from one evaluation, `attack_row`, which turns a
+model's losses into an attack report through `metrics.attack_report`. Its
+arguments select one of two conventions, kept explicit:
+- gate rows pass the synthetic pool and "heldout": the heldout split is the
+  non-members and the augmented set (originals plus pool) the reference for
+  the loss threshold;
+- attack/DP rows pass no pool and "test": the test split is the non-members
+  and the training set the reference.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .forecaster import (
     save_checkpoint,
     train,
 )
-from .metrics import AttackReport, LossTable, attack_report, dataset_losses, loss_table, mse_set, point_ids
+from .metrics import AttackReport, attack_report, dataset_losses, mse_set
 from .synth import GeneratorConfig, generate
 
 METHODS = ("baseline", "zoo", "zoo_pca", "mixup", "dp_sgd")
@@ -120,46 +123,6 @@ def apply_gate(state: AcceptanceState, priv_value: float, mse_value: float) -> t
     return False, "+".join(failed), state
 
 
-@dataclass(frozen=True)
-class CandidateDecision:
-    accepted: bool
-    mse_heldout: float
-    reason: str
-    report: AttackReport
-
-
-def measure_candidate(
-    params: ForecasterParams,
-    train_pts: PointSet,
-    heldout_pts: PointSet,
-    pool_pts: PointSet,
-) -> CandidateDecision:
-    """Gate metrics for one model, without applying the gate.
-
-    One pass over the originals plus the synthetic pool gives the threshold
-    tau (the mean loss over all of them) and the member losses (the first
-    len(train_pts) entries); the heldout points are the non-members.
-    """
-    losses = dataset_losses(PointSet.concat(train_pts, pool_pts), params)
-    members = LossTable(ids=point_ids(train_pts), losses=losses[: len(train_pts)], label="member")
-    nonmembers = loss_table(heldout_pts, params, "non-member")
-    report = attack_report(members, nonmembers, float(losses.mean()))
-    return CandidateDecision(accepted=False, mse_heldout=float(nonmembers.losses.mean()), reason="", report=report)
-
-
-def evaluate_candidate(
-    candidate: ForecasterParams,
-    state: AcceptanceState,
-    train_pts: PointSet,
-    heldout_pts: PointSet,
-    pool_pts: PointSet,
-) -> tuple[CandidateDecision, AcceptanceState]:
-    """Gate one retrained candidate; on accept the state's bests move to it."""
-    m = measure_candidate(candidate, train_pts, heldout_pts, pool_pts)
-    accepted, reason, new_state = apply_gate(state, m.report.priv, m.mse_heldout)
-    return replace(m, accepted=accepted, reason=reason), new_state
-
-
 # ---------------------------------------------------------------------------
 # Run configuration and workbench
 # ---------------------------------------------------------------------------
@@ -212,8 +175,13 @@ class RunConfig:
             raise ConfigurationError("method mixup requires a mixup config")
         if self.method == "dp_sgd" and (self.dp is None or not self.dp_sigma_grid):
             raise ConfigurationError("method dp_sgd requires a dp config and a nonempty dp_sigma_grid")
-        if self.rounds < 0:
-            raise ConfigurationError("rounds must be >= 0")
+        counts = (
+            "rounds", "samples_per_round", "baseline_epochs", "retrain_epochs", "dp_epochs",
+            "max_train_windows", "max_eval_windows",
+        )
+        for name in counts:
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def resolved_run_id(self) -> str:
         if self.run_id:
@@ -354,18 +322,22 @@ def attack_row(
     params: ForecasterParams,
     wb: Workbench,
     nonmembers: str,
+    pool: PointSet | None = None,
+    epoch: int = 0,
 ) -> tuple[MetricsRow, AttackReport]:
-    """A row in the attack convention, forecasting each split once.
+    """The one evaluation of a model: a metrics row and its attack report.
 
-    Members are the training points and tau is their mean loss; the
-    non-members are the `nonmembers` split ("test" or "heldout").
+    Forecasts the training points plus the synthetic `pool`, the heldout split
+    and the test split once each. Members are the training points, tau is the
+    mean loss over the training points plus the pool, and the non-members are
+    the `nonmembers` split ("test" or "heldout"). Gate rows pass the pool and
+    "heldout"; attack and DP rows pass no pool and the test split.
     """
-    train_t, held_t, test_t = (
-        loss_table(pts, params, label)
-        for pts, label in ((wb.train_pts, "member"), (wb.heldout_pts, "heldout"), (wb.test_pts, "test"))
-    )
-    report = attack_report(train_t, test_t if nonmembers == "test" else held_t, float(train_t.losses.mean()))
-    row = _round_row(run_id, method, tag, 0, report, float(held_t.losses.mean()), float(test_t.losses.mean()))
+    n_train = len(wb.train_pts)
+    reference = wb.train_pts if pool is None else PointSet.concat(wb.train_pts, pool)
+    ref_losses, held, test = (dataset_losses(pts, params) for pts in (reference, wb.heldout_pts, wb.test_pts))
+    report = attack_report(ref_losses[:n_train], test if nonmembers == "test" else held, float(ref_losses.mean()))
+    row = _round_row(run_id, method, tag, epoch, report, float(held.mean()), float(test.mean()))
     return row, report
 
 
@@ -445,15 +417,14 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
 
     run_id, tag = cfg.resolved_run_id(), cfg.param_tag()
     params = wb.baseline_params
-    decision0 = measure_candidate(params, wb.train_pts, wb.heldout_pts, wb.train_pts[:0])
-    report = decision0.report  # the last accepted model's
-    rows = [_round_row(run_id, cfg.method, tag, 0, report, decision0.mse_heldout, mse_set(wb.test_pts, params))]
+    row, report = attack_row(run_id, cfg.method, tag, params, wb, "heldout", pool=pool.items)
+    rows = [row]  # `report` stays the last accepted model's
     audits = [RoundAudit(epoch=0, accepted=True)]
     state = None
     if rounds > 0:
         # an infinite baseline priv cannot seed the gate; surfaced as a config error
         state = AcceptanceState(
-            priv_best=decision0.report.priv, mse_best=decision0.mse_heldout,
+            priv_best=report.priv, mse_best=row.mse_heldout,
             eps_priv=cfg.eps_priv, eps_mse=cfg.eps_mse, beta_accept=cfg.beta_accept,
         )
     final_epoch = 0
@@ -476,15 +447,17 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
                 epochs=cfg.retrain_epochs,
                 seed=derive_seed(cfg.seed, _RETRAIN_STREAM * 100_000 + r),
             )
-            decision, new_state = evaluate_candidate(candidate, state, wb.train_pts, wb.heldout_pts, pool.items)
-            mse_test = mse_set(wb.test_pts, candidate)
-            rows.append(_round_row(run_id, cfg.method, tag, r, decision.report, decision.mse_heldout, mse_test))
+            row, candidate_report = attack_row(
+                run_id, cfg.method, tag, candidate, wb, "heldout", pool=pool.items, epoch=r
+            )
+            rows.append(row)
+            accepted, _, new_state = apply_gate(state, candidate_report.priv, row.mse_heldout)
             steps = cfg.zoo.steps if cfg.method in ("zoo", "zoo_pca") else 0
             audits.append(
-                RoundAudit(r, decision.accepted, pool_size=len(pool), samples_generated=len(wave), steps_executed=steps)
+                RoundAudit(r, accepted, pool_size=len(pool), samples_generated=len(wave), steps_executed=steps)
             )
-            if decision.accepted:
-                params, state, final_epoch, report = candidate, new_state, r, decision.report
+            if accepted:
+                params, state, final_epoch, report = candidate, new_state, r, candidate_report
     finally:
         _flush_outputs(cfg, rows, audits)
 

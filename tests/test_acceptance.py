@@ -137,14 +137,21 @@ class TestCriterion2MetricUnits:
             return PointSet(E=np.zeros((len(losses), 3, 2)), Y=y, M=m)
 
         def table(losses):
-            return pm.LossTable(tuple(map(str, range(len(losses)))), np.asarray(losses, float), "x")
+            return np.asarray(losses, float)
+
+        def tpr_fpr(members, nonmembers, tau):
+            rep = pm.attack_report(members, nonmembers, tau)
+            return rep.tpr, rep.fpr
+
+        def priv(members, nonmembers, tau):
+            return pm.attack_report(members, nonmembers, tau).priv
 
         def masked_mse(pred, truth, mask):
             return fc.masked_batch_losses(pred[None], truth[None], mask[None])[0]
 
         def member_flag(p, tau):
-            t = pm.loss_table(p, params, "x")
-            return pm.tpr_fpr(t, t, tau)[0]
+            t = pm.dataset_losses(p, params)
+            return tpr_fpr(t, t, tau)[0]
 
         params = zero_params()
         checks = []
@@ -167,18 +174,18 @@ class TestCriterion2MetricUnits:
         checks.append(member_flag(point(0.0), 0.1) == 1)
         checks.append(member_flag(point(5.0), 0.1) == 0)
         # TPR / FPR
-        tpr, fpr = pm.tpr_fpr(table([0.1, 0.2, 0.9]), table([0.5, 0.6]), 0.4)
+        tpr, fpr = tpr_fpr(table([0.1, 0.2, 0.9]), table([0.5, 0.6]), 0.4)
         checks.append(abs(tpr - 2.0 / 3.0) <= tol and abs(fpr) <= tol)
-        checks.append(pm.tpr_fpr(table([1.0, 2.0]), table([1.5]), 0.5) == (0.0, 0.0))
-        checks.append(pm.tpr_fpr(table([1.0, 2.0]), table([1.5]), 9.0) == (1.0, 1.0))
+        checks.append(tpr_fpr(table([1.0, 2.0]), table([1.5]), 0.5) == (0.0, 0.0))
+        checks.append(tpr_fpr(table([1.0, 2.0]), table([1.5]), 9.0) == (1.0, 1.0))
         # priv ratio
         checks.append(
-            abs(pm.priv(table([0.1, 0.3, 0.9, 1.1]), table([0.2, 0.9, 1.0, 1.2]), 0.5) - 2.0) <= tol
+            abs(priv(table([0.1, 0.3, 0.9, 1.1]), table([0.2, 0.9, 1.0, 1.2]), 0.5) - 2.0) <= tol
         )
         same = [0.1, 0.4, 0.7]
-        checks.append(all(abs(pm.priv(table(same), table(same), t) - 1.0) <= tol for t in same))
-        checks.append(pm.priv(table([0.0] * 3 + [0.2] * 7), table([0.5, 0.6]), 0.1) == math.inf)
-        checks.append(pm.priv(table([0.5]), table([0.6]), 0.1) == 1.0)
+        checks.append(all(abs(priv(table(same), table(same), t) - 1.0) <= tol for t in same))
+        checks.append(priv(table([0.0] * 3 + [0.2] * 7), table([0.5, 0.6]), 0.1) == math.inf)
+        checks.append(priv(table([0.5]), table([0.6]), 0.1) == 1.0)
         # reference-set threshold
         checks.append(abs(pm.mse_set(point(0.2, 0.4), params) - 0.3) <= tol)
 
@@ -193,12 +200,12 @@ class TestCriterion3RocSanity:
     def test_roc_sanity(self):
         t0 = time.time()
         rng = np.random.default_rng(103)
-        same_a = pm.LossTable(tuple(map(str, range(10_000))), rng.random(10_000), "m")
-        same_b = pm.LossTable(tuple(map(str, range(10_000))), rng.random(10_000), "n")
-        _, auroc_same = pm.roc_curve(same_a, same_b)
-        members = pm.LossTable(tuple(map(str, range(100))), np.linspace(0.0, 0.4, 100), "m")
-        nonmembers = pm.LossTable(tuple(map(str, range(100))), np.linspace(0.5, 1.0, 100), "n")
-        _, auroc_perfect = pm.roc_curve(members, nonmembers)
+        same_a = rng.random(10_000)
+        same_b = rng.random(10_000)
+        auroc_same = pm.attack_report(same_a, same_b, 0.5).auroc  # the swept area does not depend on tau
+        members = np.linspace(0.0, 0.4, 100)
+        nonmembers = np.linspace(0.5, 1.0, 100)
+        auroc_perfect = pm.attack_report(members, nonmembers, 0.5).auroc
         elapsed = time.time() - t0
         ok = abs(auroc_same - 0.5) <= 0.02 and auroc_perfect == 1.0 and elapsed < 5.0
         report(

@@ -6,6 +6,11 @@ checks slice, int-index and iterate the workbench's point sets, call
 and `zoo_generate` on a slice and `mixup_generate` on two rows, and compare
 against the benchmark's numpy reference. `check_row` does the same for one
 attack-convention metrics row, and `train` must return (params, history).
+
+`bench/tracing.py` wraps package functions by module and name, and derives
+each per-layer metric from the spans of some of them; a function it cannot
+find is left untraced and its metrics read 0. Those names are pinned here,
+so a rename in the package fails a test instead.
 """
 
 import importlib
@@ -19,15 +24,48 @@ from privtsf import runner
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SHARED = ("gradients", "clipping", "noiseless-dp-step", "zoo-pca-span", "mixup")
+# every function whose spans feed a per-layer metric, or mark the rounds of a run
+PER_LAYER_SOURCES = (
+    "synth.generate",
+    "data.load_triplets",
+    "data.build_windows",
+    "forecaster.pretrain_embedding",
+    "forecaster.train_step",
+    "forecaster.mean_gradients",
+    "forecaster.dp_train_step",
+    "forecaster.per_sample_gradients",
+    "forecaster.clip_per_sample",
+    "forecaster.forecast_batch",
+    "forecaster.bake_points",
+    "metrics.dataset_losses",
+    "metrics.attack_report",
+    "augment.pca_fit",
+    "augment.zoo_generate",
+    "augment.mixup_generate",
+    "runner.build_workbench",
+    "runner.run_augmentation_experiment",
+    "runner._round_row",
+)
+
+
+def bench_module(name):
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    sys.path.insert(0, str(BENCH))
-    try:
-        return importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(BENCH))
+    return bench_module("workloads")
+
+
+@pytest.mark.parametrize("name", PER_LAYER_SOURCES)
+def test_traced_metric_source_exists(name):
+    layer, attr = name.split(".", 1)
+    assert attr in bench_module("tracing").TARGETS[layer]
+    assert callable(getattr(importlib.import_module(f"privtsf.{layer}"), attr, None)), f"privtsf.{name} is gone"
 
 
 @pytest.mark.parametrize("name", SHARED)

@@ -124,6 +124,25 @@ class TestConfig:
         assert "error: train key batch_size must be int, got 0.5" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, command",
+        [
+            ("max_train_windows", ["pretrain"]),
+            ("max_eval_windows", ["pretrain"]),
+            ("baseline_epochs", ["pretrain"]),
+            ("retrain_epochs", ["augment", "--method", "zoo"]),
+            ("samples_per_round", ["augment", "--method", "mixup"]),
+            ("rounds", ["augment", "--method", "zoo"]),
+            ("dp_epochs", ["dp-train"]),
+        ],
+    )
+    def test_negative_count_exits_1_naming_key(self, tmp_path, capsys, key, command):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **{key: -2})
+        assert main([*command, "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert f"error: {key} must be >= 0, got -2" in capsys.readouterr().err
+        assert getattr(RunConfig(method="baseline", seed=1, **{key: 0}), key) == 0  # zero stays valid
+
+    @pytest.mark.parametrize(
         "cfg, ok",
         [
             ({"rounds": True}, False),

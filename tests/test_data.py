@@ -564,6 +564,34 @@ class TestReportIO:
         assert back == rows
         assert "inf" in path.read_text()
 
+    metric_floats = st.one_of(st.floats(allow_nan=False), st.sampled_from([math.inf, -math.inf]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.builds(
+                MetricsRow,
+                run_id=st.text(alphabet="ab_,.\" 0", min_size=1, max_size=6),
+                method=st.sampled_from(["baseline", "zoo", "zoo_pca", "mixup", "dp_sgd"]),
+                alpha_or_beta=st.sampled_from(["", "0.75", "1.1"]),
+                epoch=st.integers(0, 10**6),
+                mse_test=metric_floats,
+                mse_heldout=metric_floats,
+                tpr_at_tau=metric_floats,
+                fpr_at_tau=metric_floats,
+                priv_ratio=metric_floats,
+                auroc=metric_floats,
+                tau=metric_floats,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_metrics_round_trip_any_floats(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+        write_report_csv(rows, str(path))
+        assert read_metrics_csv(str(path)) == rows
+
     def test_append_mode_keeps_single_header(self, tmp_path):
         path = tmp_path / "metrics.csv"
         write_report_csv([self._row()], str(path))

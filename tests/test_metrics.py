@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privtsf import metrics as pm
 from privtsf.data import DomainError, PointSet
@@ -31,9 +33,23 @@ def points_with_losses(*losses: float, T=2, F=2) -> PointSet:
     return PointSet(E=np.zeros((len(losses), 3, 2)), Y=y, M=m)
 
 
-def table(losses, label="member"):
-    arr = np.asarray(losses, dtype=float)
-    return pm.LossTable(ids=tuple(str(i) for i in range(len(arr))), losses=arr, label=label)
+def table(losses):
+    return np.asarray(losses, dtype=float)
+
+
+def tpr_fpr(members, nonmembers, tau):
+    rep = pm.attack_report(members, nonmembers, tau)
+    return rep.tpr, rep.fpr
+
+
+def priv(members, nonmembers, tau):
+    return pm.attack_report(members, nonmembers, tau).priv
+
+
+def roc_curve(members, nonmembers):
+    """The swept ROC and its area, which do not depend on tau."""
+    rep = pm.attack_report(members, nonmembers, 0.5)
+    return rep.roc, rep.auroc
 
 
 def masked_mse(pred, truth, mask):
@@ -42,9 +58,9 @@ def masked_mse(pred, truth, mask):
 
 
 def member_flag(p, tau, params):
-    """Membership call for one point: its TPR through tpr_fpr, 1.0 iff its loss is strictly below tau."""
-    t = pm.loss_table(p, params, "member")
-    return pm.tpr_fpr(t, t, tau)[0]
+    """Membership call for one point: its TPR through attack_report, 1.0 iff its loss is strictly below tau."""
+    t = pm.dataset_losses(p, params)
+    return tpr_fpr(t, t, tau)[0]
 
 
 class TestMaskedMse:
@@ -155,35 +171,35 @@ class TestPl:
 class TestTprFpr:
     def test_enumerated_example(self):
         members = table([0.1, 0.2, 0.9])
-        nonmembers = table([0.5, 0.6], label="non-member")
-        tpr, fpr = pm.tpr_fpr(members, nonmembers, 0.4)
+        nonmembers = table([0.5, 0.6])
+        tpr, fpr = tpr_fpr(members, nonmembers, 0.4)
         assert tpr == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert fpr == 0.0
 
     def test_tau_below_everything(self):
-        assert pm.tpr_fpr(table([1.0, 2.0]), table([1.5]), 0.5) == (0.0, 0.0)
+        assert tpr_fpr(table([1.0, 2.0]), table([1.5]), 0.5) == (0.0, 0.0)
 
     def test_tau_above_everything(self):
-        assert pm.tpr_fpr(table([1.0, 2.0]), table([1.5]), 99.0) == (1.0, 1.0)
+        assert tpr_fpr(table([1.0, 2.0]), table([1.5]), 99.0) == (1.0, 1.0)
 
     def test_strictness_at_a_tied_loss(self):
         # a sample with loss exactly tau counts as a non-member call on both sides
         members = table([0.4, 0.1])
         nonmembers = table([0.4, 0.9])
-        tpr, fpr = pm.tpr_fpr(members, nonmembers, 0.4)
+        tpr, fpr = tpr_fpr(members, nonmembers, 0.4)
         assert tpr == 0.5
         assert fpr == 0.0
 
     def test_empty_table_is_domain_error(self):
         with pytest.raises(DomainError):
-            pm.tpr_fpr(table([]), table([1.0]), 0.5)
+            tpr_fpr(table([]), table([1.0]), 0.5)
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(2)
         members = table(rng.random(50))
         nonmembers = table(rng.random(60))
         taus = np.linspace(-0.5, 1.5, 30)
-        rates = [pm.tpr_fpr(members, nonmembers, t) for t in taus]
+        rates = [tpr_fpr(members, nonmembers, t) for t in taus]
         assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(rates, rates[1:]))
 
 
@@ -191,31 +207,31 @@ class TestPriv:
     def test_ratio(self):
         members = table([0.1, 0.3, 0.9, 1.1])  # tpr = 0.5 at tau 0.5
         nonmembers = table([0.2, 0.9, 1.0, 1.2])  # fpr = 0.25
-        assert pm.priv(members, nonmembers, 0.5) == pytest.approx(2.0, abs=1e-9)
+        assert priv(members, nonmembers, 0.5) == pytest.approx(2.0, abs=1e-9)
 
     def test_identical_multisets_give_one(self):
         losses = [0.1, 0.4, 0.7, 0.9]
         for tau in losses:
-            assert pm.priv(table(losses), table(losses), tau) == pytest.approx(1.0, abs=1e-12)
+            assert priv(table(losses), table(losses), tau) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_fpr_with_positive_tpr_is_inf(self):
         members = table([0.0, 0.0, 0.0, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2])
         nonmembers = table([0.5, 0.6])
-        assert pm.priv(members, nonmembers, 0.1) == math.inf
+        assert priv(members, nonmembers, 0.1) == math.inf
 
     def test_zero_fpr_zero_tpr_is_one(self):
-        assert pm.priv(table([0.5]), table([0.6]), 0.1) == 1.0
+        assert priv(table([0.5]), table([0.6]), 0.1) == 1.0
 
 
 class TestRoc:
     def test_perfect_separation(self):
         members = table(np.linspace(0.0, 0.4, 20))
         nonmembers = table(np.linspace(0.5, 1.0, 20))
-        pts, auroc = pm.roc_curve(members, nonmembers)
+        pts, auroc = roc_curve(members, nonmembers)
         assert auroc == pytest.approx(1.0, abs=1e-12)
 
     def test_one_vs_one_enumeration(self):
-        pts, auroc = pm.roc_curve(table([0.1]), table([0.2]))
+        pts, auroc = roc_curve(table([0.1]), table([0.2]))
         coords = {(row[1], row[2]) for row in pts}
         assert (0.0, 1.0) in coords
         assert auroc == pytest.approx(1.0, abs=1e-12)
@@ -224,12 +240,12 @@ class TestRoc:
         rng = np.random.default_rng(3)
         members = table(rng.random(10_000))
         nonmembers = table(rng.random(10_000))
-        _, auroc = pm.roc_curve(members, nonmembers)
+        _, auroc = roc_curve(members, nonmembers)
         assert abs(auroc - 0.5) <= 0.02
 
     def test_endpoints_and_monotonicity(self):
         rng = np.random.default_rng(4)
-        pts, _ = pm.roc_curve(table(rng.random(37)), table(rng.random(23)))
+        pts, _ = roc_curve(table(rng.random(37)), table(rng.random(23)))
         assert (pts[0][1], pts[0][2]) == (0.0, 0.0)
         assert (pts[-1][1], pts[-1][2]) == (1.0, 1.0)
         assert np.all(np.diff(pts[:, 0]) >= 0)
@@ -240,8 +256,8 @@ class TestRoc:
         rng = np.random.default_rng(5)
         a = table(rng.random(40) * 0.8)
         b = table(rng.random(40))
-        _, auroc = pm.roc_curve(a, b)
-        _, swapped = pm.roc_curve(b, a)
+        _, auroc = roc_curve(a, b)
+        _, swapped = roc_curve(b, a)
         assert 0.0 <= auroc <= 1.0
         assert swapped == pytest.approx(1.0 - auroc, abs=1e-12)
 
@@ -249,36 +265,34 @@ class TestRoc:
         rng = np.random.default_rng(6)
         members = table(rng.random(30))
         nonmembers = table(rng.random(30))
-        pts, _ = pm.roc_curve(members, nonmembers)
+        pts, _ = roc_curve(members, nonmembers)
         for row in pts[1:-1]:
             tau, fpr, tpr = row
-            got_tpr, got_fpr = pm.tpr_fpr(members, nonmembers, tau)
+            got_tpr, got_fpr = tpr_fpr(members, nonmembers, tau)
             assert got_tpr == pytest.approx(tpr, abs=1e-12)
             assert got_fpr == pytest.approx(fpr, abs=1e-12)
             if fpr > 0:
-                assert pm.priv(members, nonmembers, tau) == pytest.approx(tpr / fpr, abs=1e-12)
+                assert priv(members, nonmembers, tau) == pytest.approx(tpr / fpr, abs=1e-12)
 
     def test_low_fpr_region_present_when_resolvable(self):
         rng = np.random.default_rng(7)
         members = table(rng.random(2000))
         nonmembers = table(rng.random(2000))
-        pts, _ = pm.roc_curve(members, nonmembers)
+        pts, _ = roc_curve(members, nonmembers)
         fprs = pts[:, 1]
         assert np.any((fprs > 0) & (fprs < 0.001))
 
 
 class TestLossTable:
+    """The member and non-member loss arrays attack_report accepts."""
+
     def test_rejects_negative_losses(self):
         with pytest.raises(DomainError):
-            table([-0.1, 0.5])
+            pm.attack_report(table([-0.1, 0.5]), table([0.3]), 0.4)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
-            table([0.1, math.nan])
-
-    def test_ids_align(self):
-        with pytest.raises(DomainError):
-            pm.LossTable(ids=("a",), losses=np.array([0.1, 0.2]), label="member")
+            pm.attack_report(table([0.3]), table([0.1, math.nan]), 0.4)
 
 
 class TestAttackReport:
@@ -288,7 +302,33 @@ class TestAttackReport:
         nonmembers = table(rng.random(100))
         tau = 0.5
         rep = pm.attack_report(members, nonmembers, tau)
-        tpr, fpr = pm.tpr_fpr(members, nonmembers, tau)
+        tpr, fpr = float((members < tau).mean()), float((nonmembers < tau).mean())
         assert (rep.tpr, rep.fpr) == (tpr, fpr)
-        assert rep.priv == pm.priv(members, nonmembers, tau)
-        assert rep.auroc == pm.auroc_from_points(rep.roc)
+        assert rep.priv == tpr / fpr
+        assert rep.auroc == float(np.trapezoid(rep.roc[:, 2], rep.roc[:, 1]))
+
+
+# a few shared values make ties within and across the two arrays, and with tau, common
+loss_values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 4.0))
+loss_arrays = st.lists(loss_values, min_size=1, max_size=25).map(table)
+
+
+class TestAttackReportProperties:
+    """attack_report against brute force over every member/non-member pair (ROADMAP: ROC rates are monotone)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(members=loss_arrays, nonmembers=loss_arrays, tau=st.one_of(loss_values, st.floats(-1.0, 5.0)))
+    def test_matches_brute_force(self, members, nonmembers, tau):
+        rep = pm.attack_report(members, nonmembers, tau)
+        tpr = sum(1 for x in members if x < tau) / len(members)
+        fpr = sum(1 for x in nonmembers if x < tau) / len(nonmembers)
+        assert (rep.tau, rep.tpr, rep.fpr) == (tau, tpr, fpr)
+        assert rep.priv == ((1.0 if tpr == 0.0 else math.inf) if fpr == 0.0 else tpr / fpr)
+
+        assert tuple(rep.roc[0, 1:]) == (0.0, 0.0)
+        assert tuple(rep.roc[-1, 1:]) == (1.0, 1.0)
+        assert np.all(np.diff(rep.roc, axis=0) >= 0)  # thresholds, fpr and tpr
+
+        pairs = [1.0 if m < n else 0.5 if m == n else 0.0 for m in members for n in nonmembers]
+        assert rep.auroc == pytest.approx(sum(pairs) / len(pairs), abs=1e-12)
+        assert pm.attack_report(nonmembers, members, tau).auroc == pytest.approx(1.0 - rep.auroc, abs=1e-12)

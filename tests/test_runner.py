@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import identity_standardizer
 
@@ -11,7 +13,7 @@ from privtsf import runner
 from privtsf.augment import MixupConfig, ZooConfig
 from privtsf.data import ConfigurationError, MetricsRow, ValidationError, read_metrics_csv
 from privtsf.forecaster import DpConfig, TrainConfig, init_params, load_checkpoint, save_checkpoint
-from privtsf.metrics import attack_report, auroc_from_points, loss_table, mse_set
+from privtsf.metrics import attack_report, dataset_losses, mse_set
 from privtsf.synth import GeneratorConfig
 
 
@@ -66,6 +68,21 @@ class TestGate:
         assert ok
         assert (new.priv_best, new.mse_best) == (2.0, 0.5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        priv=st.floats(0.0, 1e12),
+        mse=st.floats(0.0, 1e12),
+        eps_priv=st.floats(0.0, 1.0),
+        eps_mse=st.floats(0.0, 1.0),
+        beta=st.floats(0.0, 100.0),
+    )
+    def test_equal_candidate_accepted_and_state_unchanged(self, priv, mse, eps_priv, eps_mse, beta):
+        # the gate is idempotent at equality: re-gating the bests accepts them and moves nothing
+        state = runner.AcceptanceState(priv, mse, eps_priv=eps_priv, eps_mse=eps_mse, beta_accept=beta)
+        ok, reason, new = runner.apply_gate(state, state.priv_best, state.mse_best)
+        assert ok, reason
+        assert new == state
+
     def test_non_finite_rejected(self):
         state = runner.AcceptanceState(priv_best=2.0, mse_best=0.5)
         ok, reason, _ = runner.apply_gate(state, math.inf, 0.4)
@@ -77,28 +94,33 @@ class TestGate:
             runner.AcceptanceState(priv_best=math.inf, mse_best=0.5)
 
 
+def gate_row(wb, pool):
+    """The baseline model's row and report in the gate convention, with `pool` as the synthetic pool."""
+    return runner.attack_row("r", "zoo", "", wb.baseline_params, wb, "heldout", pool=pool)
+
+
 class TestEvaluateCandidate:
     def test_unchanged_candidate_accepted_on_boundary(self, small_wb):
         # re-evaluating the model the state was initialized from hits all three
         # inequalities with equality and is accepted
         _, wb = small_wb
-        sets = (wb.train_pts, wb.heldout_pts, wb.train_pts[:0])  # members, non-members, an empty pool
-        m0 = runner.measure_candidate(wb.baseline_params, *sets)
-        state = runner.AcceptanceState(priv_best=m0.report.priv, mse_best=m0.mse_heldout)
-        decision, new_state = runner.evaluate_candidate(wb.baseline_params, state, *sets)
-        assert decision.accepted
-        assert decision.report.priv == m0.report.priv
-        assert decision.report.tau == m0.report.tau
-        assert (new_state.priv_best, new_state.mse_best) == (m0.report.priv, m0.mse_heldout)
+        row0, m0 = gate_row(wb, wb.train_pts[:0])  # an empty pool
+        state = runner.AcceptanceState(priv_best=m0.priv, mse_best=row0.mse_heldout)
+        row, report = gate_row(wb, wb.train_pts[:0])
+        accepted, _, new_state = runner.apply_gate(state, report.priv, row.mse_heldout)
+        assert accepted
+        assert report.priv == m0.priv
+        assert report.tau == m0.tau
+        assert (new_state.priv_best, new_state.mse_best) == (m0.priv, row0.mse_heldout)
 
     def test_reference_set_drives_tau(self, small_wb):
         # a pool with higher losses raises tau and both rates
         _, wb = small_wb
-        m_train_ref = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, wb.train_pts[:0])
-        m_held_ref = runner.measure_candidate(wb.baseline_params, wb.train_pts, wb.heldout_pts, wb.heldout_pts)
-        assert m_held_ref.report.tau > m_train_ref.report.tau
-        assert m_held_ref.report.tpr >= m_train_ref.report.tpr
-        assert m_held_ref.report.fpr >= m_train_ref.report.fpr
+        _, m_train_ref = gate_row(wb, wb.train_pts[:0])
+        _, m_held_ref = gate_row(wb, wb.heldout_pts)
+        assert m_held_ref.tau > m_train_ref.tau
+        assert m_held_ref.tpr >= m_train_ref.tpr
+        assert m_held_ref.fpr >= m_train_ref.fpr
 
 
 class TestReplayGate:
@@ -142,8 +164,8 @@ class TestPoolSampling:
 
 def threshold_attack(params, members_pts, nonmembers_pts):
     """The attack report with tau set to the members' average loss."""
-    members = loss_table(members_pts, params, "member")
-    return attack_report(members, loss_table(nonmembers_pts, params, "non-member"), float(members.losses.mean()))
+    members = dataset_losses(members_pts, params)
+    return attack_report(members, dataset_losses(nonmembers_pts, params), float(members.mean()))
 
 
 class TestRunAttack:
@@ -185,7 +207,8 @@ def tiny_cfg(method, seed, outdir, **kw):
 
 
 def roc_file_area(path):
-    return auroc_from_points(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+    pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return float(np.trapezoid(pts[:, 2], pts[:, 1]))
 
 
 class TestAugmentationRun:
