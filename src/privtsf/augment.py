@@ -29,6 +29,7 @@ from .data import (
     ConfigurationError,
     DataPoint,
     DomainError,
+    NO_POINTS,
     ORIGIN_SYNTHETIC,
     PointSet,
     ValidationError,
@@ -268,8 +269,7 @@ class SyntheticPool:
         if cap < 0:
             raise ConfigurationError("pool cap must be non-negative")
         self.cap = cap
-        # holds no rows, so it takes on the shape of the first insert
-        self._items = PointSet(E=np.empty((0, 0, 0)), Y=np.empty((0, 0, 0)), M=np.empty((0, 0, 0)))
+        self._items = NO_POINTS
 
     def insert(self, items: PointSet) -> None:
         if np.any(items.origin != ORIGIN_SYNTHETIC):

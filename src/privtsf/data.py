@@ -304,12 +304,22 @@ class PointSet(_RowSet):
 
     @staticmethod
     def concat(*parts: "PointSet") -> "PointSet":
-        """The rows of every part in order; parts without rows are left out."""
+        """The rows of every part in order; parts without rows are left out.
+
+        A lone part with rows is returned as it is: point sets are read-only,
+        so it needs no copy.
+        """
         parts = [p for p in parts if len(p)] or parts[:1]
+        if len(parts) == 1:
+            return parts[0]
         if len({(p.E.shape[1:], p.Y.shape[1:]) for p in parts}) > 1:
             raise ConfigurationError("cannot concatenate point sets of different shapes")
         names = (*PointSet._ARRAYS, *PointSet._COLUMNS)
         return PointSet._trusted({name: np.concatenate([getattr(p, name) for p in parts]) for name in names})
+
+
+# holds no rows, so concatenating it with other point sets takes on their shape
+NO_POINTS = PointSet(E=np.empty((0, 0, 0)), Y=np.empty((0, 0, 0)), M=np.empty((0, 0, 0)))
 
 
 def _check_var_ids(ep: Episode, n_vars: int) -> None:

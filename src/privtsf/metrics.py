@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .data import DomainError, PointSet
+from .data import DomainError, PointSet, readonly
 from .forecaster import ForecasterParams, forecast_batch, masked_batch_losses
 
 
@@ -31,6 +31,33 @@ def dataset_losses(points: PointSet, params: ForecasterParams) -> np.ndarray:
 def mse_set(points: PointSet, params: ForecasterParams) -> float:
     """Unweighted mean of per-sample masked MSE over a dataset."""
     return float(dataset_losses(points, params).mean())
+
+
+@dataclass
+class LossTable:
+    """Per-sample losses keyed by sample id, labelled member or non-member.
+
+    The program passes plain loss arrays to `attack_report`; a table reads as
+    its loss array there, so a caller that keeps ids with its losses can pass
+    the table instead.
+    """
+
+    ids: tuple[str, ...]
+    losses: np.ndarray
+    label: str
+
+    def __post_init__(self) -> None:
+        self.losses = readonly(self.losses)
+        if self.losses.ndim != 1 or len(self.ids) != self.losses.shape[0]:
+            raise DomainError("ids and losses must align")
+        if self.losses.size and (not np.all(np.isfinite(self.losses)) or np.any(self.losses < 0)):
+            raise DomainError("losses must be finite and non-negative")
+
+    def __len__(self) -> int:
+        return self.losses.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.losses, dtype=dtype, copy=copy)
 
 
 @dataclass

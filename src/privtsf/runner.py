@@ -37,6 +37,7 @@ from .data import (
     DomainError,
     Episode,
     MetricsRow,
+    NO_POINTS,
     PointSet,
     Standardizer,
     ValidationError,
@@ -322,7 +323,7 @@ def attack_row(
     params: ForecasterParams,
     wb: Workbench,
     nonmembers: str,
-    pool: PointSet | None = None,
+    pool: PointSet = NO_POINTS,
     epoch: int = 0,
 ) -> tuple[MetricsRow, AttackReport]:
     """The one evaluation of a model: a metrics row and its attack report.
@@ -334,7 +335,7 @@ def attack_row(
     "heldout"; attack and DP rows pass no pool and the test split.
     """
     n_train = len(wb.train_pts)
-    reference = wb.train_pts if pool is None else PointSet.concat(wb.train_pts, pool)
+    reference = PointSet.concat(wb.train_pts, pool)
     ref_losses, held, test = (dataset_losses(pts, params) for pts in (reference, wb.heldout_pts, wb.test_pts))
     report = attack_report(ref_losses[:n_train], test if nonmembers == "test" else held, float(ref_losses.mean()))
     row = _round_row(run_id, method, tag, epoch, report, float(held.mean()), float(test.mean()))

@@ -9,6 +9,7 @@ import numpy as np
 
 from privtsf import augment as ag
 from privtsf import forecaster as fc
+from privtsf import metrics as pm
 from privtsf.data import Episode, PointSet, Standardizer
 from privtsf.synth import _EPISODE_STREAM, readout_matrix
 
@@ -130,3 +131,19 @@ class FixedRng:
 
     def beta(self, a, b):
         return self._beta
+
+
+def tpr_fpr(members, nonmembers, tau):
+    """The attack's (TPR, FPR) at tau, read off `attack_report`."""
+    rep = pm.attack_report(members, nonmembers, tau)
+    return rep.tpr, rep.fpr
+
+
+def priv(members, nonmembers, tau):
+    return pm.attack_report(members, nonmembers, tau).priv
+
+
+def roc_curve(members, nonmembers):
+    """The swept ROC and its area, which do not depend on tau."""
+    rep = pm.attack_report(members, nonmembers, 0.5)
+    return rep.roc, rep.auroc

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fd_param_gradients, make_points, relative_error, zoo_descend_one
+from helpers import fd_param_gradients, make_points, priv, relative_error, tpr_fpr, zoo_descend_one
 
 from privtsf import augment as ag
 from privtsf import forecaster as fc
@@ -138,13 +138,6 @@ class TestCriterion2MetricUnits:
 
         def table(losses):
             return np.asarray(losses, float)
-
-        def tpr_fpr(members, nonmembers, tau):
-            rep = pm.attack_report(members, nonmembers, tau)
-            return rep.tpr, rep.fpr
-
-        def priv(members, nonmembers, tau):
-            return pm.attack_report(members, nonmembers, tau).priv
 
         def masked_mse(pred, truth, mask):
             return fc.masked_batch_losses(pred[None], truth[None], mask[None])[0]

@@ -14,6 +14,7 @@ from privtsf.data import (
     ConfigurationError,
     Episode,
     MetricsRow,
+    NO_POINTS,
     ParseError,
     PointSet,
     Standardizer,
@@ -377,6 +378,11 @@ class TestPointSetProperties:
         assert [r.created_epoch for r in both[idx]] == [rows[i].created_epoch for i in idx]
         assert [r.uid for r in both[1:]] == [r.uid for r in rows[1:]]
         assert not any(arr.flags.writeable for arr in (both.E, both[idx].Y, both[1:].M, both[idx].uid))
+
+    def test_concat_returns_a_lone_part_with_rows_uncopied(self):
+        pts = random_points(np.random.default_rng(0), 3, 1)
+        assert PointSet.concat(pts, NO_POINTS) is pts
+        assert PointSet.concat(NO_POINTS, pts[:0], pts) is pts
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), cap=st.integers(0, 6), inserts=st.lists(st.integers(0, 9), max_size=8))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import priv, roc_curve, tpr_fpr
+
 from privtsf import metrics as pm
 from privtsf.data import DomainError, PointSet
 from privtsf.forecaster import ForecasterParams, masked_batch_losses
@@ -35,21 +37,6 @@ def points_with_losses(*losses: float, T=2, F=2) -> PointSet:
 
 def table(losses):
     return np.asarray(losses, dtype=float)
-
-
-def tpr_fpr(members, nonmembers, tau):
-    rep = pm.attack_report(members, nonmembers, tau)
-    return rep.tpr, rep.fpr
-
-
-def priv(members, nonmembers, tau):
-    return pm.attack_report(members, nonmembers, tau).priv
-
-
-def roc_curve(members, nonmembers):
-    """The swept ROC and its area, which do not depend on tau."""
-    rep = pm.attack_report(members, nonmembers, 0.5)
-    return rep.roc, rep.auroc
 
 
 def masked_mse(pred, truth, mask):
@@ -283,9 +270,33 @@ class TestRoc:
         assert np.any((fprs > 0) & (fprs < 0.001))
 
 
-class TestLossTable:
-    """The member and non-member loss arrays attack_report accepts."""
+def loss_table(losses, label="member"):
+    arr = np.asarray(losses, dtype=float)
+    return pm.LossTable(ids=tuple(str(i) for i in range(len(arr))), losses=arr, label=label)
 
+
+class TestLossTable:
+    def test_rejects_negative_losses(self):
+        with pytest.raises(DomainError):
+            loss_table([-0.1, 0.5])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(DomainError):
+            loss_table([0.1, math.nan])
+
+    def test_ids_align(self):
+        with pytest.raises(DomainError):
+            pm.LossTable(ids=("a",), losses=np.array([0.1, 0.2]), label="member")
+
+    def test_attack_report_reads_its_losses(self):
+        members, nonmembers = [0.1, 0.3, 0.3, 0.9], [0.2, 0.3, 1.1]
+        got = pm.attack_report(loss_table(members), loss_table(nonmembers, "nonmember"), 0.35)
+        want = pm.attack_report(table(members), table(nonmembers), 0.35)
+        assert (got.tau, got.tpr, got.fpr, got.priv, got.auroc) == (want.tau, want.tpr, want.fpr, want.priv, want.auroc)
+        np.testing.assert_array_equal(got.roc, want.roc)
+
+
+class TestAttackReport:
     def test_rejects_negative_losses(self):
         with pytest.raises(DomainError):
             pm.attack_report(table([-0.1, 0.5]), table([0.3]), 0.4)
@@ -294,8 +305,6 @@ class TestLossTable:
         with pytest.raises(DomainError):
             pm.attack_report(table([0.3]), table([0.1, math.nan]), 0.4)
 
-
-class TestAttackReport:
     def test_report_fields_consistent(self):
         rng = np.random.default_rng(8)
         members = table(rng.random(100) * 0.7)
