@@ -230,6 +230,28 @@ def zoo_generate(
     )
 
 
+def mixup_wave(a: PointSet, b: PointSet, lam: np.ndarray, epoch: int, uid: Sequence[str] | str) -> PointSet:
+    """Row-wise convex combinations of two point sets, each row inheriting its dominant input's labels.
+
+    Row j is lam[j] * a.E[j] + (1 - lam[j]) * b.E[j], with (Y, M) from a's
+    row j where lam[j] > 0.5 and from b's otherwise.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    if a.E.shape != b.E.shape or a.Y.shape != b.Y.shape or lam.shape != (len(a),):
+        shapes = f"{a.E.shape}, {a.Y.shape} and {b.E.shape}, {b.Y.shape}"
+        raise ConfigurationError(f"mixup of point sets of shapes {shapes} with weights of shape {lam.shape}")
+    w = lam[:, None, None]
+    take_a = w > 0.5
+    return PointSet(
+        E=w * a.E + (1.0 - w) * b.E,
+        Y=np.where(take_a, a.Y, b.Y),
+        M=np.where(take_a, a.M, b.M),
+        origin=ORIGIN_SYNTHETIC,
+        created_epoch=epoch,
+        uid=uid,
+    )
+
+
 def mixup_generate(
     x1: DataPoint,
     x2: DataPoint,
@@ -238,24 +260,13 @@ def mixup_generate(
     epoch: int = 0,
     uid: str = "",
 ) -> DataPoint:
-    """Convex combination of two embeddings, inheriting the dominant point's labels.
+    """One mixup point, the one-row case of `mixup_wave` with lam ~ Beta(beta, beta).
 
-    Draws lam ~ Beta(beta, beta); the mixed point takes (y, m) from x1 when
-    lam > 0.5 and from x2 otherwise.
+    The mixed point takes (y, m) from x1 when lam > 0.5 and from x2 otherwise.
     """
-    if x1.e.shape != x2.e.shape or x1.y.shape != x2.y.shape:
-        raise ConfigurationError("mixup points must share dimensions")
     lam = float(rng.beta(cfg.beta, cfg.beta))
-    e = lam * x1.e + (1.0 - lam) * x2.e
-    dominant = x1 if lam > 0.5 else x2
-    return DataPoint(
-        e=e,
-        y=dominant.y,
-        m=dominant.m,
-        origin=ORIGIN_SYNTHETIC,
-        created_epoch=epoch,
-        uid=uid or f"mix{epoch}",
-    )
+    a, b = (PointSet(E=x.e[None], Y=x.y[None], M=x.m[None]) for x in (x1, x2))
+    return mixup_wave(a, b, np.array([lam]), epoch, uid or f"mix{epoch}")[0]
 
 
 class SyntheticPool:

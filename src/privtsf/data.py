@@ -160,50 +160,21 @@ class Standardizer:
         return (np.asarray(values, dtype=np.float64) - self.mean[var_ids]) / self.std[var_ids]
 
 
-class _RowSet:
-    """Stacked read-only arrays, one row per item, plus per-row columns: WindowSet and PointSet.
+def _freeze(obj, arrays: Sequence[str], columns: dict[str, type]) -> int:
+    """Make a frozen set's `arrays` read-only and give each of its `columns` one value per row.
 
-    A subclass names its arrays (`_ARRAYS`), its columns and their dtypes
-    (`_COLUMNS`) and builds one row (`_row`). Construction makes the arrays
-    read-only and gives every column one value per row (a scalar applies to
-    every row). Indexing with a slice or an index array returns a set of the
-    same class without validating again, an int index returns that row of
-    views, and iteration yields the rows in order.
+    A scalar column value applies to every row. Returns the row count, the
+    length of the first array.
     """
-
-    _ARRAYS: tuple[str, ...] = ()
-    _COLUMNS: dict[str, type] = {}
-
-    def _freeze(self) -> int:
-        for name in self._ARRAYS:
-            object.__setattr__(self, name, readonly(getattr(self, name)))
-        n = len(self)
-        for name, dtype in self._COLUMNS.items():
-            col = np.asarray(getattr(self, name), dtype=dtype)
-            if col.shape not in ((), (n,)):
-                raise ConfigurationError(f"{name} column of shape {col.shape} for {n} rows")
-            object.__setattr__(self, name, readonly(np.broadcast_to(col, (n,)).copy(), dtype))
-        return n
-
-    def __len__(self) -> int:
-        return len(getattr(self, self._ARRAYS[0]))
-
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return self._row(index)
-        return self._trusted({name: getattr(self, name)[index] for name in (*self._ARRAYS, *self._COLUMNS)})
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    @classmethod
-    def _trusted(cls, arrays: dict[str, np.ndarray]):
-        """A set of arrays cut from validated ones, made read-only but not validated again."""
-        out = object.__new__(cls)
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(out, name, arr)
-        return out
+    for name in arrays:
+        object.__setattr__(obj, name, readonly(getattr(obj, name)))
+    n = len(getattr(obj, arrays[0]))
+    for name, dtype in columns.items():
+        col = np.asarray(getattr(obj, name), dtype=dtype)
+        if col.shape not in ((), (n,)):
+            raise ConfigurationError(f"{name} column of shape {col.shape} for {n} rows")
+        object.__setattr__(obj, name, readonly(np.broadcast_to(col, (n,)).copy(), dtype))
+    return n
 
 
 def _check_mask(m: np.ndarray) -> None:
@@ -212,24 +183,12 @@ def _check_mask(m: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class BinnedWindow:
-    """One WindowSet row: an observation window and its forecast target, as views."""
-
-    values: np.ndarray  # (input_len, F)
-    mask_in: np.ndarray  # (input_len, F) in {0, 1}
-    target: np.ndarray  # (horizon, F)
-    mask_out: np.ndarray  # (horizon, F) in {0, 1}
-    window_start: int
-    episode_id: int
-
-
-@dataclass(frozen=True, eq=False)
-class WindowSet(_RowSet):
+class WindowSet:
     """N observation windows plus their forecast targets, hourly binned, with episode id and start columns.
 
     `values` is standardized and zero-imputed; wherever `mask_in` is 0 the
     value is exactly 0. `target`/`mask_out` follow the same convention over
-    the forecast horizon. Rows are BinnedWindows.
+    the forecast horizon. The set is read as whole arrays; it has no rows.
     """
 
     values: np.ndarray  # (N, input_len, F)
@@ -239,11 +198,8 @@ class WindowSet(_RowSet):
     episode_id: np.ndarray | int = 0
     window_start: np.ndarray | int = 0
 
-    _ARRAYS = ("values", "mask_in", "target", "mask_out")
-    _COLUMNS = {"episode_id": np.int64, "window_start": np.int64}
-
     def __post_init__(self) -> None:
-        self._freeze()
+        _freeze(self, ("values", "mask_in", "target", "mask_out"), {"episode_id": np.int64, "window_start": np.int64})
         if self.values.ndim != 3 or self.values.shape != self.mask_in.shape or self.target.shape != self.mask_out.shape:
             raise ConfigurationError("value/mask shape mismatch")
         if self.target.ndim != 3 or self.values.shape[::2] != self.target.shape[::2]:
@@ -255,14 +211,13 @@ class WindowSet(_RowSet):
         if np.any(self.target[self.mask_out == 0] != 0):
             raise ValidationError("unobserved target cells must hold 0")
 
-    def _row(self, i: int) -> BinnedWindow:
-        cols = int(self.window_start[i]), int(self.episode_id[i])
-        return BinnedWindow(self.values[i], self.mask_in[i], self.target[i], self.mask_out[i], *cols)
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
 class DataPoint:
-    """One point: a PointSet row, or a mixup output before its wave is stacked.
+    """One point: a PointSet row.
 
     `origin` distinguishes points baked from real windows from generated ones;
     `created_epoch` is the augmentation round that produced a synthetic point
@@ -278,8 +233,13 @@ class DataPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class PointSet(_RowSet):
-    """N points as stacked read-only arrays plus per-row origin, epoch and id columns; rows are DataPoints."""
+class PointSet:
+    """N points as stacked read-only arrays plus per-row origin, epoch and id columns.
+
+    Indexing with a slice or an index array returns a PointSet without
+    validating again, an int index returns that row as a DataPoint of views,
+    and iteration yields the rows in order.
+    """
 
     E: np.ndarray  # (N, input_len, n)
     Y: np.ndarray  # (N, horizon, F)
@@ -292,15 +252,33 @@ class PointSet(_RowSet):
     _COLUMNS = {"origin": object, "created_epoch": np.int64, "uid": object}
 
     def __post_init__(self) -> None:
-        n = self._freeze()
+        n = _freeze(self, self._ARRAYS, self._COLUMNS)
         if self.E.ndim != 3 or self.Y.ndim != 3 or self.Y.shape != self.M.shape or len(self.Y) != n:
             raise ConfigurationError(f"point arrays of shapes {self.E.shape}, {self.Y.shape}, {self.M.shape}")
         _check_mask(self.M)
         if not set(self.origin) <= {ORIGIN_ORIGINAL, ORIGIN_SYNTHETIC}:
             raise ValidationError(f"unknown origin among {sorted(set(self.origin))}")
 
-    def _row(self, i: int) -> DataPoint:
-        return DataPoint(self.E[i], self.Y[i], self.M[i], self.origin[i], int(self.created_epoch[i]), self.uid[i])
+    def __len__(self) -> int:
+        return len(self.E)
+
+    def __getitem__(self, index):
+        cut = {name: getattr(self, name)[index] for name in (*self._ARRAYS, *self._COLUMNS)}
+        if isinstance(index, (int, np.integer)):
+            return DataPoint(cut["E"], cut["Y"], cut["M"], cut["origin"], int(cut["created_epoch"]), cut["uid"])
+        return self._trusted(cut)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @classmethod
+    def _trusted(cls, arrays: dict[str, np.ndarray]) -> "PointSet":
+        """A set of arrays cut from validated ones, made read-only but not validated again."""
+        out = object.__new__(cls)
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(out, name, arr)
+        return out
 
     @staticmethod
     def concat(*parts: "PointSet") -> "PointSet":

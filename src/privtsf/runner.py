@@ -30,9 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .augment import MixupConfig, PcaBasis, SyntheticPool, ZooConfig, mixup_generate, pca_fit, zoo_generate
+from .augment import MixupConfig, PcaBasis, SyntheticPool, ZooConfig, mixup_wave, pca_fit, zoo_generate
 from .data import (
-    ORIGIN_SYNTHETIC,
     ConfigurationError,
     DomainError,
     Episode,
@@ -215,6 +214,19 @@ class Workbench:
     seed: int
 
 
+def _workbench_for(cfg: RunConfig, wb: Workbench | None) -> Workbench:
+    """`wb`, or a new workbench for `cfg` when there is none.
+
+    A workbench built under another seed holds another split, so reusing it
+    is a ConfigurationError.
+    """
+    if wb is None:
+        return build_workbench(cfg)
+    if wb.seed != cfg.seed:
+        raise ConfigurationError(f"workbench built under seed {wb.seed}, the run config has seed {cfg.seed}")
+    return wb
+
+
 def load_episodes(cfg: RunConfig) -> list[Episode]:
     if cfg.data_path:
         return load_triplets(cfg.data_path, cfg.n_vars)
@@ -228,13 +240,14 @@ def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Wo
 
     When cfg.checkpoint points at a saved baseline, its embedding, forecaster
     and standardizer are reused and only the datasets are rebuilt. The
-    checkpoint's seed and shape must match the run config's, or the run
-    fails with ConfigurationError before any data is read.
+    checkpoint's seed and shape (hidden size included) must match the run
+    config's, or the run fails with ConfigurationError before any data is read.
     """
     if cfg.checkpoint:
         emb, baseline, std, meta = load_checkpoint(cfg.checkpoint)
         run = dict(
-            seed=cfg.seed, horizon=cfg.train.horizon, input_hours=cfg.input_len, n_vars=cfg.n_vars, n=cfg.train.n
+            seed=cfg.seed, horizon=cfg.train.horizon, input_hours=cfg.input_len, n_vars=cfg.n_vars, n=cfg.train.n,
+            hidden_dim=cfg.train.hidden_dim,
         )
         for key, value in run.items():
             if meta[key] != value:
@@ -361,25 +374,10 @@ def _generate_wave(
         i1 = wave_rng.choice(n_train, size=n_samples, replace=False)
         i2 = wave_rng.choice(n_train, size=n_samples, replace=False)
         pair_seed = derive_seed(cfg.seed, _WAVE_STREAM * 100_000 + epoch)
-        rows = [
-            mixup_generate(
-                wb.train_pts[i1[j]],
-                wb.train_pts[i2[j]],
-                cfg.mixup,
-                np.random.default_rng([pair_seed, j]),
-                epoch=epoch,
-                uid=f"mix{epoch}:{j}",
-            )
-            for j in range(n_samples)
-        ]
-        return PointSet(
-            E=np.stack([p.e for p in rows]),
-            Y=np.stack([p.y for p in rows]),
-            M=np.stack([p.m for p in rows]),
-            origin=ORIGIN_SYNTHETIC,
-            created_epoch=epoch,
-            uid=[p.uid for p in rows],
-        )
+        beta = cfg.mixup.beta
+        lam = np.array([np.random.default_rng([pair_seed, j]).beta(beta, beta) for j in range(n_samples)])
+        uids = [f"mix{epoch}:{j}" for j in range(n_samples)]
+        return mixup_wave(wb.train_pts[i1], wb.train_pts[i2], lam, epoch, uids)
     raise ConfigurationError(f"method {cfg.method} generates no synthetic data")
 
 
@@ -402,12 +400,12 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
     with replacement while it is smaller than the original set), gate the
     candidate, and log one metrics row either way. The final model is the
     last accepted candidate. On error, rows produced so far are still
-    flushed to the output directory.
+    flushed to the output directory. A given workbench must be built under
+    cfg.seed.
     """
     if cfg.method not in ("baseline", "zoo", "zoo_pca", "mixup"):
         raise ConfigurationError(f"run_augmentation_experiment does not handle {cfg.method}")
-    if wb is None:
-        wb = build_workbench(cfg)
+    wb = _workbench_for(cfg, wb)
     n_train = len(wb.train_pts)
     rounds = 0 if cfg.method == "baseline" else cfg.rounds
     n_samples = max(1, min(cfg.samples_per_round, n_train // 2))
@@ -472,17 +470,17 @@ def run_dp_baseline(cfg: RunConfig, wb: Workbench | None = None) -> RunResult:
     Each sigma in the grid gets a fresh forecaster (the frozen embedding is
     reused), the configured number of DP epochs, and one metrics row in the
     attack convention (members = train, non-members = test, tau = mean train
-    loss).
+    loss). Each sigma's DP settings are cfg.dp with noise_multiplier replaced
+    by that sigma. A given workbench must be built under cfg.seed.
     """
     if cfg.method != "dp_sgd":
         raise ConfigurationError("run_dp_baseline requires method dp_sgd")
-    if wb is None:
-        wb = build_workbench(cfg)
+    wb = _workbench_for(cfg, wb)
     rows: list[MetricsRow] = []
     audits: list[RoundAudit] = []
     try:
         for j, sigma in enumerate(cfg.dp_sigma_grid):
-            dp = DpConfig(noise_multiplier=sigma, clip_norm=cfg.dp.clip_norm, lr_scale=cfg.dp.lr_scale)
+            dp = replace(cfg.dp, noise_multiplier=sigma)
             init_seed = derive_seed(cfg.seed, _DP_INIT_STREAM * 100_000 + j)
             t = cfg.train
             _, fresh = init_params(t.n, t.hidden_dim, cfg.n_vars, t.horizon, init_seed, input_hours=cfg.input_len)

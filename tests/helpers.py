@@ -4,13 +4,14 @@ reference formulas that the package itself does not need."""
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 
 from privtsf import augment as ag
 from privtsf import forecaster as fc
 from privtsf import metrics as pm
-from privtsf.data import Episode, PointSet, Standardizer
+from privtsf.data import Episode, PointSet, Standardizer, WindowSet
 from privtsf.synth import _EPISODE_STREAM, readout_matrix
 
 
@@ -18,6 +19,23 @@ def episode(eid, trips, length) -> Episode:
     """An Episode from (t, var_id, value) tuples, in the given order."""
     t, var, val = (list(col) for col in zip(*trips)) if trips else ([], [], [])
     return Episode(episode_id=eid, t=t, var_id=var, value=val, length_hours=length)
+
+
+def window_rows(windows: WindowSet) -> list[types.SimpleNamespace]:
+    """Each window of a WindowSet as named views: its rows of the four arrays, its episode id and start."""
+    return [
+        types.SimpleNamespace(
+            values=windows.values[i], mask_in=windows.mask_in[i], target=windows.target[i],
+            mask_out=windows.mask_out[i], episode_id=int(windows.episode_id[i]),
+            window_start=int(windows.window_start[i]),
+        )
+        for i in range(len(windows))
+    ]
+
+
+def take_windows(windows: WindowSet, index) -> WindowSet:
+    """The windows at a slice or index array, as a new WindowSet."""
+    return WindowSet(*(getattr(windows, f.name)[index] for f in dataclasses.fields(WindowSet)))
 
 
 def generate_reference(config) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:

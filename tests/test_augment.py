@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import FixedRng, zoo_descend_one
 
@@ -354,6 +356,35 @@ class TestMixup:
         bad = DataPoint(e=np.zeros((4, 2)), y=np.ones((2, 2)), m=np.ones((2, 2)))
         with pytest.raises(ConfigurationError):
             ag.mixup_generate(x1, bad, ag.MixupConfig(beta=1.0), np.random.default_rng(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        epoch=st.integers(0, 5),
+    )
+    def test_wave_equals_one_generate_call_per_row(self, lam, seed, epoch):
+        rng = np.random.default_rng(seed)
+
+        def points():
+            m = (rng.random((len(lam), 2, 3)) < 0.5).astype(float)
+            return PointSet(E=rng.standard_normal((len(lam), 4, 2)), Y=rng.standard_normal((len(lam), 2, 3)) * m, M=m)
+
+        a, b = points(), points()
+        uids = [f"w{j}" for j in range(len(lam))]
+        wave = ag.mixup_wave(a, b, np.array(lam), epoch, uids)
+        cfg = ag.MixupConfig(beta=1.0)
+        for j, row in enumerate(wave):
+            one = ag.mixup_generate(a[j], b[j], cfg, FixedRng(beta_value=lam[j]), epoch=epoch, uid=uids[j])
+            for name in ("e", "y", "m", "origin", "created_epoch", "uid"):
+                assert np.array_equal(getattr(row, name), getattr(one, name)), name
+
+    def test_wave_rejects_mismatched_sets_and_weights(self):
+        a = syn_points([1, 2])
+        with pytest.raises(ConfigurationError):
+            ag.mixup_wave(a, syn_points([1, 2, 3]), np.array([0.5, 0.5]), 1, "x")
+        with pytest.raises(ConfigurationError):
+            ag.mixup_wave(a, a, np.array([0.5]), 1, "x")
 
 
 class TestSyntheticPool:

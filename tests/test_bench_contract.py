@@ -4,7 +4,8 @@
 checks slice, int-index and iterate the workbench's point sets, call
 `per_sample_gradients`, `mean_gradients`, `clip_per_sample`, `dp_train_step`
 and `zoo_generate` on a slice and `mixup_generate` on two rows, and compare
-against the benchmark's numpy reference. `check_row` does the same for one
+against the benchmark's numpy reference. `mixup_generate` is the one-row case
+of `augment.mixup_wave`, the function the runner builds mixup waves with. `check_row` does the same for one
 attack-convention metrics row, and `train` must return (params, history).
 
 `bench/tracing.py` wraps package functions by module and name, and derives

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import destandardize, identity_standardizer
+from helpers import destandardize, identity_standardizer, window_rows
 from helpers import episode as ep
 
 from privtsf.augment import SyntheticPool
@@ -46,36 +46,36 @@ observations = st.tuples(
 class TestBinning:
     def test_first_observation_per_hour_wins(self):
         e = ep(1, [(0.2, 0, 80.0), (0.7, 0, 90.0)], 48.0)
-        w = bin_windows([(e, 0)], 24, 24, identity_standardizer(4))[0]
+        w = window_rows(bin_windows([(e, 0)], 24, 24, identity_standardizer(4)))[0]
         assert w.values[0, 0] == 80.0
         assert w.mask_in[0, 0] == 1.0
 
     def test_unsorted_ingest_still_keeps_earliest(self):
         e = ep(1, [(0.7, 0, 90.0), (0.2, 0, 80.0)], 48.0)
-        w = bin_windows([(e, 0)], 24, 24, identity_standardizer(4))[0]
+        w = window_rows(bin_windows([(e, 0)], 24, 24, identity_standardizer(4)))[0]
         assert w.values[0, 0] == 80.0
 
     def test_unobserved_variable_yields_zero_column(self):
         e = ep(1, [(0.5, 0, 80.0)], 48.0)
-        w = bin_windows([(e, 0)], 24, 24, identity_standardizer(4))[0]
+        w = window_rows(bin_windows([(e, 0)], 24, 24, identity_standardizer(4)))[0]
         assert np.all(w.values[:, 3] == 0)
         assert np.all(w.mask_in[:, 3] == 0)
 
     def test_zscore_storage(self):
         std = Standardizer(mean=np.array([70.0]), std=np.array([10.0]))
         e = ep(1, [(0.5, 0, 80.0)], 48.0)
-        w = bin_windows([(e, 0)], 24, 24, std)[0]
+        w = window_rows(bin_windows([(e, 0)], 24, 24, std))[0]
         assert w.values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_target_block_follows_same_rule(self):
         e = ep(1, [(25.3, 1, 5.0), (25.9, 1, 7.0)], 48.0)
-        w = bin_windows([(e, 0)], 24, 24, identity_standardizer(4))[0]
+        w = window_rows(bin_windows([(e, 0)], 24, 24, identity_standardizer(4)))[0]
         assert w.target[1, 1] == 5.0
         assert w.mask_out[1, 1] == 1.0
 
     def test_window_start_shifts_bucket_origin(self):
         e = ep(1, [(4.5, 0, 3.0)], 60.0)
-        w = bin_windows([(e, 4)], 24, 24, identity_standardizer(2))[0]
+        w = window_rows(bin_windows([(e, 4)], 24, 24, identity_standardizer(2)))[0]
         assert w.values[0, 0] == 3.0
         assert w.window_start == 4
 
@@ -93,7 +93,7 @@ class TestBinning:
         rng = np.random.default_rng(3)
         trips = [(float(h), f, float(rng.standard_normal())) for h in range(30) for f in range(3)]
         e = ep(1, trips, 48.0)
-        w = bin_windows([(e, 0)], 24, 6, identity_standardizer(3))[0]
+        w = window_rows(bin_windows([(e, 0)], 24, 6, identity_standardizer(3)))[0]
         grid = np.array([[v for (_, _, v) in trips[h * 3 : h * 3 + 3]] for h in range(24)])
         assert np.allclose(w.values, grid)
         assert np.all(w.mask_in == 1)
@@ -105,7 +105,7 @@ class TestBinning:
         for _ in range(200):
             trips.append((float(rng.uniform(0, 20)), int(rng.integers(0, 3)), float(rng.standard_normal())))
         e = ep(1, trips, 20.0)
-        w = bin_windows([(e, 0)], 20, 0, identity_standardizer(3))[0]
+        w = window_rows(bin_windows([(e, 0)], 20, 0, identity_standardizer(3)))[0]
         discarded = len(trips) - int(w.mask_in.sum())
         keys = {(math.floor(t), f) for t, f, _ in trips}
         assert discarded == len(trips) - len(keys)
@@ -123,7 +123,7 @@ class TestBinning:
         start=st.integers(0, 4),
     )
     def test_first_observation_per_hour_and_variable_wins(self, obs, start):
-        w = bin_windows([(ep(1, obs, 16.0), start)], 8, 4, identity_standardizer(3))[0]
+        w = window_rows(bin_windows([(ep(1, obs, 16.0), start)], 8, 4, identity_standardizer(3)))[0]
         values, mask = np.zeros((12, 3)), np.zeros((12, 3))
         for t, var, val in sorted(obs, key=lambda o: o[0]):
             h = math.floor(t - start)
@@ -135,7 +135,7 @@ class TestBinning:
     def test_mask_value_consistency_full_scan(self):
         episodes = generate(GeneratorConfig(n_episodes=25, seed=9))
         std = Standardizer.fit(episodes, 16)
-        for w in build_windows(episodes, std):
+        for w in window_rows(build_windows(episodes, std)):
             assert np.all(w.values[w.mask_in == 0] == 0)
             assert np.all(w.target[w.mask_out == 0] == 0)
 
@@ -173,12 +173,12 @@ class TestSlidingWindows:
         episodes = generate(GeneratorConfig(n_episodes=60, seed=4))
         episodes += [ep(1000 + i, [(0.2 + i, 0, 1.0)], 96.0) for i in range(3)]
         std = Standardizer.fit(episodes, 16)
-        expected = build_windows(episodes, std)
+        expected = window_rows(build_windows(episodes, std))
         rng = np.random.default_rng(9)
         if limit and len(expected) > limit:
             idx = np.sort(rng.choice(len(expected), size=limit, replace=False))
             expected = [expected[i] for i in idx]
-        got = build_windows(episodes, std, limit=limit, rng=np.random.default_rng(9))
+        got = window_rows(build_windows(episodes, std, limit=limit, rng=np.random.default_rng(9)))
         assert [(w.episode_id, w.window_start) for w in got] == [(w.episode_id, w.window_start) for w in expected]
         for a, b in zip(got, expected):
             for name in ("values", "mask_in", "target", "mask_out"):
@@ -204,19 +204,14 @@ class TestWindowSet:
         episodes, std, windows = self._windows()
         by_id = {e.episode_id: e for e in episodes}
         assert len(windows) > 0
-        for w in windows:
-            alone = bin_windows([(by_id[w.episode_id], w.window_start)], 24, 24, std)[0]
+        for w in window_rows(windows):
+            alone = window_rows(bin_windows([(by_id[w.episode_id], w.window_start)], 24, 24, std))[0]
             for name in ("values", "mask_in", "target", "mask_out"):
                 assert np.array_equal(getattr(w, name), getattr(alone, name))
 
-    def test_index_arrays_and_slices_give_read_only_window_sets(self):
+    def test_arrays_and_columns_are_read_only(self):
         _, _, windows = self._windows(10, 6)
-        part = windows[np.array([2, 0])]
-        assert isinstance(part, WindowSet) and isinstance(windows[1:3], WindowSet)
-        assert part.window_start.tolist() == [windows[2].window_start, windows[0].window_start]
-        assert part.episode_id.tolist() == [windows[2].episode_id, windows[0].episode_id]
-        assert np.array_equal(part.target[1], windows.target[0])
-        for a in (windows.values, part.target, windows[0].mask_in, windows[1:3].mask_out, part.episode_id):
+        for a in (windows.values, windows.mask_in, windows.target, windows.mask_out, windows.episode_id):
             with pytest.raises(ValueError):
                 a[...] = 0
 

@@ -11,7 +11,7 @@ from helpers import identity_standardizer
 
 from privtsf import runner
 from privtsf.augment import MixupConfig, ZooConfig
-from privtsf.data import ConfigurationError, MetricsRow, ValidationError, read_metrics_csv
+from privtsf.data import ConfigurationError, MetricsRow, PointSet, ValidationError, read_metrics_csv
 from privtsf.forecaster import DpConfig, TrainConfig, init_params, load_checkpoint, save_checkpoint
 from privtsf.metrics import attack_report, dataset_losses, mse_set
 from privtsf.synth import GeneratorConfig
@@ -342,12 +342,39 @@ class TestEvaluationPasses:
         assert windows[4] == 0
 
 
+def mixup_wave_one_pair_at_a_time(cfg, wb, epoch, n_samples):
+    """A mixup wave built pair by pair and stacked: the reference for the runner's one-call wave."""
+    wave_rng = np.random.default_rng([cfg.seed, runner._WAVE_STREAM, epoch])
+    i1 = wave_rng.choice(len(wb.train_pts), size=n_samples, replace=False)
+    i2 = wave_rng.choice(len(wb.train_pts), size=n_samples, replace=False)
+    pair_seed = runner.derive_seed(cfg.seed, runner._WAVE_STREAM * 100_000 + epoch)
+    E, Y, M = [], [], []
+    for j in range(n_samples):
+        x1, x2 = wb.train_pts[i1[j]], wb.train_pts[i2[j]]
+        lam = float(np.random.default_rng([pair_seed, j]).beta(cfg.mixup.beta, cfg.mixup.beta))
+        dominant = x1 if lam > 0.5 else x2
+        E.append(lam * x1.e + (1.0 - lam) * x2.e)
+        Y.append(dominant.y)
+        M.append(dominant.m)
+    uids = [f"mix{epoch}:{j}" for j in range(n_samples)]
+    return PointSet(E=np.stack(E), Y=np.stack(Y), M=np.stack(M), origin="synthetic", created_epoch=epoch, uid=uids)
+
+
 class TestMixupRun:
     def test_runs_and_logs_beta(self, tmp_path):
         cfg = tiny_cfg("mixup", 31, str(tmp_path / "o"), mixup=MixupConfig(beta=1.0), rounds=2)
         res = runner.run_augmentation_experiment(cfg)
         assert all(r.alpha_or_beta == "1.0" for r in res.rows)
         assert all(r.method == "mixup" for r in res.rows)
+
+    @pytest.mark.parametrize("beta, epoch, n_samples", [(1.0, 1, 1), (1.0, 3, 75), (0.2, 2, 40), (5.0, 6, 16)])
+    def test_wave_equals_pair_by_pair_reference(self, small_wb, beta, epoch, n_samples):
+        base_cfg, wb = small_wb
+        cfg = dataclasses.replace(base_cfg, method="mixup", mixup=MixupConfig(beta=beta))
+        wave = runner._generate_wave(cfg, wb, wb.baseline_params, 0.0, epoch, n_samples, None)
+        expected = mixup_wave_one_pair_at_a_time(cfg, wb, epoch, n_samples)
+        for name in ("E", "Y", "M", "origin", "created_epoch", "uid"):
+            assert np.array_equal(getattr(wave, name), getattr(expected, name)), name
 
 
 class TestDpRun:
@@ -396,7 +423,10 @@ class TestWorkbench:
 
     @pytest.mark.parametrize(
         "field, stored, run_value",
-        [("seed", 47, 48), ("horizon", 24, 12), ("input_hours", 24, 12), ("n_vars", 16, 8), ("n", 16, 8)],
+        [
+            ("seed", 47, 48), ("horizon", 24, 12), ("input_hours", 24, 12), ("n_vars", 16, 8), ("n", 16, 8),
+            ("hidden_dim", 16, 8),
+        ],
     )
     def test_checkpoint_of_another_run_is_config_error(self, tmp_path, field, stored, run_value):
         cfg = tiny_cfg("baseline", 47, "", checkpoint=str(tmp_path / "c.npz"))
@@ -408,9 +438,21 @@ class TestWorkbench:
             "input_hours": {"input_len": run_value},
             "n_vars": {"n_vars": run_value},
             "n": {"train": dataclasses.replace(cfg.train, n=run_value)},
+            "hidden_dim": {"train": dataclasses.replace(cfg.train, hidden_dim=run_value)},
         }[field]
         with pytest.raises(ConfigurationError, match=f"has {field} {stored}, the run config {run_value}$"):
             runner.build_workbench(dataclasses.replace(cfg, **overrides))
+
+    @pytest.mark.parametrize("method", ["mixup", "dp_sgd"])
+    def test_workbench_of_another_seed_is_config_error_before_any_output(self, small_wb, tmp_path, method):
+        base_cfg, wb = small_wb
+        cfg = dataclasses.replace(
+            base_cfg, method=method, seed=24, output_dir=str(tmp_path / "o"), mixup=MixupConfig(), dp=DpConfig()
+        )
+        run = runner.run_dp_baseline if method == "dp_sgd" else runner.run_augmentation_experiment
+        with pytest.raises(ConfigurationError, match="^workbench built under seed 23, the run config has seed 24$"):
+            run(cfg, wb)
+        assert not (tmp_path / "o").exists()
 
     def test_method_config_requirements(self):
         with pytest.raises(ConfigurationError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import generate_reference, identity_standardizer, predict_zero_mse
+from helpers import generate_reference, identity_standardizer, predict_zero_mse, take_windows, window_rows
 
 from privtsf.data import ConfigurationError, Standardizer, bin_windows, build_windows, split_by_episode, write_triplets
 from privtsf.forecaster import TrainConfig, bake_points, pretrain_embedding
@@ -70,7 +70,7 @@ class TestSparsity:
         cells = 0
         for e in episodes:
             hours = int(e.length_hours)
-            w = bin_windows([(e, 0)], hours, 0, std)[0]
+            w = window_rows(bin_windows([(e, 0)], hours, 0, std))[0]
             observed += int(w.mask_in.sum())
             cells += hours * 16
         missing = 1.0 - observed / cells
@@ -83,7 +83,7 @@ class TestSparsity:
         hours = 0
         for e in episodes:
             h = int(e.length_hours)
-            w = bin_windows([(e, 0)], h, 0, std)[0]
+            w = window_rows(bin_windows([(e, 0)], h, 0, std))[0]
             observed += w.mask_in.sum(axis=0)
             hours += h
         rate = observed / hours
@@ -131,8 +131,8 @@ class TestLearnability:
         tw = build_windows(train_eps, std)
         hw = build_windows([e for e in episodes if e.episode_id in ho], std)
         rng = np.random.default_rng(13)
-        tw = tw[np.sort(rng.choice(len(tw), 400, replace=False))]
-        hw = hw[np.sort(rng.choice(len(hw), 600, replace=False))]
+        tw = take_windows(tw, np.sort(rng.choice(len(tw), 400, replace=False)))
+        hw = take_windows(hw, np.sort(rng.choice(len(hw), 600, replace=False)))
         cfg = TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=80, hidden_dim=32, n=32, horizon=24, seed=13)
         emb, params = pretrain_embedding(tw, cfg)
         held = bake_points(hw, emb)
