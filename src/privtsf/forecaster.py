@@ -212,21 +212,28 @@ def _forward(E: np.ndarray, params: ForecasterParams) -> tuple[np.ndarray, np.nd
     """Unroll the decoder; returns (pooled, states S, predictions Yh).
 
     S has shape (B, T+1, H) with S[:, 0] the context vector; Yh has shape
-    (B, T+1, F) with Yh[:, 0] = 0 as the initial feedback input.
+    (B, T+1, F) with Yh[:, 0] = 0 as the initial feedback input. Both are
+    transposed views of time-major buffers, so each step reads and writes
+    contiguous rows in place, in the order (S @ Ws.T + Yh @ Wf.T) + b.
     """
     B = E.shape[0]
     T = params.horizon
     H = params.hidden_dim
     F = params.n_vars
     pooled = np.einsum("h,bhn->bn", params.pos, E)
-    S = np.empty((B, T + 1, H))
-    S[:, 0] = np.tanh(pooled @ params.w_hidden.T + params.b_hidden)
-    Yh = np.zeros((B, T + 1, F))
+    S = np.empty((T + 1, B, H))
+    S[0] = np.tanh(pooled @ params.w_hidden.T + params.b_hidden)
+    Yh = np.zeros((T + 1, B, F))
+    a, fb = np.empty((B, H)), np.empty((B, H))
     for t in range(1, T + 1):
-        a = S[:, t - 1] @ params.w_state.T + Yh[:, t - 1] @ params.w_feedback.T + params.b_state
-        S[:, t] = np.tanh(a)
-        Yh[:, t] = S[:, t] @ params.w_out.T + params.b_out
-    return pooled, S, Yh
+        np.matmul(S[t - 1], params.w_state.T, out=a)
+        np.matmul(Yh[t - 1], params.w_feedback.T, out=fb)
+        a += fb
+        a += params.b_state
+        np.tanh(a, out=S[t])
+        np.matmul(S[t], params.w_out.T, out=Yh[t])
+        Yh[t] += params.b_out
+    return pooled, S.transpose(1, 0, 2), Yh.transpose(1, 0, 2)
 
 
 def forecast_batch(E: np.ndarray, params: ForecasterParams) -> np.ndarray:

@@ -73,6 +73,7 @@ MANIFEST_HEADER = (
     "pool_size",
     "samples_generated",
     "steps_executed",
+    "reason",
 )
 
 _SPLIT_STREAM = 1
@@ -299,6 +300,7 @@ class RoundAudit:
     pool_size: int = 0
     samples_generated: int = 0
     steps_executed: int = 0
+    reason: str = ""  # the gate's failed inequalities, "" when accepted
 
 
 @dataclass
@@ -450,10 +452,12 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
                 run_id, cfg.method, tag, candidate, wb, "heldout", pool=pool.items, epoch=r
             )
             rows.append(row)
-            accepted, _, new_state = apply_gate(state, candidate_report.priv, row.mse_heldout)
+            accepted, reason, new_state = apply_gate(state, candidate_report.priv, row.mse_heldout)
             steps = cfg.zoo.steps if cfg.method in ("zoo", "zoo_pca") else 0
             audits.append(
-                RoundAudit(r, accepted, pool_size=len(pool), samples_generated=len(wave), steps_executed=steps)
+                RoundAudit(
+                    r, accepted, pool_size=len(pool), samples_generated=len(wave), steps_executed=steps, reason=reason
+                )
             )
             if accepted:
                 params, state, final_epoch, report = candidate, new_state, r, candidate_report
@@ -511,7 +515,7 @@ def _flush_outputs(cfg: RunConfig, rows: list[MetricsRow], audits: list[RoundAud
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for a in audits:
-            fields = (a.epoch, int(a.accepted), a.pool_size, a.samples_generated, a.steps_executed)
+            fields = (a.epoch, int(a.accepted), a.pool_size, a.samples_generated, a.steps_executed, a.reason)
             writer.writerow([cfg.resolved_run_id(), cfg.method, cfg.param_tag(), *fields])
 
 

@@ -184,6 +184,84 @@ class TestForecast:
         assert not np.allclose(student[1:], teacher[1:])
 
 
+def batch_major_forward(E, params):
+    """The decoder unroll on batch-major (B, T+1, .) arrays with a fresh temporary per
+    operation: the layout `_forward` used before its buffers became time-major."""
+    B, T, H, F = E.shape[0], params.horizon, params.hidden_dim, params.n_vars
+    pooled = np.einsum("h,bhn->bn", params.pos, E)
+    S = np.empty((B, T + 1, H))
+    S[:, 0] = np.tanh(pooled @ params.w_hidden.T + params.b_hidden)
+    Yh = np.zeros((B, T + 1, F))
+    for t in range(1, T + 1):
+        a = S[:, t - 1] @ params.w_state.T + Yh[:, t - 1] @ params.w_feedback.T + params.b_state
+        S[:, t] = np.tanh(a)
+        Yh[:, t] = S[:, t] @ params.w_out.T + params.b_out
+    return pooled, S, Yh
+
+
+FIXTURE_DIMS = (32, 64, 16, 24, 24)  # the acceptance fixture's (n, H, F, T, input_hours)
+small_dims = st.tuples(*(st.integers(1, hi) for hi in (4, 6, 4, 5, 5)))
+
+
+def unroll_case(seed, B, dims):
+    """Seeded params, embeddings and a masked target batch of B windows with dims (n, H, F, T, I)."""
+    n, H, F, T, I = dims
+    rng = np.random.default_rng(seed)
+    _, params = fc.init_params(n, H, F, T, seed=int(rng.integers(2**31)), input_hours=I)
+    E = rng.standard_normal((B, I, n))
+    Y = rng.standard_normal((B, T, F))
+    M = (rng.random((B, T, F)) < 0.7).astype(float)
+    M[:, 0, 0] = 1.0
+    return params, E, Y, M, rng
+
+
+class TestUnrollBits:
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), dims=st.one_of(small_dims, st.just(FIXTURE_DIMS)))
+    def test_time_major_unroll_equals_batch_major_loop(self, B, seed, dims):
+        params, E, _, _, _ = unroll_case(seed, B, dims)
+        for got, want in zip(fc._forward(E, params), batch_major_forward(E, params)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+        dims=st.one_of(small_dims.filter(lambda d: min(d[1], d[2]) >= 2), st.just(FIXTURE_DIMS)),
+    )
+    def test_backward_on_views_equals_backward_on_contiguous_copies(self, B, seed, dims):
+        # guards the einsum and batched-matmul summation order on the strided views
+        # _forward returns, for H >= 2 and F >= 2. At H = 1 or F = 1 a view's batch
+        # or time axis becomes a strided vector; einsum and the matrix-vector product
+        # then round differently from the batch-major layout, so some gradients move
+        # in the last bits (forecasts and losses do not)
+        params, E, Y, M, rng = unroll_case(seed, B, dims)
+        X = rng.standard_normal((B, params.input_hours, 2 * params.n_vars))
+        views = fc._forward(E, params)
+        copies = [np.ascontiguousarray(a) for a in views]
+        for per_sample, X_in in ((False, None), (True, None), (False, X)):
+            got = fc._backward(E, Y, M, params, *views, per_sample=per_sample, X=X_in)
+            want = fc._backward(E, Y, M, params, *copies, per_sample=per_sample, X=X_in)
+            assert got.keys() == want.keys()
+            for name in got:
+                assert np.array_equal(got[name], want[name]), (per_sample, X_in is not None, name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        B=st.integers(2, 20), extra=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(*(st.integers(lo, hi) for lo, hi in ((1, 4), (1, 8), (2, 4), (1, 5), (1, 5)))),
+    )
+    def test_row_forecast_does_not_depend_on_its_batch(self, B, extra, seed, dims):
+        # B >= 2 and F >= 2 keep every product matrix-matrix: at B = 1 or F = 1 the
+        # matrix-vector product rounds a row differently by batch size, and so does
+        # OpenBLAS's gemm at H = 32 and above, on the batch-major unroll as well
+        params, E, _, _, rng = unroll_case(seed, B, dims)
+        other = rng.standard_normal((extra,) + E.shape[1:])
+        alone = fc.forecast_batch(E, params)
+        assert np.array_equal(fc.forecast_batch(np.concatenate([E, other]), params)[:B], alone)
+        assert np.array_equal(fc.forecast_batch(np.concatenate([other, E]), params)[extra:], alone)
+
+
 class TestGradients:
     def test_analytic_matches_central_differences(self):
         _, params = fc.init_params(4, 4, 3, 2, seed=7, input_hours=5)

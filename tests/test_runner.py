@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import os
@@ -11,7 +12,15 @@ from helpers import identity_standardizer
 
 from privtsf import runner
 from privtsf.augment import MixupConfig, ZooConfig
-from privtsf.data import ConfigurationError, MetricsRow, PointSet, ValidationError, read_metrics_csv
+from privtsf.data import (
+    METRICS_HEADER,
+    ConfigurationError,
+    MetricsRow,
+    PointSet,
+    ValidationError,
+    read_metrics_csv,
+    write_report_csv,
+)
 from privtsf.forecaster import DpConfig, TrainConfig, init_params, load_checkpoint, save_checkpoint
 from privtsf.metrics import attack_report, dataset_losses, mse_set
 from privtsf.synth import GeneratorConfig
@@ -273,6 +282,36 @@ class TestAugmentationRun:
         replayed = runner.replay_gate(read_metrics_csv(str(tmp_path / "o" / "metrics.csv")))
         accepted = [a.epoch for a in res.audits if a.accepted]
         assert replayed == accepted
+
+    def test_manifest_names_each_rejected_rounds_failed_inequalities(self, tmp_path):
+        zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
+        out = tmp_path / "o"
+        cfg = tiny_cfg("zoo", 31, str(out), zoo=zoo, rounds=3)
+        res = runner.run_augmentation_experiment(cfg)
+        with open(out / f"manifest_{cfg.resolved_run_id()}.csv", newline="", encoding="utf-8") as fh:
+            manifest = list(csv.DictReader(fh))
+        assert tuple(manifest[0]) == runner.MANIFEST_HEADER and runner.MANIFEST_HEADER[-1] == "reason"
+        rows = read_metrics_csv(str(out / "metrics.csv"))
+        best, beta = rows[0], cfg.beta_accept
+        expected = [""]
+        for r in rows[1:]:
+            failed = [
+                name for name, ok in (
+                    ("priv", r.priv_ratio <= (1 + cfg.eps_priv) * best.priv_ratio),
+                    ("mse", r.mse_heldout <= (1 + cfg.eps_mse) * best.mse_heldout),
+                    ("combined", r.priv_ratio + beta * r.mse_heldout <= best.priv_ratio + beta * best.mse_heldout),
+                ) if not ok
+            ]
+            expected.append("+".join(failed))
+            best = best if failed else r
+        assert [m["reason"] for m in manifest] == [a.reason for a in res.audits] == expected
+        assert [m["accepted"] for m in manifest] == ["0" if e else "1" for e in expected]
+        assert any(expected)  # seed 31 rejects rounds 2 and 3
+        # the metrics CSV keeps its documented header and the rows' own bytes
+        written = (out / "metrics.csv").read_bytes()
+        write_report_csv(res.rows, str(tmp_path / "again.csv"))
+        assert written == (tmp_path / "again.csv").read_bytes()
+        assert written.splitlines()[0].decode() == ",".join(METRICS_HEADER)
 
     @pytest.mark.parametrize("method", ["zoo", "zoo_pca", "mixup", "dp_sgd"])
     def test_reproducible_metrics_bytes(self, tmp_path, method):
