@@ -30,7 +30,6 @@ from .data import (
     DataPoint,
     DomainError,
     NO_POINTS,
-    ORIGIN_SYNTHETIC,
     PointSet,
     ValidationError,
     readonly,
@@ -203,7 +202,7 @@ def zoo_generate(
 ) -> PointSet:
     """Run the multi-step update on every seed point and emit synthetic points.
 
-    Each output keeps its seed's target and mask; only the embedding moves.
+    Each output keeps its seed's target, mask and episode id; only the embedding moves.
     Point j draws its perturbations from the stream (seed, j).
     """
     if len(seed_points) == 0:
@@ -220,35 +219,27 @@ def zoo_generate(
             ]
         )
         E, _ = zoo_descend(E, zoo_objective(Y, M, tau, params, cfg.alpha), U, cfg)
-    return PointSet(
-        E=E,
-        Y=Y,
-        M=M,
-        origin=ORIGIN_SYNTHETIC,
-        created_epoch=epoch,
-        uid=[f"syn{epoch}:{j}" for j in range(len(seed_points))],
-    )
+    return PointSet(E=E, Y=Y, M=M, episode_id=seed_points.episode_id, created_epoch=epoch)
 
 
-def mixup_wave(a: PointSet, b: PointSet, lam: np.ndarray, epoch: int, uid: Sequence[str] | str) -> PointSet:
+def mixup_wave(a: PointSet, b: PointSet, lam: np.ndarray, epoch: int) -> PointSet:
     """Row-wise convex combinations of two point sets, each row inheriting its dominant input's labels.
 
-    Row j is lam[j] * a.E[j] + (1 - lam[j]) * b.E[j], with (Y, M) from a's
-    row j where lam[j] > 0.5 and from b's otherwise.
+    Row j is lam[j] * a.E[j] + (1 - lam[j]) * b.E[j], with (Y, M) and the
+    episode id from a's row j where lam[j] > 0.5 and from b's otherwise.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if a.E.shape != b.E.shape or a.Y.shape != b.Y.shape or lam.shape != (len(a),):
         shapes = f"{a.E.shape}, {a.Y.shape} and {b.E.shape}, {b.Y.shape}"
         raise ConfigurationError(f"mixup of point sets of shapes {shapes} with weights of shape {lam.shape}")
-    w = lam[:, None, None]
-    take_a = w > 0.5
+    take_a = lam > 0.5
+    w, rows_a = lam[:, None, None], take_a[:, None, None]
     return PointSet(
         E=w * a.E + (1.0 - w) * b.E,
-        Y=np.where(take_a, a.Y, b.Y),
-        M=np.where(take_a, a.M, b.M),
-        origin=ORIGIN_SYNTHETIC,
+        Y=np.where(rows_a, a.Y, b.Y),
+        M=np.where(rows_a, a.M, b.M),
+        episode_id=np.where(take_a, a.episode_id, b.episode_id),
         created_epoch=epoch,
-        uid=uid,
     )
 
 
@@ -262,11 +253,12 @@ def mixup_generate(
 ) -> DataPoint:
     """One mixup point, the one-row case of `mixup_wave` with lam ~ Beta(beta, beta).
 
-    The mixed point takes (y, m) from x1 when lam > 0.5 and from x2 otherwise.
+    The mixed point takes (y, m) and the episode id from x1 when lam > 0.5 and
+    from x2 otherwise. `uid` is unused; the benchmark's mixup check still passes it.
     """
     lam = float(rng.beta(cfg.beta, cfg.beta))
-    a, b = (PointSet(E=x.e[None], Y=x.y[None], M=x.m[None]) for x in (x1, x2))
-    return mixup_wave(a, b, np.array([lam]), epoch, uid or f"mix{epoch}")[0]
+    a, b = (PointSet(E=x.e[None], Y=x.y[None], M=x.m[None], episode_id=x.episode_id) for x in (x1, x2))
+    return mixup_wave(a, b, np.array([lam]), epoch)[0]
 
 
 class SyntheticPool:
@@ -283,8 +275,8 @@ class SyntheticPool:
         self._items = NO_POINTS
 
     def insert(self, items: PointSet) -> None:
-        if np.any(items.origin != ORIGIN_SYNTHETIC):
-            raise ValidationError("pool accepts synthetic points only")
+        if np.any(items.created_epoch < 1):
+            raise ValidationError("pool accepts synthetic points only (created_epoch >= 1)")
         merged = PointSet.concat(self._items, items)
         # the newest `cap` rows; at cap 0 that is none of them
         self._items = merged[len(merged) - min(self.cap, len(merged)) :]

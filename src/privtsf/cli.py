@@ -21,7 +21,6 @@ from .augment import MixupConfig, ZooConfig
 from .data import (
     ConfigurationError,
     PipelineError,
-    load_triplets,
     read_metrics_csv,
     write_report_csv,
     write_roc_csv,
@@ -206,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:  # e.g. a data, checkpoint or metrics path
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -14,9 +14,10 @@ read-only, so windows and points can be shared freely across workers.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,9 +37,6 @@ METRICS_HEADER = (
     "tau",
 )
 ROC_HEADER = ("threshold", "fpr", "tpr")
-
-ORIGIN_ORIGINAL = "original"
-ORIGIN_SYNTHETIC = "synthetic"
 
 
 class PipelineError(Exception):
@@ -160,8 +158,8 @@ class Standardizer:
         return (np.asarray(values, dtype=np.float64) - self.mean[var_ids]) / self.std[var_ids]
 
 
-def _freeze(obj, arrays: Sequence[str], columns: dict[str, type]) -> int:
-    """Make a frozen set's `arrays` read-only and give each of its `columns` one value per row.
+def _freeze(obj, arrays: Sequence[str], columns: Sequence[str]) -> int:
+    """Make a frozen set's `arrays` read-only and give each of its int64 `columns` one value per row.
 
     A scalar column value applies to every row. Returns the row count, the
     length of the first array.
@@ -169,11 +167,11 @@ def _freeze(obj, arrays: Sequence[str], columns: dict[str, type]) -> int:
     for name in arrays:
         object.__setattr__(obj, name, readonly(getattr(obj, name)))
     n = len(getattr(obj, arrays[0]))
-    for name, dtype in columns.items():
-        col = np.asarray(getattr(obj, name), dtype=dtype)
+    for name in columns:
+        col = np.asarray(getattr(obj, name), dtype=np.int64)
         if col.shape not in ((), (n,)):
             raise ConfigurationError(f"{name} column of shape {col.shape} for {n} rows")
-        object.__setattr__(obj, name, readonly(np.broadcast_to(col, (n,)).copy(), dtype))
+        object.__setattr__(obj, name, readonly(np.broadcast_to(col, (n,)).copy(), np.int64))
     return n
 
 
@@ -199,7 +197,7 @@ class WindowSet:
     window_start: np.ndarray | int = 0
 
     def __post_init__(self) -> None:
-        _freeze(self, ("values", "mask_in", "target", "mask_out"), {"episode_id": np.int64, "window_start": np.int64})
+        _freeze(self, ("values", "mask_in", "target", "mask_out"), ("episode_id", "window_start"))
         if self.values.ndim != 3 or self.values.shape != self.mask_in.shape or self.target.shape != self.mask_out.shape:
             raise ConfigurationError("value/mask shape mismatch")
         if self.target.ndim != 3 or self.values.shape[::2] != self.target.shape[::2]:
@@ -217,25 +215,22 @@ class WindowSet:
 
 @dataclass(frozen=True, eq=False)
 class DataPoint:
-    """One point: a PointSet row.
-
-    `origin` distinguishes points baked from real windows from generated ones;
-    `created_epoch` is the augmentation round that produced a synthetic point
-    (0 for originals).
-    """
+    """One point: a PointSet row, with the same provenance fields."""
 
     e: np.ndarray  # (input_len, n)
     y: np.ndarray  # (horizon, F)
     m: np.ndarray  # (horizon, F) in {0, 1}
-    origin: str = ORIGIN_ORIGINAL
+    episode_id: int = 0
     created_epoch: int = 0
-    uid: str = ""
 
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """N points as stacked read-only arrays plus per-row origin, epoch and id columns.
+    """N points as stacked read-only arrays plus two int64 provenance columns.
 
+    `episode_id` is the stay the point's window came from (a synthetic point
+    keeps its seed's, or its dominant input's); `created_epoch` is 0 for a
+    point baked from a window and the augmentation round for a synthetic one.
     Indexing with a slice or an index array returns a PointSet without
     validating again, an int index returns that row as a DataPoint of views,
     and iteration yields the rows in order.
@@ -244,20 +239,17 @@ class PointSet:
     E: np.ndarray  # (N, input_len, n)
     Y: np.ndarray  # (N, horizon, F)
     M: np.ndarray  # (N, horizon, F) in {0, 1}
-    origin: np.ndarray | str = ORIGIN_ORIGINAL
+    episode_id: np.ndarray | int = 0
     created_epoch: np.ndarray | int = 0
-    uid: np.ndarray | Sequence[str] | str = ""
 
     _ARRAYS = ("E", "Y", "M")
-    _COLUMNS = {"origin": object, "created_epoch": np.int64, "uid": object}
+    _COLUMNS = ("episode_id", "created_epoch")
 
     def __post_init__(self) -> None:
         n = _freeze(self, self._ARRAYS, self._COLUMNS)
         if self.E.ndim != 3 or self.Y.ndim != 3 or self.Y.shape != self.M.shape or len(self.Y) != n:
             raise ConfigurationError(f"point arrays of shapes {self.E.shape}, {self.Y.shape}, {self.M.shape}")
         _check_mask(self.M)
-        if not set(self.origin) <= {ORIGIN_ORIGINAL, ORIGIN_SYNTHETIC}:
-            raise ValidationError(f"unknown origin among {sorted(set(self.origin))}")
 
     def __len__(self) -> int:
         return len(self.E)
@@ -265,7 +257,7 @@ class PointSet:
     def __getitem__(self, index):
         cut = {name: getattr(self, name)[index] for name in (*self._ARRAYS, *self._COLUMNS)}
         if isinstance(index, (int, np.integer)):
-            return DataPoint(cut["E"], cut["Y"], cut["M"], cut["origin"], int(cut["created_epoch"]), cut["uid"])
+            return DataPoint(cut["E"], cut["Y"], cut["M"], int(cut["episode_id"]), int(cut["created_epoch"]))
         return self._trusted(cut)
 
     def __iter__(self):
@@ -444,13 +436,30 @@ _TRIPLET_ROW = np.dtype([("episode_id", np.int64), ("t", np.float64), ("var_id",
 _PLAIN_BYTES = b"0123456789+-.,eEinfatyINFATY \t\r\n"
 
 
+def _utf8_text(read):
+    """`read(path, ...)`, with bytes that are not UTF-8 raised as a ParseError naming the first such line."""
+
+    @functools.wraps(read)
+    def checked(path: str, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as fh:
+                # a line is UTF-8 exactly when decoding it with replacement and encoding it again gives it back
+                bad = next((i for i, b in enumerate(fh, start=1) if b.decode(errors="replace").encode() != b), 0)
+            raise ParseError(f"{path}:{bad}: not UTF-8 text ({exc.reason})") from exc
+
+    return checked
+
+
+@_utf8_text
 def load_triplets(path: str, n_vars: int) -> list[Episode]:
     """Load episodes from a triplet CSV (header: episode_id,t_hours,var_id,value).
 
     Episodes come back in ascending id. Each one's observations are
     stable-sorted by time, so ties keep file order, and its length is
-    max(ceil(last observation time), 1). Malformed rows raise ParseError and
-    invariant violations ValidationError, both naming the first offending line.
+    max(ceil(last observation time), 1). Malformed rows and bytes that are not
+    UTF-8 raise ParseError, invariant violations ValidationError, each naming a line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -563,6 +572,7 @@ def write_report_csv(rows: Iterable[MetricsRow], path: str, append: bool = False
             writer.writerow(row.as_list())
 
 
+@_utf8_text
 def read_metrics_csv(path: str) -> list[MetricsRow]:
     rows: list[MetricsRow] = []
     with open(path, newline="", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -195,7 +195,7 @@ def window_inputs(values: np.ndarray, mask: np.ndarray, n_vars: int) -> np.ndarr
 def bake_points(windows: WindowSet, emb: EmbeddingMap) -> PointSet:
     """Freeze a non-empty WindowSet into a PointSet under the fixed embedding map.
 
-    The points share the windows' target and mask arrays; each uid is "<episode id>:<window start>".
+    The points share the windows' target and mask arrays and keep their episode ids.
     """
     if not len(windows):
         raise DomainError("no windows to bake")
@@ -204,7 +204,7 @@ def bake_points(windows: WindowSet, emb: EmbeddingMap) -> PointSet:
         E=X @ emb.weight + emb.bias,
         Y=windows.target,
         M=windows.mask_out,
-        uid=[f"{eid}:{s}" for eid, s in zip(windows.episode_id.tolist(), windows.window_start.tolist())],
+        episode_id=windows.episode_id,
     )
 
 
@@ -405,20 +405,16 @@ def dp_train_step(
     return params.updated(update, -cfg.learning_rate * dp.lr_scale)
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> Iterable[np.ndarray]:
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
-
-
 def _run_epochs(state, n: int, batch_size: int, epochs: int, rng: np.random.Generator, step: Callable):
     """The one minibatch loop: each epoch shuffles n items with `rng` and calls
     `state, loss = step(state, idx)` on each batch's indices. Returns the final
     state and each epoch's mean loss."""
     history: list[float] = []
     for _ in range(epochs):
+        perm = rng.permutation(n)
         total = 0.0
-        for idx in _epoch_batches(n, batch_size, rng):
+        for start in range(0, n, batch_size):
+            idx = perm[start : start + batch_size]
             state, loss = step(state, idx)
             total += loss * len(idx)
         history.append(total / n)
@@ -498,6 +494,8 @@ def pretrain_embedding(windows: WindowSet, cfg: TrainConfig) -> tuple[EmbeddingM
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_VERSION = 1
+# the model shape a checkpoint records beside its arrays, checked against the run config on load
+_SHAPE_KEYS = ("n", "hidden_dim", "n_vars", "horizon", "input_hours")
 
 
 def save_checkpoint(
@@ -511,11 +509,7 @@ def save_checkpoint(
     np.savez(
         path,
         version=np.int64(CHECKPOINT_VERSION),
-        n=np.int64(params.n),
-        hidden_dim=np.int64(params.hidden_dim),
-        n_vars=np.int64(params.n_vars),
-        horizon=np.int64(params.horizon),
-        input_hours=np.int64(params.input_hours),
+        **{key: np.int64(getattr(params, key)) for key in _SHAPE_KEYS},
         seed=np.int64(seed),
         emb_weight=emb.weight,
         emb_bias=emb.bias,
@@ -536,5 +530,5 @@ def load_checkpoint(path: str) -> tuple[EmbeddingMap, ForecasterParams, Standard
             horizon=int(data["horizon"]),
         )
         std = Standardizer(mean=data["std_mean"], std=data["std_std"])
-        meta = {k: int(data[k]) for k in ("n", "hidden_dim", "n_vars", "horizon", "input_hours", "seed")}
+        meta = {k: int(data[k]) for k in (*_SHAPE_KEYS, "seed")}
     return emb, params, std, meta

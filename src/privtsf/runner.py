@@ -103,7 +103,8 @@ class AcceptanceState:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.priv_best) and math.isfinite(self.mse_best)):
-            raise ConfigurationError("acceptance state must start from finite baseline metrics")
+            got = f"priv {self.priv_best!r} and mse {self.mse_best!r}"
+            raise ConfigurationError(f"acceptance state must start from finite baseline metrics, got {got}")
 
 
 def apply_gate(state: AcceptanceState, priv_value: float, mse_value: float) -> tuple[bool, str, AcceptanceState]:
@@ -367,19 +368,17 @@ def _generate_wave(
     basis: PcaBasis | None,
 ) -> PointSet:
     wave_rng = np.random.default_rng([cfg.seed, _WAVE_STREAM, epoch])
+    seed = derive_seed(cfg.seed, _WAVE_STREAM * 100_000 + epoch)
     n_train = len(wb.train_pts)
     if cfg.method in ("zoo", "zoo_pca"):
         idx = wave_rng.choice(n_train, size=n_samples, replace=False)
-        seed = derive_seed(cfg.seed, _WAVE_STREAM * 100_000 + epoch)
         return zoo_generate(wb.train_pts[idx], tau_ref, params, cfg.zoo, seed=seed, epoch=epoch, basis=basis)
     if cfg.method == "mixup":
         i1 = wave_rng.choice(n_train, size=n_samples, replace=False)
         i2 = wave_rng.choice(n_train, size=n_samples, replace=False)
-        pair_seed = derive_seed(cfg.seed, _WAVE_STREAM * 100_000 + epoch)
         beta = cfg.mixup.beta
-        lam = np.array([np.random.default_rng([pair_seed, j]).beta(beta, beta) for j in range(n_samples)])
-        uids = [f"mix{epoch}:{j}" for j in range(n_samples)]
-        return mixup_wave(wb.train_pts[i1], wb.train_pts[i2], lam, epoch, uids)
+        lam = np.array([np.random.default_rng([seed, j]).beta(beta, beta) for j in range(n_samples)])
+        return mixup_wave(wb.train_pts[i1], wb.train_pts[i2], lam, epoch)
     raise ConfigurationError(f"method {cfg.method} generates no synthetic data")
 
 
@@ -421,16 +420,14 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
     row, report = attack_row(run_id, cfg.method, tag, params, wb, "heldout", pool=pool.items)
     rows = [row]  # `report` stays the last accepted model's
     audits = [RoundAudit(epoch=0, accepted=True)]
-    state = None
-    if rounds > 0:
-        # an infinite baseline priv cannot seed the gate; surfaced as a config error
-        state = AcceptanceState(
-            priv_best=report.priv, mse_best=row.mse_heldout,
-            eps_priv=cfg.eps_priv, eps_mse=cfg.eps_mse, beta_accept=cfg.beta_accept,
-        )
     final_epoch = 0
 
     try:
+        # a non-finite baseline cannot seed the gate: a ConfigurationError, raised with the baseline row flushed
+        state = None if rounds == 0 else AcceptanceState(
+            priv_best=report.priv, mse_best=row.mse_heldout,
+            eps_priv=cfg.eps_priv, eps_mse=cfg.eps_mse, beta_accept=cfg.beta_accept,
+        )
         for r in range(1, rounds + 1):
             # an accepted round already measured the current model over train + the current pool
             tau_ref = report.tau if audits[-1].accepted else mse_set(PointSet.concat(wb.train_pts, pool.items), params)

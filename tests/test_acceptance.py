@@ -391,24 +391,24 @@ class TestCriterion10PoolFuzz:
             n_train = int(rng.integers(1, 400))
             cap = n_train // 2
             pool = ag.SyntheticPool(cap=cap)
-            shadow: list[str] = []
+            shadow: list[int] = []
             for _ in range(int(rng.integers(1, 12))):
                 count = int(rng.integers(0, 2 * max(cap, 1) + 2))
                 batch = PointSet(
                     E=np.zeros((count, 1, 1)),
                     Y=np.ones((count, 1, 1)),
                     M=np.ones((count, 1, 1)),
-                    origin="synthetic",
-                    uid=f"{ops}",
+                    episode_id=ops,
+                    created_epoch=1,
                 )
                 for it in batch:
-                    shadow.append(it.uid)
+                    shadow.append(it.episode_id)
                 pool.insert(batch)
                 del shadow[: len(shadow) - cap if len(shadow) > cap else 0]
                 ops += 1
                 if len(pool) > cap:
                     violations += 1
-                if [p.uid for p in pool.items] != shadow:
+                if [p.episode_id for p in pool.items] != shadow:
                     violations += 1
         ok = violations == 0
         report(10, ok, f"pool fuzz: {ops} ops, {violations} cap/FIFO violations (require 0)")

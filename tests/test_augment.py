@@ -13,16 +13,15 @@ from privtsf import metrics as pm
 from privtsf.data import ConfigurationError, DataPoint, DomainError, PointSet, ValidationError
 
 
-def syn_points(tags, epoch=0):
-    """Synthetic points with embeddings filled with their tag and uids s<tag>."""
+def syn_points(tags, epoch=1):
+    """Synthetic points with embeddings filled with their tag and episode ids equal to it."""
     tags = list(tags)
     return PointSet(
         E=np.ones((len(tags), 2, 2)) * np.asarray(tags, dtype=float)[:, None, None],
         Y=np.ones((len(tags), 1, 1)),
         M=np.ones((len(tags), 1, 1)),
-        origin="synthetic",
+        episode_id=np.asarray(tags, dtype=np.int64),
         created_epoch=epoch,
-        uid=[f"s{tag}" for tag in tags],
     )
 
 
@@ -270,7 +269,7 @@ class TestZooGenerate:
         for s, o in zip(seeds, out):
             assert np.array_equal(s.e, o.e)
             assert np.array_equal(s.y, o.y)
-            assert o.origin == "synthetic"
+            assert o.episode_id == s.episode_id
             assert o.created_epoch == 3
 
     def test_outputs_keep_seed_targets(self, small_wb, small_tau):
@@ -282,6 +281,15 @@ class TestZooGenerate:
             assert np.array_equal(s.y, o.y)
             assert np.array_equal(s.m, o.m)
             assert not np.array_equal(s.e, o.e)
+
+    def test_wave_keeps_seed_episode_ids(self, small_wb, small_tau):
+        _, wb = small_wb
+        cfg = ag.ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
+        seeds = wb.train_pts[::-9][:8]
+        assert len(set(seeds.episode_id.tolist())) > 1
+        out = ag.zoo_generate(seeds, small_tau, wb.baseline_params, cfg, seed=6, epoch=2)
+        assert np.array_equal(out.episode_id, seeds.episode_id)
+        assert out.created_epoch.tolist() == [2] * len(seeds)
 
     def test_alpha_one_raises_mean_loss(self, small_wb, small_tau):
         _, wb = small_wb
@@ -314,10 +322,10 @@ class TestZooGenerate:
 class TestMixup:
     def _pair(self):
         rng = np.random.default_rng(14)
-        x1 = DataPoint(e=rng.standard_normal((3, 2)), y=np.ones((2, 2)), m=np.ones((2, 2)), uid="a")
+        x1 = DataPoint(e=rng.standard_normal((3, 2)), y=np.ones((2, 2)), m=np.ones((2, 2)), episode_id=1)
         m2 = np.zeros((2, 2))
         m2[0, 0] = 1.0
-        x2 = DataPoint(e=rng.standard_normal((3, 2)), y=2.0 * np.ones((2, 2)) * m2, m=m2, uid="b")
+        x2 = DataPoint(e=rng.standard_normal((3, 2)), y=2.0 * np.ones((2, 2)) * m2, m=m2, episode_id=2)
         return x1, x2
 
     def test_dominant_first_point(self):
@@ -326,7 +334,7 @@ class TestMixup:
         assert np.allclose(out.e, 0.9 * x1.e + 0.1 * x2.e)
         assert np.array_equal(out.y, x1.y)
         assert np.array_equal(out.m, x1.m)
-        assert out.origin == "synthetic"
+        assert out.episode_id == x1.episode_id
         assert out.created_epoch == 2
 
     def test_lambda_one_is_first_point_exactly(self):
@@ -340,6 +348,7 @@ class TestMixup:
         out = ag.mixup_generate(x1, x2, ag.MixupConfig(beta=1.0), FixedRng(beta_value=0.5))
         assert np.array_equal(out.y, x2.y)
         assert np.array_equal(out.m, x2.m)
+        assert out.episode_id == x2.episode_id
 
     def test_convexity_entrywise(self):
         x1, x2 = self._pair()
@@ -366,39 +375,40 @@ class TestMixup:
     def test_wave_equals_one_generate_call_per_row(self, lam, seed, epoch):
         rng = np.random.default_rng(seed)
 
-        def points():
+        def points(first_id):
             m = (rng.random((len(lam), 2, 3)) < 0.5).astype(float)
-            return PointSet(E=rng.standard_normal((len(lam), 4, 2)), Y=rng.standard_normal((len(lam), 2, 3)) * m, M=m)
+            E, Y = rng.standard_normal((len(lam), 4, 2)), rng.standard_normal((len(lam), 2, 3)) * m
+            return PointSet(E=E, Y=Y, M=m, episode_id=first_id + np.arange(len(lam)))
 
-        a, b = points(), points()
-        uids = [f"w{j}" for j in range(len(lam))]
-        wave = ag.mixup_wave(a, b, np.array(lam), epoch, uids)
+        a, b = points(0), points(100)
+        wave = ag.mixup_wave(a, b, np.array(lam), epoch)
         cfg = ag.MixupConfig(beta=1.0)
         for j, row in enumerate(wave):
-            one = ag.mixup_generate(a[j], b[j], cfg, FixedRng(beta_value=lam[j]), epoch=epoch, uid=uids[j])
-            for name in ("e", "y", "m", "origin", "created_epoch", "uid"):
+            one = ag.mixup_generate(a[j], b[j], cfg, FixedRng(beta_value=lam[j]), epoch=epoch)
+            for name in ("e", "y", "m", "episode_id", "created_epoch"):
                 assert np.array_equal(getattr(row, name), getattr(one, name)), name
+            assert row.episode_id == (a if lam[j] > 0.5 else b).episode_id[j]
 
     def test_wave_rejects_mismatched_sets_and_weights(self):
         a = syn_points([1, 2])
         with pytest.raises(ConfigurationError):
-            ag.mixup_wave(a, syn_points([1, 2, 3]), np.array([0.5, 0.5]), 1, "x")
+            ag.mixup_wave(a, syn_points([1, 2, 3]), np.array([0.5, 0.5]), 1)
         with pytest.raises(ConfigurationError):
-            ag.mixup_wave(a, a, np.array([0.5]), 1, "x")
+            ag.mixup_wave(a, a, np.array([0.5]), 1)
 
 
 class TestSyntheticPool:
     def test_fifo_eviction(self):
         pool = ag.SyntheticPool(cap=3)
         pool.insert(syn_points(range(5)))
-        assert [p.uid for p in pool.items] == ["s2", "s3", "s4"]
+        assert pool.items.episode_id.tolist() == [2, 3, 4]
 
     def test_empty_insert_is_noop(self):
         pool = ag.SyntheticPool(cap=3)
         pool.insert(syn_points([0]))
         before = pool.items
         pool.insert(syn_points([]))
-        assert list(pool.items.uid) == list(before.uid)
+        assert pool.items.episode_id.tolist() == before.episode_id.tolist()
         assert np.array_equal(pool.items.E, before.E)
 
     def test_half_train_cap(self):
@@ -406,15 +416,22 @@ class TestSyntheticPool:
         pool = ag.SyntheticPool(cap=cap)
         pool.insert(syn_points(range(60)))
         assert len(pool) == 50
-        assert pool.items[0].uid == "s10"
+        assert pool.items[0].episode_id == 10
 
     def test_rejects_original_points(self):
         pool = ag.SyntheticPool(cap=3)
         with pytest.raises(ValidationError):
             pool.insert(PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.ones((1, 1, 1))))
 
+    def test_rejects_a_set_with_any_row_at_epoch_zero(self):
+        pool = ag.SyntheticPool(cap=3)
+        mixed = PointSet.concat(syn_points([1], epoch=2), syn_points([2], epoch=0))
+        with pytest.raises(ValidationError, match="created_epoch"):
+            pool.insert(mixed)
+        assert len(pool) == 0
+
     def test_eviction_is_oldest_epoch_first(self):
         pool = ag.SyntheticPool(cap=4)
-        for epoch in range(4):
+        for epoch in range(1, 5):
             pool.insert(syn_points([epoch * 10 + j for j in range(2)], epoch=epoch))
-        assert [p.created_epoch for p in pool.items] == [2, 2, 3, 3]
+        assert [p.created_epoch for p in pool.items] == [3, 3, 4, 4]

@@ -68,6 +68,33 @@ class TestErrors:
         assert exc.value.code == 2
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, in_config, directory",
+        [
+            (["pretrain", "--data", "INPUT"], False, False),
+            (["pretrain"], True, False),
+            (["pretrain"], True, True),
+            (["attack", "--checkpoint", "INPUT"], False, False),
+            (["augment", "--method", "zoo", "--checkpoint", "INPUT"], False, False),
+            (["dp-train", "--checkpoint", "INPUT"], False, False),
+            (["report", "--metrics", "INPUT"], False, False),
+        ],
+    )
+    def test_missing_or_directory_input_exits_2_with_path(self, tmp_path, capsys, argv, in_config, directory):
+        path = tmp_path / "input"
+        if directory:
+            path.mkdir()
+        argv = [str(path) if a == "INPUT" else a for a in argv]
+        if argv[0] == "report":
+            argv += ["--out", str(tmp_path / "t.csv")]
+        else:
+            config = tmp_path / "c.json"
+            write_config(config, **({"data": str(path)} if in_config else {}))
+            argv += ["--config", str(config), "--seed", "1"]
+        assert main(argv) == 2
+        assert f"error: cannot open {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

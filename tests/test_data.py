@@ -330,24 +330,19 @@ class TestWindowAndPointTypes:
         with pytest.raises(ValueError):
             p.e[0, 0] = 1.0
 
-    def test_datapoint_origin_validated(self):
-        with pytest.raises(ValidationError):
-            PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.ones((1, 1, 1)), origin="weird")
-
     def test_point_mask_must_be_binary(self):
         with pytest.raises(ValidationError):
             PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.full((1, 1, 1), 0.5))
 
 
 def random_points(rng: np.random.Generator, count: int, epoch: int = 0) -> PointSet:
-    """Random points whose uids are their positions prefixed with the epoch."""
+    """Random points whose episode ids are their positions plus 1000 times the epoch."""
     return PointSet(
         E=rng.standard_normal((count, 3, 2)),
         Y=rng.standard_normal((count, 2, 2)),
         M=(rng.random((count, 2, 2)) < 0.5).astype(float),
-        origin="synthetic",
+        episode_id=1000 * epoch + np.arange(count),
         created_epoch=epoch,
-        uid=[f"{epoch}:{j}" for j in range(count)],
     )
 
 
@@ -369,10 +364,34 @@ class TestPointSetProperties:
             stacked = np.array([getattr(r, field) for r in rows]).reshape(getattr(both, name).shape)
             assert getattr(both, name).tobytes() == stacked.tobytes()
             assert getattr(both[idx], name).tobytes() == stacked[idx].tobytes()
-        assert [r.uid for r in both[idx]] == [rows[i].uid for i in idx]
+        assert [r.episode_id for r in both[idx]] == [rows[i].episode_id for i in idx]
         assert [r.created_epoch for r in both[idx]] == [rows[i].created_epoch for i in idx]
-        assert [r.uid for r in both[1:]] == [r.uid for r in rows[1:]]
-        assert not any(arr.flags.writeable for arr in (both.E, both[idx].Y, both[1:].M, both[idx].uid))
+        assert [r.episode_id for r in both[1:]] == [r.episode_id for r in rows[1:]]
+        assert not any(arr.flags.writeable for arr in (both.E, both[idx].Y, both[1:].M, both[idx].episode_id))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 23), max_size=30),
+        start=st.integers(0, 24),
+        step=st.integers(1, 3),
+    )
+    def test_provenance_columns_stay_aligned_with_embeddings(self, sizes, picks, start, step):
+        def tagged(epoch, count):
+            """Points whose embedding holds their episode id in its first cell and their epoch in its second."""
+            ids = 100 * epoch + np.arange(count)
+            E = np.zeros((count, 1, 2))
+            E[:, 0, 0], E[:, 0, 1] = ids, epoch
+            Y, M = np.zeros((count, 1, 1)), np.ones((count, 1, 1))
+            return PointSet(E=E, Y=Y, M=M, episode_id=ids, created_epoch=epoch)
+
+        both = PointSet.concat(*(tagged(epoch, count) for epoch, count in enumerate(sizes, start=1)))
+        idx = np.array([i for i in picks if i < len(both)], dtype=np.int64)
+        for cut in (both, both[idx], both[start::step], both[::-1]):
+            assert cut.episode_id.dtype == cut.created_epoch.dtype == np.int64
+            assert cut.episode_id.tolist() == cut.E[:, 0, 0].tolist()
+            assert cut.created_epoch.tolist() == cut.E[:, 0, 1].tolist()
+            assert [(r.episode_id, r.created_epoch) for r in cut] == list(zip(cut.E[:, 0, 0], cut.E[:, 0, 1]))
 
     def test_concat_returns_a_lone_part_with_rows_uncopied(self):
         pts = random_points(np.random.default_rng(0), 3, 1)
@@ -390,7 +409,7 @@ class TestPointSetProperties:
             pool.insert(wave)
             inserted.extend(wave)
             newest = inserted[-cap:] if cap else []
-            assert [p.uid for p in pool.items] == [p.uid for p in newest]
+            assert [p.episode_id for p in pool.items] == [p.episode_id for p in newest]
             assert pool.items.E.tobytes() == b"".join(p.e.tobytes() for p in newest)
             assert len(pool) == len(newest)
 
@@ -419,6 +438,21 @@ class TestTripletIO:
         path = tmp_path / "t.csv"
         path.write_text("episode_id,t_hours,var_id,value\n1,0.5,0,1.0\n1,-2.0,0,1.0\n")
         with pytest.raises(ValidationError, match=":3:"):
+            load_triplets(str(path), n_vars=4)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            (b"episode_id,t_hours,var_id,value\xe9\n1,0.5,0,1.0\n", 1),
+            (b"episode_id,t_hours,var_id,value\n1,0.5,0,1.0\n1,0.7,0,\xff1.0\n", 3),
+            (b"episode_id,t_hours,var_id,value\n" + b"1,0.5,0,1.0\r\n" * 2000 + b"2,0.5,\xc3,1.0\r\n", 2002),
+        ],
+        ids=["header", "row", "row-past-the-first-read-buffer"],
+    )
+    def test_bytes_that_are_not_utf8_raise_parse_error_naming_the_line(self, tmp_path, body, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(body)
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{line}: not UTF-8")):
             load_triplets(str(path), n_vars=4)
 
     def test_malformed_row_names_line(self, tmp_path):
@@ -564,6 +598,13 @@ class TestReportIO:
         back = read_metrics_csv(str(path))
         assert back == rows
         assert "inf" in path.read_text()
+
+    def test_bytes_that_are_not_utf8_raise_parse_error_naming_the_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        write_report_csv([self._row(), self._row(epoch=2)], str(path))
+        path.write_bytes(path.read_bytes().replace(b"r1,zoo,0.75,2,", b"r\xff,zoo,0.75,2,"))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: not UTF-8")):
+            read_metrics_csv(str(path))
 
     metric_floats = st.one_of(st.floats(allow_nan=False), st.sampled_from([math.inf, -math.inf]))
 

@@ -61,7 +61,8 @@ class TestEmbed:
         )
         pts = fc.bake_points(ws, emb)
         assert np.shares_memory(pts.Y, ws.target) and np.shares_memory(pts.M, ws.mask_out)
-        assert list(pts.uid) == ["7:0", "8:4"]
+        assert pts.episode_id.tolist() == [7, 8]
+        assert pts.created_epoch.tolist() == [0, 0]
 
     def test_zero_input_gives_bias_rows(self):
         emb = fc.EmbeddingMap(weight=np.arange(12.0).reshape(6, 2), bias=np.array([3.0, -1.0]))

@@ -283,6 +283,23 @@ class TestAugmentationRun:
         accepted = [a.epoch for a in res.audits if a.accepted]
         assert replayed == accepted
 
+    def test_non_finite_baseline_priv_raises_with_the_baseline_row_flushed(self, tmp_path, monkeypatch):
+        measured = runner.attack_row
+
+        def infinite_priv(*args, **kwargs):
+            row, report = measured(*args, **kwargs)
+            return dataclasses.replace(row, priv_ratio=math.inf), dataclasses.replace(report, priv=math.inf)
+
+        monkeypatch.setattr(runner, "attack_row", infinite_priv)
+        out = tmp_path / "o"
+        cfg = tiny_cfg("zoo", 31, str(out), zoo=ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2))
+        with pytest.raises(ConfigurationError, match="got priv inf"):
+            runner.run_augmentation_experiment(cfg)
+        assert [(r.epoch, r.priv_ratio) for r in read_metrics_csv(str(out / "metrics.csv"))] == [(0, math.inf)]
+        with open(out / f"manifest_{cfg.resolved_run_id()}.csv", newline="", encoding="utf-8") as fh:
+            manifest = list(csv.DictReader(fh))
+        assert [(m["run_id"], m["epoch"], m["accepted"]) for m in manifest] == [(cfg.resolved_run_id(), "0", "1")]
+
     def test_manifest_names_each_rejected_rounds_failed_inequalities(self, tmp_path):
         zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
         out = tmp_path / "o"
@@ -387,7 +404,7 @@ def mixup_wave_one_pair_at_a_time(cfg, wb, epoch, n_samples):
     i1 = wave_rng.choice(len(wb.train_pts), size=n_samples, replace=False)
     i2 = wave_rng.choice(len(wb.train_pts), size=n_samples, replace=False)
     pair_seed = runner.derive_seed(cfg.seed, runner._WAVE_STREAM * 100_000 + epoch)
-    E, Y, M = [], [], []
+    E, Y, M, ids = [], [], [], []
     for j in range(n_samples):
         x1, x2 = wb.train_pts[i1[j]], wb.train_pts[i2[j]]
         lam = float(np.random.default_rng([pair_seed, j]).beta(cfg.mixup.beta, cfg.mixup.beta))
@@ -395,8 +412,8 @@ def mixup_wave_one_pair_at_a_time(cfg, wb, epoch, n_samples):
         E.append(lam * x1.e + (1.0 - lam) * x2.e)
         Y.append(dominant.y)
         M.append(dominant.m)
-    uids = [f"mix{epoch}:{j}" for j in range(n_samples)]
-    return PointSet(E=np.stack(E), Y=np.stack(Y), M=np.stack(M), origin="synthetic", created_epoch=epoch, uid=uids)
+        ids.append(dominant.episode_id)
+    return PointSet(E=np.stack(E), Y=np.stack(Y), M=np.stack(M), episode_id=ids, created_epoch=epoch)
 
 
 class TestMixupRun:
@@ -412,7 +429,7 @@ class TestMixupRun:
         cfg = dataclasses.replace(base_cfg, method="mixup", mixup=MixupConfig(beta=beta))
         wave = runner._generate_wave(cfg, wb, wb.baseline_params, 0.0, epoch, n_samples, None)
         expected = mixup_wave_one_pair_at_a_time(cfg, wb, epoch, n_samples)
-        for name in ("E", "Y", "M", "origin", "created_epoch", "uid"):
+        for name in ("E", "Y", "M", "episode_id", "created_epoch"):
             assert np.array_equal(getattr(wave, name), getattr(expected, name)), name
 
 
