@@ -14,11 +14,10 @@ read-only, so windows and points can be shared freely across workers.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -161,14 +160,17 @@ class Standardizer:
 def _freeze(obj, arrays: Sequence[str], columns: Sequence[str]) -> int:
     """Make a frozen set's `arrays` read-only and give each of its int64 `columns` one value per row.
 
-    A scalar column value applies to every row. Returns the row count, the
-    length of the first array.
+    A scalar column value applies to every row, and a float value must be a
+    whole number. Returns the row count, the length of the first array.
     """
     for name in arrays:
         object.__setattr__(obj, name, readonly(getattr(obj, name)))
     n = len(getattr(obj, arrays[0]))
     for name in columns:
-        col = np.asarray(getattr(obj, name), dtype=np.int64)
+        col = np.asarray(getattr(obj, name))
+        whole = col.dtype.kind == "f" and np.all((col == np.trunc(col)) & (abs(col) < 2.0**63))
+        if not (whole or col.dtype.kind in "biu"):
+            raise ConfigurationError(f"{name} column holds values that are not integers")
         if col.shape not in ((), (n,)):
             raise ConfigurationError(f"{name} column of shape {col.shape} for {n} rows")
         object.__setattr__(obj, name, readonly(np.broadcast_to(col, (n,)).copy(), np.int64))
@@ -436,23 +438,21 @@ _TRIPLET_ROW = np.dtype([("episode_id", np.int64), ("t", np.float64), ("var_id",
 _PLAIN_BYTES = b"0123456789+-.,eEinfatyINFATY \t\r\n"
 
 
-def _utf8_text(read):
-    """`read(path, ...)`, with bytes that are not UTF-8 raised as a ParseError naming the first such line."""
+def _text_lines(path: str) -> Iterator[str]:
+    """The file's lines with their ends, decoded one at a time.
 
-    @functools.wraps(read)
-    def checked(path: str, *args, **kwargs):
+    A line that is not UTF-8 raises ParseError naming it when a reader gets to
+    it, so every fault in an earlier line is raised first.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)  # bytes split at \n, \r\n and \r only
+    for lineno, line in enumerate(lines, start=1):
         try:
-            return read(path, *args, **kwargs)
+            yield line.decode("utf-8")
         except UnicodeDecodeError as exc:
-            with open(path, "rb") as fh:
-                # a line is UTF-8 exactly when decoding it with replacement and encoding it again gives it back
-                bad = next((i for i, b in enumerate(fh, start=1) if b.decode(errors="replace").encode() != b), 0)
-            raise ParseError(f"{path}:{bad}: not UTF-8 text ({exc.reason})") from exc
-
-    return checked
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
 
 
-@_utf8_text
 def load_triplets(path: str, n_vars: int) -> list[Episode]:
     """Load episodes from a triplet CSV (header: episode_id,t_hours,var_id,value).
 
@@ -461,16 +461,13 @@ def load_triplets(path: str, n_vars: int) -> list[Episode]:
     max(ceil(last observation time), 1). Malformed rows and bytes that are not
     UTF-8 raise ParseError, invariant violations ValidationError, each naming a line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            return []
-        if tuple(h.strip() for h in header) != TRIPLET_HEADER:
-            raise ParseError(f"{path}:1: expected header {','.join(TRIPLET_HEADER)}, got {','.join(header)}")
-        try:
-            rows = _parse_plain(fh.read())
-        except ValueError:  # not plain numeric CSV, or not UTF-8
-            rows = None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            rows = _parse_plain(fh.read()) if _is_triplet_header(header) else None
+    except ValueError:  # not plain numeric CSV, or not UTF-8
+        rows = None
+    # anything the vectorized pass cannot take is parsed again line by line, which raises at the first bad line
     if rows is None or not np.all(
         np.isfinite(rows["t"]) & np.isfinite(rows["value"]) & (rows["t"] >= 0)
         & (rows["var_id"] >= 0) & (rows["var_id"] < n_vars)
@@ -501,28 +498,33 @@ def _parse_plain(body: str) -> np.ndarray:
 def _parse_rows(path: str, n_vars: int) -> np.ndarray:
     """Rows of a triplet CSV parsed line by line; raises on the first bad line, naming it."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                eid, t, var, val = int(row[0]), float(row[1]), int(row[2]), float(row[3])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(t) and math.isfinite(val)):
-                raise ParseError(f"{path}:{lineno}: non-finite value")
-            if t < 0:
-                raise ValidationError(f"{path}:{lineno}: negative time {t}")
-            if not 0 <= var < n_vars:
-                raise ValidationError(f"{path}:{lineno}: variable index {var} outside 0..{n_vars - 1}")
-            if not -(2**63) <= eid < 2**63:
-                raise ParseError(f"{path}:{lineno}: episode id {eid} outside the 64-bit range")
-            rows.append((eid, t, var, val))
+    reader = csv.reader(_text_lines(path))
+    header = next(reader, None)
+    if header is not None and not _is_triplet_header(header):
+        raise ParseError(f"{path}:1: expected header {','.join(TRIPLET_HEADER)}, got {','.join(header)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        try:
+            eid, t, var, val = int(row[0]), float(row[1]), int(row[2]), float(row[3])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not (math.isfinite(t) and math.isfinite(val)):
+            raise ParseError(f"{path}:{lineno}: non-finite value")
+        if t < 0:
+            raise ValidationError(f"{path}:{lineno}: negative time {t}")
+        if not 0 <= var < n_vars:
+            raise ValidationError(f"{path}:{lineno}: variable index {var} outside 0..{n_vars - 1}")
+        if not -(2**63) <= eid < 2**63:
+            raise ParseError(f"{path}:{lineno}: episode id {eid} outside the 64-bit range")
+        rows.append((eid, t, var, val))
     return np.array(rows, dtype=_TRIPLET_ROW)
+
+
+def _is_triplet_header(header: list[str] | None) -> bool:
+    return header is not None and tuple(h.strip() for h in header) == TRIPLET_HEADER
 
 
 def write_triplets(episodes: Iterable[Episode], path: str) -> None:
@@ -572,25 +574,23 @@ def write_report_csv(rows: Iterable[MetricsRow], path: str, append: bool = False
             writer.writerow(row.as_list())
 
 
-@_utf8_text
 def read_metrics_csv(path: str) -> list[MetricsRow]:
     rows: list[MetricsRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return rows
-        if tuple(header) != METRICS_HEADER:
-            raise ParseError(f"{path}:1: unexpected metrics header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(METRICS_HEADER):
-                raise ParseError(f"{path}:{lineno}: expected {len(METRICS_HEADER)} fields")
-            try:
-                rows.append(MetricsRow(*row[:3], int(row[3]), *map(float, row[4:])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    reader = csv.reader(_text_lines(path))
+    header = next(reader, None)
+    if header is None:
+        return rows
+    if tuple(header) != METRICS_HEADER:
+        raise ParseError(f"{path}:1: unexpected metrics header")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(METRICS_HEADER):
+            raise ParseError(f"{path}:{lineno}: expected {len(METRICS_HEADER)} fields")
+        try:
+            rows.append(MetricsRow(*row[:3], int(row[3]), *map(float, row[4:])))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 

@@ -334,6 +334,24 @@ class TestWindowAndPointTypes:
         with pytest.raises(ValidationError):
             PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.full((1, 1, 1), 0.5))
 
+    @pytest.mark.parametrize("column, value", [("episode_id", 1.7), ("created_epoch", [np.nan]), ("episode_id", 2.0**70)])
+    def test_point_provenance_must_be_whole_numbers(self, column, value):
+        with pytest.raises(ConfigurationError, match=f"{column} column holds values that are not integers"):
+            PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.ones((1, 1, 1)), **{column: [value]})
+        whole = PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.ones((1, 1, 1)), **{column: [3.0]})
+        assert getattr(whole, column).tolist() == [3]
+
+    @pytest.mark.parametrize("column, value", [("episode_id", 2.9), ("window_start", 0.5)])
+    def test_window_columns_must_be_whole_numbers(self, column, value):
+        with pytest.raises(ConfigurationError, match=f"{column} column holds values that are not integers"):
+            WindowSet(
+                values=np.zeros((1, 2, 1)),
+                mask_in=np.zeros((1, 2, 1)),
+                target=np.zeros((1, 1, 1)),
+                mask_out=np.ones((1, 1, 1)),
+                **{column: [value]},
+            )
+
 
 def random_points(rng: np.random.Generator, count: int, epoch: int = 0) -> PointSet:
     """Random points whose episode ids are their positions plus 1000 times the epoch."""
@@ -453,6 +471,21 @@ class TestTripletIO:
         path = tmp_path / "t.csv"
         path.write_bytes(body)
         with pytest.raises(ParseError, match=re.escape(f"{path}:{line}: not UTF-8")):
+            load_triplets(str(path), n_vars=4)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"episode_id,t_hours,var_id,value\n1,abc,0,1.0\n1,0.7,0,\xff1.0\n", ":2: could not convert"),
+            (b"episode_id,t_hours,var_id,value\n1,0.7,0,\xff1.0\n1,abc,0,1.0\n", ":2: not UTF-8"),
+            (b"episode_id,t_hours,var_id,value\n1,0.5,9,1.0\n1,0.7,0,\xff1.0\n", ":2: variable index 9"),
+        ],
+        ids=["malformed-then-not-utf8", "not-utf8-then-malformed", "invalid-then-not-utf8"],
+    )
+    def test_first_bad_line_is_named_whichever_its_fault(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(body)
+        with pytest.raises((ParseError, ValidationError), match=re.escape(f"{path}{message}")):
             load_triplets(str(path), n_vars=4)
 
     def test_malformed_row_names_line(self, tmp_path):
@@ -604,6 +637,14 @@ class TestReportIO:
         write_report_csv([self._row(), self._row(epoch=2)], str(path))
         path.write_bytes(path.read_bytes().replace(b"r1,zoo,0.75,2,", b"r\xff,zoo,0.75,2,"))
         with pytest.raises(ParseError, match=re.escape(f"{path}:3: not UTF-8")):
+            read_metrics_csv(str(path))
+
+    def test_malformed_row_before_bytes_that_are_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        write_report_csv([self._row(), self._row(epoch=2)], str(path))
+        body = path.read_bytes().replace(b"r1,zoo,0.75,1,", b"r1,zoo,0.75,x,").replace(b"r1,zoo,0.75,2,", b"r\xff,zoo,0.75,2,")
+        path.write_bytes(body)
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: invalid literal")):
             read_metrics_csv(str(path))
 
     metric_floats = st.one_of(st.floats(allow_nan=False), st.sampled_from([math.inf, -math.inf]))

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +266,114 @@ class TestUnrollBits:
         alone = fc.forecast_batch(E, params)
         assert np.array_equal(fc.forecast_batch(np.concatenate([E, other]), params)[:B], alone)
         assert np.array_equal(fc.forecast_batch(np.concatenate([other, E]), params)[extra:], alone)
+
+
+FOLD_SPECS = ("btf,bth->fh", "bth,btk->hk", "bth,btf->hf", "bip,bin->pn")  # the batch-mean folds
+
+
+@st.composite
+def fold_jobs(draw):
+    """One fold job shaped like _backward's: `a` contiguous, `b` contiguous or a
+    time-major buffer's batch-major view. Widths include 1, and so the 1x1 output."""
+    spec = draw(st.sampled_from(FOLD_SPECS))
+    B, T = draw(st.integers(1, 33)), draw(st.integers(1, 25))
+    rows, cols = (draw(st.one_of(st.integers(1, 5), st.sampled_from([16, 32, 33, 64]))) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((B, T, rows)) * 10.0 ** rng.integers(-4, 5, size=(B, T, 1))
+    buffer = rng.standard_normal((T + 1, B, cols))
+    b = buffer.transpose(1, 0, 2)[:, draw(st.integers(0, 1)) :][:, :T]
+    return spec, a, np.ascontiguousarray(b) if draw(st.booleans()) else b
+
+
+def run_in_child(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports privtsf from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fc.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+class TestFolds:
+    @settings(max_examples=150, deadline=None)
+    @given(jobs=st.lists(fold_jobs(), min_size=1, max_size=3), pieces=st.integers(1, 4))
+    def test_folds_equal_einsum_bit_for_bit(self, jobs, pieces):
+        got = fc._folds(*jobs, pieces=pieces)
+        assert len(got) == len(jobs)
+        for out, (spec, a, b) in zip(got, jobs):
+            want = np.einsum(spec, a, b)
+            assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+    def test_concurrent_callers_each_get_einsums_bits(self):
+        # more callers than cores share the pool, with thread switches forced often
+        rng = np.random.default_rng(0)
+        jobs = [(spec, rng.standard_normal((9, 7, 12)), rng.standard_normal((9, 7, 10))) for spec in FOLD_SPECS]
+        want = [np.einsum(*job).tobytes() for job in jobs]
+        bad = []
+
+        def caller():
+            for _ in range(25):
+                if [out.tobytes() for out in fc._folds(*jobs, pieces=4)] != want:
+                    bad.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(2 * fc._WORKERS + 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not bad
+
+    @pytest.mark.parametrize("pieces", [None, 3], ids=["one-per-core", "3"])
+    def test_training_bits_do_not_depend_on_the_split(self, monkeypatch, pieces):
+        # at the acceptance fixture's shape: the default split (or 3 pieces) against one piece per fold
+        n, H, F, T, I = FIXTURE_DIMS
+        episodes = generate(GeneratorConfig(n_episodes=30, seed=21))
+        windows = take_windows(build_windows(episodes, Standardizer.fit(episodes, F), input_len=I, horizon=T), slice(70))
+        cfg = fc.TrainConfig(learning_rate=0.02, batch_size=32, max_epochs=2, hidden_dim=H, n=n, horizon=T, seed=3)
+
+        def run():
+            emb, params = fc.pretrain_embedding(windows, cfg)
+            trained, history = fc.train(fc.bake_points(windows, emb), params, cfg, epochs=3)
+            return [emb.weight, emb.bias, *params.arrays().values(), *trained.arrays().values()], history
+
+        if pieces is not None:
+            monkeypatch.setattr(fc, "_WORKERS", pieces)
+        split_arrays, split_history = run()
+        monkeypatch.setattr(fc, "_WORKERS", 1)
+        serial_arrays, serial_history = run()
+        assert split_history == serial_history
+        for got, want in zip(split_arrays, serial_arrays):
+            assert got.tobytes() == want.tobytes()
+
+    def test_import_starts_no_thread(self):
+        run_in_child(
+            "import threading\n"
+            "before = threading.active_count()\n"
+            "import privtsf, privtsf.cli, privtsf.runner, privtsf.forecaster as fc\n"
+            "assert threading.active_count() == before, threading.enumerate()\n"
+            "import numpy as np\n"
+            "a, b = np.ones((2, 3, 8)), np.ones((2, 3, 8))\n"
+            "fc._folds(('bth,btk->hk', a, b))\n"
+            "assert (threading.active_count() > before) == (fc._POOL is not None)\n"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call on this platform")
+    def test_one_core_takes_the_serial_path(self):
+        run_in_child(
+            "import os, threading\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import numpy as np, privtsf.forecaster as fc\n"
+            "assert fc._WORKERS == 1 and fc._POOL is None\n"
+            "before = threading.active_count()\n"
+            "a, b = np.arange(96.0).reshape(2, 3, 16), np.ones((2, 3, 8))\n"
+            "(out,) = fc._folds(('bth,btk->hk', a, b))\n"
+            "assert out.tobytes() == np.einsum('bth,btk->hk', a, b).tobytes()\n"
+            "assert threading.active_count() == before\n"
+        )
 
 
 class TestGradients:
