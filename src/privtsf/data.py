@@ -14,7 +14,6 @@ read-only, so windows and points can be shared freely across workers.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -462,9 +461,7 @@ def load_triplets(path: str, n_vars: int) -> list[Episode]:
     UTF-8 raise ParseError, invariant violations ValidationError, each naming a line.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-            rows = _parse_plain(fh.read()) if _is_triplet_header(header) else None
+        rows = _parse_plain(path)
     except ValueError:  # not plain numeric CSV, or not UTF-8
         rows = None
     # anything the vectorized pass cannot take is parsed again line by line, which raises at the first bad line
@@ -486,13 +483,24 @@ def load_triplets(path: str, n_vars: int) -> list[Episode]:
     ]
 
 
-def _parse_plain(body: str) -> np.ndarray:
-    """Rows of a CSV body in one vectorized pass; ValueError unless it is plain numeric CSV."""
-    if body.encode("ascii").translate(None, _PLAIN_BYTES):
-        raise ValueError("characters outside the plain numeric alphabet")
-    if not body.strip("\r\n"):
-        return np.empty(0, dtype=_TRIPLET_ROW)
-    return np.loadtxt(io.StringIO(body), dtype=_TRIPLET_ROW, delimiter=",", comments=None, ndmin=1)
+def _parse_plain(path: str) -> np.ndarray:
+    """Rows of a triplet CSV in one vectorized pass; ValueError unless it is plain numeric CSV.
+
+    The body is checked in chunks, then numpy reads it from the open file, so
+    no copy of the whole text is held at once.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        if not _is_triplet_header(next(csv.reader([fh.readline()]), None)):
+            raise ValueError("not a triplet header")
+        start, blank = fh.tell(), True
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            if chunk.encode("ascii").translate(None, _PLAIN_BYTES):
+                raise ValueError("characters outside the plain numeric alphabet")
+            blank = blank and not chunk.strip("\r\n")
+        if blank:
+            return np.empty(0, dtype=_TRIPLET_ROW)
+        fh.seek(start)
+        return np.loadtxt(fh, dtype=_TRIPLET_ROW, delimiter=",", comments=None, ndmin=1)
 
 
 def _parse_rows(path: str, n_vars: int) -> np.ndarray:

@@ -16,8 +16,6 @@ Finite-difference verification lives in the test suite.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -40,14 +38,6 @@ PARAM_FIELDS = ("pos", "w_hidden", "b_hidden", "w_state", "w_feedback", "b_state
 
 _SHUFFLE_STREAM = 7
 _NOISE_STREAM = 8
-
-
-# one fold worker per usable core; a pool starts no thread until its first task
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity call on this platform
-    _WORKERS = os.cpu_count() or 1
-_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="privtsf-fold") if _WORKERS > 1 else None
 
 
 @dataclass
@@ -264,30 +254,6 @@ def masked_batch_losses(pred: np.ndarray, Y: np.ndarray, M: np.ndarray) -> np.nd
     return (((pred - Y) ** 2) * M).sum(axis=(1, 2)) / counts
 
 
-def _folds(*jobs: tuple[str, np.ndarray, np.ndarray], pieces: int | None = None) -> list[np.ndarray]:
-    """`np.einsum(spec, a, b)` for each job, bit for bit, with the work cut across cores.
-
-    Each spec maps to a 2-D output whose first axis is `a`'s last axis, and
-    einsum computes each output element as its own sequential fold over the
-    reduced axes. So bands of output rows can be computed apart without
-    changing a bit. A job is cut into at most `pieces` (default: one per core)
-    bands of at least 2 rows, and only when both output axes are at least 2:
-    einsum folds a 1x1 output with a different loop.
-    """
-    pieces = _WORKERS if pieces is None else pieces
-    outs, tasks = [], []
-    for spec, a, b in jobs:
-        rows, cols = a.shape[-1], b.shape[-1]
-        out = np.empty((rows, cols), np.result_type(a, b))
-        cuts = min(pieces, rows // 2) if min(rows, cols) >= 2 else 1
-        bounds = np.linspace(0, rows, cuts + 1).round().astype(int)
-        tasks += [(spec, a[..., lo:hi], b, out[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        outs.append(out)
-    run = _POOL.map if _POOL is not None and len(tasks) > len(jobs) else map
-    list(run(lambda task: np.einsum(*task[:3], out=task[3]), tasks))
-    return outs
-
-
 def _backward(
     E: np.ndarray,
     Y: np.ndarray,
@@ -345,23 +311,23 @@ def _backward(
             "pos": (E @ dpooled[:, :, None])[:, :, 0],
         }
     else:
-        jobs = [("btf,bth->fh", DY, S[:, 1:]), ("bth,btk->hk", DA, S[:, :T]), ("bth,btf->hf", DA, Yh[:, :T])]
-        if X is not None:
-            dE = params.pos[None, :, None] * dpooled[:, None, :]
-            jobs.append(("bip,bin->pn", X, dE))
-        folds = _folds(*jobs)
+        # einsum folds each output element over (b, t) in order. On contiguous
+        # copies it runs that fold as one loop, on _forward's strided views as
+        # many short ones: the same bits at H, F >= 2, in a third of the time
+        S_next, S_prev, Yh_prev = (np.ascontiguousarray(a) for a in (S[:, 1:], S[:, :T], Yh[:, :T]))
         g = {
-            "w_out": folds[0] / B,
+            "w_out": np.einsum("btf,bth->fh", DY, S_next) / B,
             "b_out": DY.sum(axis=(0, 1)) / B,
-            "w_state": folds[1] / B,
-            "w_feedback": folds[2] / B,
+            "w_state": np.einsum("bth,btk->hk", DA, S_prev) / B,
+            "w_feedback": np.einsum("bth,btf->hf", DA, Yh_prev) / B,
             "b_state": DA.sum(axis=(0, 1)) / B,
             "w_hidden": np.einsum("bh,bn->hn", da0, pooled) / B,
             "b_hidden": da0.sum(axis=0) / B,
             "pos": np.einsum("bn,bin->i", dpooled, E) / B,
         }
         if X is not None:
-            g["emb_weight"] = folds[3] / B
+            dE = params.pos[None, :, None] * dpooled[:, None, :]
+            g["emb_weight"] = np.einsum("bip,bin->pn", X, dE) / B
             g["emb_bias"] = dE.sum(axis=(0, 1)) / B
     return g
 

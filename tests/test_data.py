@@ -464,8 +464,9 @@ class TestTripletIO:
             (b"episode_id,t_hours,var_id,value\xe9\n1,0.5,0,1.0\n", 1),
             (b"episode_id,t_hours,var_id,value\n1,0.5,0,1.0\n1,0.7,0,\xff1.0\n", 3),
             (b"episode_id,t_hours,var_id,value\n" + b"1,0.5,0,1.0\r\n" * 2000 + b"2,0.5,\xc3,1.0\r\n", 2002),
+            (b"episode_id,t_hours,var_id,value\n" + b"1,0.5,0,1.0\r\n" * 90000 + b"2,0.5,\xc3,1.0\r\n", 90002),
         ],
-        ids=["header", "row", "row-past-the-first-read-buffer"],
+        ids=["header", "row", "row-past-the-first-read-buffer", "row-past-the-first-check-chunk"],
     )
     def test_bytes_that_are_not_utf8_raise_parse_error_naming_the_line(self, tmp_path, body, line):
         path = tmp_path / "t.csv"
@@ -479,14 +480,26 @@ class TestTripletIO:
             (b"episode_id,t_hours,var_id,value\n1,abc,0,1.0\n1,0.7,0,\xff1.0\n", ":2: could not convert"),
             (b"episode_id,t_hours,var_id,value\n1,0.7,0,\xff1.0\n1,abc,0,1.0\n", ":2: not UTF-8"),
             (b"episode_id,t_hours,var_id,value\n1,0.5,9,1.0\n1,0.7,0,\xff1.0\n", ":2: variable index 9"),
+            (b"episode_id,t_hours,var_id,value\n" + b"1,0.5,0,1.0\n" * 90000 + b"1,abc,0,1.0\n", ":90002: could not convert"),
         ],
-        ids=["malformed-then-not-utf8", "not-utf8-then-malformed", "invalid-then-not-utf8"],
+        ids=["malformed-then-not-utf8", "not-utf8-then-malformed", "invalid-then-not-utf8", "malformed-past-the-first-check-chunk"],
     )
     def test_first_bad_line_is_named_whichever_its_fault(self, tmp_path, body, message):
         path = tmp_path / "t.csv"
         path.write_bytes(body)
         with pytest.raises((ParseError, ValidationError), match=re.escape(f"{path}{message}")):
             load_triplets(str(path), n_vars=4)
+
+    def test_plain_body_longer_than_one_check_chunk(self, tmp_path):
+        # the vectorized pass checks the body in 1 MiB chunks, then reads it again from its first row
+        path = tmp_path / "t.csv"
+        rows = b"".join(b"%d,%d.5,%d,-1e3\r\n" % (i % 9, i, i % 4) for i in range(90000))
+        path.write_bytes(b"episode_id,t_hours,var_id,value\r\n" + rows)
+        episodes = load_triplets(str(path), n_vars=4)
+        assert [e.episode_id for e in episodes] == list(range(9))
+        assert [len(e.t) for e in episodes] == [10000] * 9
+        assert episodes[0].t[0] == 0.5 and episodes[8].t[-1] == 89999.5
+        assert all(e.value.tolist() == [-1000.0] * 10000 for e in episodes)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -2,7 +2,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -231,21 +230,18 @@ class TestUnrollBits:
             assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-        dims=st.one_of(small_dims.filter(lambda d: min(d[1], d[2]) >= 2), st.just(FIXTURE_DIMS)),
-    )
+    @given(B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), dims=st.one_of(small_dims, st.just(FIXTURE_DIMS)))
     def test_backward_on_views_equals_backward_on_contiguous_copies(self, B, seed, dims):
-        # guards the einsum and batched-matmul summation order on the strided views
-        # _forward returns, for H >= 2 and F >= 2. At H = 1 or F = 1 a view's batch
-        # or time axis becomes a strided vector; einsum and the matrix-vector product
-        # then round differently from the batch-major layout, so some gradients move
-        # in the last bits (forecasts and losses do not)
+        # the batch-mean folds copy their operands, so they agree at every width. The
+        # per-sample batched matmuls read the views, and at H = 1 or F = 1 they round
+        # differently from the batch-major layout, so they are checked at H, F >= 2
         params, E, Y, M, rng = unroll_case(seed, B, dims)
         X = rng.standard_normal((B, params.input_hours, 2 * params.n_vars))
         views = fc._forward(E, params)
         copies = [np.ascontiguousarray(a) for a in views]
         for per_sample, X_in in ((False, None), (True, None), (False, X)):
+            if per_sample and min(params.hidden_dim, params.n_vars) < 2:
+                continue
             got = fc._backward(E, Y, M, params, *views, per_sample=per_sample, X=X_in)
             want = fc._backward(E, Y, M, params, *copies, per_sample=per_sample, X=X_in)
             assert got.keys() == want.keys()
@@ -268,21 +264,37 @@ class TestUnrollBits:
         assert np.array_equal(fc.forecast_batch(np.concatenate([other, E]), params)[extra:], alone)
 
 
-FOLD_SPECS = ("btf,bth->fh", "bth,btk->hk", "bth,btf->hf", "bip,bin->pn")  # the batch-mean folds
-
-
-@st.composite
-def fold_jobs(draw):
-    """One fold job shaped like _backward's: `a` contiguous, `b` contiguous or a
-    time-major buffer's batch-major view. Widths include 1, and so the 1x1 output."""
-    spec = draw(st.sampled_from(FOLD_SPECS))
-    B, T = draw(st.integers(1, 33)), draw(st.integers(1, 25))
-    rows, cols = (draw(st.one_of(st.integers(1, 5), st.sampled_from([16, 32, 33, 64]))) for _ in range(2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.standard_normal((B, T, rows)) * 10.0 ** rng.integers(-4, 5, size=(B, T, 1))
-    buffer = rng.standard_normal((T + 1, B, cols))
-    b = buffer.transpose(1, 0, 2)[:, draw(st.integers(0, 1)) :][:, :T]
-    return spec, a, np.ascontiguousarray(b) if draw(st.booleans()) else b
+def strided_mean_backward(E, Y, M, params, pooled, S, Yh, X=None):
+    """Reference batch-mean backward: every fold is np.einsum run directly on
+    _forward's strided views, with no contiguous copies."""
+    B, T, H = Y.shape[0], Y.shape[1], params.hidden_dim
+    dY_loss = 2.0 * M * (Yh[:, 1:] - Y) / M.sum(axis=(1, 2))[:, None, None]
+    DY, DA, da = np.empty(Y.shape), np.empty((B, T, H)), None
+    for t in range(T, 0, -1):
+        dy, ds = dY_loss[:, t - 1].copy(), np.zeros((B, H))
+        if da is not None:
+            dy += da @ params.w_feedback
+            ds += da @ params.w_state
+        ds += dy @ params.w_out
+        da = ds * (1.0 - S[:, t] ** 2)
+        DY[:, t - 1], DA[:, t - 1] = dy, da
+    da0 = (DA[:, 0] @ params.w_state) * (1.0 - S[:, 0] ** 2)
+    dpooled = da0 @ params.w_hidden
+    g = {
+        "w_out": np.einsum("btf,bth->fh", DY, S[:, 1:]) / B,
+        "b_out": DY.sum(axis=(0, 1)) / B,
+        "w_state": np.einsum("bth,btk->hk", DA, S[:, :T]) / B,
+        "w_feedback": np.einsum("bth,btf->hf", DA, Yh[:, :T]) / B,
+        "b_state": DA.sum(axis=(0, 1)) / B,
+        "w_hidden": np.einsum("bh,bn->hn", da0, pooled) / B,
+        "b_hidden": da0.sum(axis=0) / B,
+        "pos": np.einsum("bn,bin->i", dpooled, E) / B,
+    }
+    if X is not None:
+        dE = params.pos[None, :, None] * dpooled[:, None, :]
+        g["emb_weight"] = np.einsum("bip,bin->pn", X, dE) / B
+        g["emb_bias"] = dE.sum(axis=(0, 1)) / B
+    return g
 
 
 def run_in_child(code: str) -> None:
@@ -293,86 +305,36 @@ def run_in_child(code: str) -> None:
 
 
 class TestFolds:
-    @settings(max_examples=150, deadline=None)
-    @given(jobs=st.lists(fold_jobs(), min_size=1, max_size=3), pieces=st.integers(1, 4))
-    def test_folds_equal_einsum_bit_for_bit(self, jobs, pieces):
-        got = fc._folds(*jobs, pieces=pieces)
-        assert len(got) == len(jobs)
-        for out, (spec, a, b) in zip(got, jobs):
-            want = np.einsum(spec, a, b)
-            assert out.shape == want.shape and out.tobytes() == want.tobytes()
-
-    def test_concurrent_callers_each_get_einsums_bits(self):
-        # more callers than cores share the pool, with thread switches forced often
-        rng = np.random.default_rng(0)
-        jobs = [(spec, rng.standard_normal((9, 7, 12)), rng.standard_normal((9, 7, 10))) for spec in FOLD_SPECS]
-        want = [np.einsum(*job).tobytes() for job in jobs]
-        bad = []
-
-        def caller():
-            for _ in range(25):
-                if [out.tobytes() for out in fc._folds(*jobs, pieces=4)] != want:
-                    bad.append(1)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller) for _ in range(2 * fc._WORKERS + 2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not bad
-
-    @pytest.mark.parametrize("pieces", [None, 3], ids=["one-per-core", "3"])
-    def test_training_bits_do_not_depend_on_the_split(self, monkeypatch, pieces):
-        # at the acceptance fixture's shape: the default split (or 3 pieces) against one piece per fold
-        n, H, F, T, I = FIXTURE_DIMS
-        episodes = generate(GeneratorConfig(n_episodes=30, seed=21))
-        windows = take_windows(build_windows(episodes, Standardizer.fit(episodes, F), input_len=I, horizon=T), slice(70))
-        cfg = fc.TrainConfig(learning_rate=0.02, batch_size=32, max_epochs=2, hidden_dim=H, n=n, horizon=T, seed=3)
-
-        def run():
-            emb, params = fc.pretrain_embedding(windows, cfg)
-            trained, history = fc.train(fc.bake_points(windows, emb), params, cfg, epochs=3)
-            return [emb.weight, emb.bias, *params.arrays().values(), *trained.arrays().values()], history
-
-        if pieces is not None:
-            monkeypatch.setattr(fc, "_WORKERS", pieces)
-        split_arrays, split_history = run()
-        monkeypatch.setattr(fc, "_WORKERS", 1)
-        serial_arrays, serial_history = run()
-        assert split_history == serial_history
-        for got, want in zip(split_arrays, serial_arrays):
-            assert got.tobytes() == want.tobytes()
+    @settings(max_examples=60, deadline=None)
+    @given(
+        B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+        dims=st.one_of(small_dims.filter(lambda d: min(d[1], d[2]) >= 2), st.just(FIXTURE_DIMS)),
+    )
+    def test_folds_equal_einsum_bit_for_bit(self, B, seed, dims):
+        # the batch-mean folds on contiguous copies equal einsum on the strided views
+        params, E, Y, M, rng = unroll_case(seed, B, dims)
+        X = rng.standard_normal((B, params.input_hours, 2 * params.n_vars))
+        views = fc._forward(E, params)
+        for X_in in (None, X):
+            got = fc._backward(E, Y, M, params, *views, per_sample=False, X=X_in)
+            want = strided_mean_backward(E, Y, M, params, *views, X=X_in)
+            assert got.keys() == want.keys()
+            for name in got:
+                assert got[name].tobytes() == want[name].tobytes(), (X_in is not None, name)
 
     def test_import_starts_no_thread(self):
         run_in_child(
             "import threading\n"
             "before = threading.active_count()\n"
             "import privtsf, privtsf.cli, privtsf.runner, privtsf.forecaster as fc\n"
+            "from privtsf.data import Standardizer, build_windows\n"
+            "from privtsf.synth import GeneratorConfig, generate\n"
+            "episodes = generate(GeneratorConfig(n_episodes=8, seed=5))\n"
+            "windows = build_windows(episodes, Standardizer.fit(episodes, 16))\n"
+            "cfg = fc.TrainConfig(max_epochs=1, hidden_dim=8, n=8)\n"
+            "emb, params = fc.pretrain_embedding(windows, cfg)\n"
+            "fc.train(fc.bake_points(windows, emb), params, cfg, epochs=1)\n"
             "assert threading.active_count() == before, threading.enumerate()\n"
-            "import numpy as np\n"
-            "a, b = np.ones((2, 3, 8)), np.ones((2, 3, 8))\n"
-            "fc._folds(('bth,btk->hk', a, b))\n"
-            "assert (threading.active_count() > before) == (fc._POOL is not None)\n"
-        )
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call on this platform")
-    def test_one_core_takes_the_serial_path(self):
-        run_in_child(
-            "import os, threading\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "import numpy as np, privtsf.forecaster as fc\n"
-            "assert fc._WORKERS == 1 and fc._POOL is None\n"
-            "before = threading.active_count()\n"
-            "a, b = np.arange(96.0).reshape(2, 3, 16), np.ones((2, 3, 8))\n"
-            "(out,) = fc._folds(('bth,btk->hk', a, b))\n"
-            "assert out.tobytes() == np.einsum('bth,btk->hk', a, b).tobytes()\n"
-            "assert threading.active_count() == before\n"
         )
 
 
