@@ -29,7 +29,6 @@ from .data import (
 from .forecaster import DpConfig, TrainConfig
 from .runner import (
     METHODS,
-    AcceptanceState,
     RunConfig,
     attack_row,
     build_tradeoff,
@@ -44,9 +43,6 @@ log = logging.getLogger("privtsf")
 
 
 def _load_json(path: str) -> dict:
-    if not os.path.exists(path):
-        print(f"error: config file not found: {path}", file=sys.stderr)
-        raise SystemExit(2)
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
@@ -189,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="merge metrics files into a tradeoff CSV")
     p.add_argument("--metrics", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--eps-priv", type=float, default=AcceptanceState.eps_priv)
-    p.add_argument("--eps-mse", type=float, default=AcceptanceState.eps_mse)
-    p.add_argument("--beta", type=float, default=AcceptanceState.beta_accept)
 
     return parser
 
@@ -241,13 +234,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "attack":
         cfg = _runconfig_from(_load_json(args.config), args, method="baseline")
         wb = build_workbench(cfg)
-        run_id = cfg.run_id or f"attack_s{args.seed}"
+        run_id = cfg.run_id or f"attack_{args.nonmembers}_s{args.seed}"
         row, report = attack_row(run_id, "baseline", "", wb.baseline_params, wb, args.nonmembers)
         out_dir = cfg.output_dir
         os.makedirs(out_dir, exist_ok=True)
         write_roc_csv(report.roc.tolist(), os.path.join(out_dir, f"roc_{run_id}.csv"))
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        write_report_csv([row], metrics_path, append=os.path.exists(metrics_path))
+        write_report_csv([row], os.path.join(out_dir, "metrics.csv"))
         log.info("attack: tpr=%.4f fpr=%.4f priv=%.4f auroc=%.4f", report.tpr, report.fpr, report.priv, report.auroc)
         return 0
 
@@ -276,7 +268,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         rows = []
         for path in args.metrics:
             rows.extend(read_metrics_csv(path))
-        entries = build_tradeoff(rows, eps_priv=args.eps_priv, eps_mse=args.eps_mse, beta=args.beta)
+        entries = build_tradeoff(rows)
         write_tradeoff_csv(entries, args.out)
         log.info("wrote %d tradeoff rows to %s", len(entries), args.out)
         return 0

@@ -571,12 +571,11 @@ class MetricsRow:
         return [*fields[:3], str(self.epoch), *map(_fmt, fields[4:])]
 
 
-def write_report_csv(rows: Iterable[MetricsRow], path: str, append: bool = False) -> None:
-    """Write (or extend) a metrics CSV with the documented schema."""
-    mode = "a" if append else "w"
-    with open(path, mode, newline="", encoding="utf-8") as fh:
+def write_report_csv(rows: Iterable[MetricsRow], path: str) -> None:
+    """Append rows to a metrics CSV with the documented schema, starting an empty or new file with the header."""
+    with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if not append or fh.tell() == 0:
+        if fh.tell() == 0:
             writer.writerow(METRICS_HEADER)
         for row in rows:
             writer.writerow(row.as_list())

@@ -429,14 +429,13 @@ def train(
     points: PointSet,
     params: ForecasterParams,
     cfg: TrainConfig,
-    epochs: int | None = None,
-    seed: int | None = None,
+    epochs: int,
+    seed: int,
 ) -> tuple[ForecasterParams, list[float]]:
     """Minibatch SGD for a fixed number of epochs; returns params and per-epoch mean loss."""
     if len(points) == 0:
         raise DomainError("empty training set")
-    epochs = cfg.max_epochs if epochs is None else epochs
-    rng = np.random.default_rng([cfg.seed if seed is None else seed, _SHUFFLE_STREAM])
+    rng = np.random.default_rng([seed, _SHUFFLE_STREAM])
     return _run_epochs(params, len(points), cfg.batch_size, epochs, rng, lambda p, idx: train_step(points[idx], p, cfg))
 
 

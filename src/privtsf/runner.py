@@ -26,7 +26,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -91,15 +91,18 @@ def derive_seed(master: int, tag: int) -> int:
     return int(np.random.SeedSequence([master, tag]).generate_state(1)[0])
 
 
+# the gate's fixed tolerances: relative slack on priv and heldout MSE, and the weight of MSE in the combined objective
+EPS_PRIV = 0.005
+EPS_MSE = 0.005
+BETA_ACCEPT = 3.0
+
+
 @dataclass
 class AcceptanceState:
-    """Best accepted privacy/error pair plus the gate tolerances."""
+    """Best accepted privacy/error pair."""
 
     priv_best: float
     mse_best: float
-    eps_priv: float = 0.005
-    eps_mse: float = 0.005
-    beta_accept: float = 3.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.priv_best) and math.isfinite(self.mse_best)):
@@ -115,10 +118,10 @@ def apply_gate(state: AcceptanceState, priv_value: float, mse_value: float) -> t
     """
     if not (math.isfinite(priv_value) and math.isfinite(mse_value)):
         return False, "non-finite candidate metrics", state
-    ok_priv = priv_value <= (1.0 + state.eps_priv) * state.priv_best
-    ok_mse = mse_value <= (1.0 + state.eps_mse) * state.mse_best
-    combined = priv_value + state.beta_accept * mse_value
-    ok_combined = combined <= state.priv_best + state.beta_accept * state.mse_best
+    ok_priv = priv_value <= (1.0 + EPS_PRIV) * state.priv_best
+    ok_mse = mse_value <= (1.0 + EPS_MSE) * state.mse_best
+    combined = priv_value + BETA_ACCEPT * mse_value
+    ok_combined = combined <= state.priv_best + BETA_ACCEPT * state.mse_best
     if ok_priv and ok_mse and ok_combined:
         return True, "", replace(state, priv_best=priv_value, mse_best=mse_value)
     failed = (name for name, ok in (("priv", ok_priv), ("mse", ok_mse), ("combined", ok_combined)) if not ok)
@@ -164,9 +167,10 @@ class RunConfig:
     input_len: int = 24
     max_start: int = 96
     checkpoint: str = ""
-    eps_priv: float = AcceptanceState.eps_priv
-    eps_mse: float = AcceptanceState.eps_mse
-    beta_accept: float = AcceptanceState.beta_accept
+    # not fields, so no config sets them; kept as attributes because the benchmark's gate check reads them
+    eps_priv: ClassVar[float] = EPS_PRIV
+    eps_mse: ClassVar[float] = EPS_MSE
+    beta_accept: ClassVar[float] = BETA_ACCEPT
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -189,9 +193,9 @@ class RunConfig:
         if self.run_id:
             return self.run_id
         if self.method in ("zoo", "zoo_pca"):
-            return f"{self.method}_a{self.zoo.alpha}_s{self.seed}"
+            return f"{self.method}_a{self.param_tag()}_s{self.seed}"
         if self.method == "mixup":
-            return f"mixup_b{self.mixup.beta}_s{self.seed}"
+            return f"mixup_b{self.param_tag()}_s{self.seed}"
         return f"{self.method}_s{self.seed}"
 
     def param_tag(self) -> str:
@@ -237,7 +241,7 @@ def load_episodes(cfg: RunConfig) -> list[Episode]:
     raise ConfigurationError("config needs data_path or an inline generator")
 
 
-def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Workbench:
+def build_workbench(cfg: RunConfig) -> Workbench:
     """Split, standardize, window, pretrain, and train the baseline to convergence.
 
     When cfg.checkpoint points at a saved baseline, its embedding, forecaster
@@ -254,8 +258,7 @@ def build_workbench(cfg: RunConfig, episodes: list[Episode] | None = None) -> Wo
         for key, value in run.items():
             if meta[key] != value:
                 raise ConfigurationError(f"checkpoint {cfg.checkpoint} has {key} {meta[key]}, the run config {value}")
-    if episodes is None:
-        episodes = load_episodes(cfg)
+    episodes = load_episodes(cfg)
     train_eps, held_eps, test_eps = (
         [ep for ep in episodes if ep.episode_id in ids]
         for ids in split_by_episode(episodes, cfg.split_fractions, derive_seed(cfg.seed, _SPLIT_STREAM))
@@ -424,10 +427,7 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
 
     try:
         # a non-finite baseline cannot seed the gate: a ConfigurationError, raised with the baseline row flushed
-        state = None if rounds == 0 else AcceptanceState(
-            priv_best=report.priv, mse_best=row.mse_heldout,
-            eps_priv=cfg.eps_priv, eps_mse=cfg.eps_mse, beta_accept=cfg.beta_accept,
-        )
+        state = None if rounds == 0 else AcceptanceState(priv_best=report.priv, mse_best=row.mse_heldout)
         for r in range(1, rounds + 1):
             # an accepted round already measured the current model over train + the current pool
             tau_ref = report.tau if audits[-1].accepted else mse_set(PointSet.concat(wb.train_pts, pool.items), params)
@@ -448,9 +448,9 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
             row, candidate_report = attack_row(
                 run_id, cfg.method, tag, candidate, wb, "heldout", pool=pool.items, epoch=r
             )
-            rows.append(row)
             accepted, reason, new_state = apply_gate(state, candidate_report.priv, row.mse_heldout)
             steps = cfg.zoo.steps if cfg.method in ("zoo", "zoo_pca") else 0
+            rows.append(row)
             audits.append(
                 RoundAudit(
                     r, accepted, pool_size=len(pool), samples_generated=len(wave), steps_executed=steps, reason=reason
@@ -505,15 +505,14 @@ def _flush_outputs(cfg: RunConfig, rows: list[MetricsRow], audits: list[RoundAud
     if not cfg.output_dir:
         return
     os.makedirs(cfg.output_dir, exist_ok=True)
-    metrics_path = os.path.join(cfg.output_dir, "metrics.csv")
-    write_report_csv(rows, metrics_path, append=os.path.exists(metrics_path))
+    write_report_csv(rows, os.path.join(cfg.output_dir, "metrics.csv"))
     manifest_path = os.path.join(cfg.output_dir, f"manifest_{cfg.resolved_run_id()}.csv")
     with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
-        for a in audits:
+        for row, a in zip(rows, audits, strict=True):
             fields = (a.epoch, int(a.accepted), a.pool_size, a.samples_generated, a.steps_executed, a.reason)
-            writer.writerow([cfg.resolved_run_id(), cfg.method, cfg.param_tag(), *fields])
+            writer.writerow([row.run_id, row.method, row.alpha_or_beta, *fields])
 
 
 def _write_final_artifacts(cfg: RunConfig, wb: Workbench, params: ForecasterParams, report: AttackReport) -> None:
@@ -525,12 +524,7 @@ def _write_final_artifacts(cfg: RunConfig, wb: Workbench, params: ForecasterPara
     save_checkpoint(os.path.join(cfg.output_dir, f"checkpoint_{run_id}.npz"), wb.emb, params, wb.std, cfg.seed)
 
 
-def replay_gate(
-    rows: Sequence[MetricsRow],
-    eps_priv: float = AcceptanceState.eps_priv,
-    eps_mse: float = AcceptanceState.eps_mse,
-    beta: float = AcceptanceState.beta_accept,
-) -> list[int]:
+def replay_gate(rows: Sequence[MetricsRow]) -> list[int]:
     """Re-run the acceptance gate over logged rows of one run.
 
     Row 0 (the baseline evaluation) initializes the bests and counts as
@@ -538,9 +532,7 @@ def replay_gate(
     """
     if not rows:
         return []
-    state = AcceptanceState(
-        priv_best=rows[0].priv_ratio, mse_best=rows[0].mse_heldout, eps_priv=eps_priv, eps_mse=eps_mse, beta_accept=beta
-    )
+    state = AcceptanceState(priv_best=rows[0].priv_ratio, mse_best=rows[0].mse_heldout)
     accepted = [0]
     for i, row in enumerate(rows[1:], start=1):
         ok, _, state = apply_gate(state, row.priv_ratio, row.mse_heldout)
@@ -549,12 +541,7 @@ def replay_gate(
     return accepted
 
 
-def build_tradeoff(
-    rows: Sequence[MetricsRow],
-    eps_priv: float = AcceptanceState.eps_priv,
-    eps_mse: float = AcceptanceState.eps_mse,
-    beta: float = AcceptanceState.beta_accept,
-):
+def build_tradeoff(rows: Sequence[MetricsRow]):
     """One tradeoff entry per run: the final accepted model's priv and test MSE.
 
     Gated methods replay the acceptance gate to locate the final accepted row;
@@ -579,7 +566,7 @@ def build_tradeoff(
             chosen = [run_rows[0]]
         else:
             ordered = sorted(run_rows, key=lambda r: r.epoch)
-            accepted = replay_gate(ordered, eps_priv, eps_mse, beta)
+            accepted = replay_gate(ordered)
             chosen = [ordered[accepted[-1]]]
         for row in chosen:
             out.append((run_id, row.method, row.alpha_or_beta, row.mse_test, row.priv_ratio, row.auroc))

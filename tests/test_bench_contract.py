@@ -12,9 +12,14 @@ attack-convention metrics row, and `train` must return (params, history).
 each per-layer metric from the spans of some of them; a function it cannot
 find is left untraced and its metrics read 0. Those names are pinned here,
 so a rename in the package fails a test instead.
+
+`bench/selftest.py`, the benchmark's tests of its own reference code, runs
+here in a child interpreter, so a change to a package function it calls
+(`replay_gate`, `LossTable`, `forecast_batch`) fails tier-1 too.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -88,3 +93,8 @@ def test_train_returns_params_and_history(small_wb):
     params, history = fc.train(wb.train_pts[:64], wb.baseline_params, cfg.train, epochs=2, seed=3)
     assert isinstance(params, fc.ForecasterParams)
     assert len(history) == 2
+
+
+def test_bench_selftest_passes():
+    done = subprocess.run([sys.executable, str(BENCH / "selftest.py")], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -61,13 +61,6 @@ class TestGenData:
 
 
 class TestErrors:
-    def test_missing_config_exits_2_with_path(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.json")
-        with pytest.raises(SystemExit) as exc:
-            main(["pretrain", "--config", missing, "--seed", "1"])
-        assert exc.value.code == 2
-        assert missing in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "argv, in_config, directory",
         [
@@ -78,6 +71,7 @@ class TestErrors:
             (["augment", "--method", "zoo", "--checkpoint", "INPUT"], False, False),
             (["dp-train", "--checkpoint", "INPUT"], False, False),
             (["report", "--metrics", "INPUT"], False, False),
+            (["pretrain", "--config", "INPUT", "--seed", "1"], False, False),
         ],
     )
     def test_missing_or_directory_input_exits_2_with_path(self, tmp_path, capsys, argv, in_config, directory):
@@ -87,7 +81,7 @@ class TestErrors:
         argv = [str(path) if a == "INPUT" else a for a in argv]
         if argv[0] == "report":
             argv += ["--out", str(tmp_path / "t.csv")]
-        else:
+        elif "--config" not in argv:
             config = tmp_path / "c.json"
             write_config(config, **({"data": str(path)} if in_config else {}))
             argv += ["--config", str(config), "--seed", "1"]
@@ -208,6 +202,29 @@ class TestConfig:
         args = build_parser().parse_args(argv + ["--config", "c.json", "--seed", "5"])
         expected = RunConfig(method=method, seed=5, output_dir="out", train=TrainConfig(seed=5), **extra)
         assert _runconfig_from({}, args, method) == expected
+
+    @pytest.mark.parametrize(
+        "method, cfg, flag, run_id",
+        [
+            ("zoo", {"zoo": {"alpha": 1}}, ["--alpha", "1"], "zoo_a1.0_s31"),
+            ("zoo_pca", {"zoo": {"alpha": 0.75}}, ["--alpha", "0.75"], "zoo_pca_a0.75_s31"),
+            ("mixup", {"mixup_beta": 1}, ["--beta", "1"], "mixup_b1.0_s31"),
+        ],
+    )
+    def test_one_parameter_value_gives_one_run_id(self, method, cfg, flag, run_id):
+        argv = ["augment", "--method", method, "--config", "c.json", "--seed", "31"]
+        from_json = _runconfig_from(cfg, build_parser().parse_args(argv), method)
+        from_flag = _runconfig_from({}, build_parser().parse_args(argv + flag), method)
+        assert from_json.resolved_run_id() == from_flag.resolved_run_id() == run_id
+
+    def test_gate_tolerances_are_not_settable(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, eps_priv=0.01)
+        assert main(["augment", "--method", "zoo", "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert "unknown config key(s): eps_priv" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--eps-priv", "0.01", "--metrics", "m.csv", "--out", str(tmp_path / "t.csv")])
+        assert exc.value.code == 2
 
     def test_aliases_and_flags(self):
         cfg = {"data": "a.csv", "split": [0.5, 0.25, 0.25], "mixup_beta": 5.0, "generator": {"n_episodes": 9}}
@@ -377,3 +394,21 @@ class TestPipeline:
         assert main(["report", "--metrics", str(metrics_path), "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 6  # header + 5 rows
+
+    def test_default_attack_ids_name_their_nonmembers(self, tmp_path):
+        # attacks on test and on heldout non-members are two runs, and report keeps both
+        ckpt = tmp_path / "c.npz"
+        emb, params = init_params(16, 16, 16, 24, seed=0, input_hours=24)
+        save_checkpoint(str(ckpt), emb, params, identity_standardizer(16), seed=12)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, generator={"n_episodes": 60})
+        for nonmembers in ("test", "heldout"):
+            argv = ["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--seed", "12"]
+            assert main(argv + ["--nonmembers", nonmembers]) == 0
+        out = tmp_path / "out"
+        ids = ["attack_test_s12", "attack_heldout_s12"]
+        assert [r.run_id for r in read_metrics_csv(str(out / "metrics.csv"))] == ids
+        assert all((out / f"roc_{run_id}.csv").exists() for run_id in ids)
+        tradeoff = tmp_path / "tradeoff.csv"
+        assert main(["report", "--metrics", str(out / "metrics.csv"), "--out", str(tradeoff)]) == 0
+        assert [line.split(",")[0] for line in tradeoff.read_text().splitlines()[1:]] == ids

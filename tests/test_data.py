@@ -691,7 +691,7 @@ class TestReportIO:
     def test_append_mode_keeps_single_header(self, tmp_path):
         path = tmp_path / "metrics.csv"
         write_report_csv([self._row()], str(path))
-        write_report_csv([self._row(epoch=2)], str(path), append=True)
+        write_report_csv([self._row(epoch=2)], str(path))
         text = path.read_text()
         assert text.count("run_id") == 1
         assert len(read_metrics_csv(str(path))) == 2

@@ -333,7 +333,7 @@ class TestFolds:
             "windows = build_windows(episodes, Standardizer.fit(episodes, 16))\n"
             "cfg = fc.TrainConfig(max_epochs=1, hidden_dim=8, n=8)\n"
             "emb, params = fc.pretrain_embedding(windows, cfg)\n"
-            "fc.train(fc.bake_points(windows, emb), params, cfg, epochs=1)\n"
+            "fc.train(fc.bake_points(windows, emb), params, cfg, epochs=1, seed=cfg.seed)\n"
             "assert threading.active_count() == before, threading.enumerate()\n"
         )
 
@@ -415,7 +415,7 @@ class TestTrainStep:
         _, params = fc.init_params(4, 4, 3, 2, seed=1, input_hours=5)
         pts = make_points(np.random.default_rng(3), 11, 5, 4, 2, 3)
         cfg = fc.TrainConfig(learning_rate=1e-300, batch_size=4, max_epochs=3, hidden_dim=4, n=4, horizon=2)
-        _, history = fc.train(pts, params, cfg, seed=7)
+        _, history = fc.train(pts, params, cfg, epochs=3, seed=7)
         assert history == pytest.approx([mse_set(pts, params)] * 3, rel=1e-12)
 
     def test_zero_learning_rate_leaves_params_unchanged(self):

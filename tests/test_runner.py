@@ -81,13 +81,10 @@ class TestGate:
     @given(
         priv=st.floats(0.0, 1e12),
         mse=st.floats(0.0, 1e12),
-        eps_priv=st.floats(0.0, 1.0),
-        eps_mse=st.floats(0.0, 1.0),
-        beta=st.floats(0.0, 100.0),
     )
-    def test_equal_candidate_accepted_and_state_unchanged(self, priv, mse, eps_priv, eps_mse, beta):
+    def test_equal_candidate_accepted_and_state_unchanged(self, priv, mse):
         # the gate is idempotent at equality: re-gating the bests accepts them and moves nothing
-        state = runner.AcceptanceState(priv, mse, eps_priv=eps_priv, eps_mse=eps_mse, beta_accept=beta)
+        state = runner.AcceptanceState(priv, mse)
         ok, reason, new = runner.apply_gate(state, state.priv_best, state.mse_best)
         assert ok, reason
         assert new == state
@@ -246,10 +243,11 @@ class TestAugmentationRun:
         assert [r.epoch for r in res.rows] == [0, 1, 2, 3]
         assert len(res.audits) == 4
 
-    def test_all_rejected_keeps_baseline(self, tmp_path):
+    def test_all_rejected_keeps_baseline(self, tmp_path, monkeypatch):
         # an impossible privacy tolerance rejects every candidate
+        monkeypatch.setattr(runner, "EPS_PRIV", -0.9999)
         zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
-        cfg = tiny_cfg("zoo", 31, str(tmp_path / "o"), zoo=zoo, rounds=2, eps_priv=-0.9999)
+        cfg = tiny_cfg("zoo", 31, str(tmp_path / "o"), zoo=zoo, rounds=2)
         res = runner.run_augmentation_experiment(cfg)
         assert res.final_epoch == 0
         assert not any(a.accepted for a in res.audits[1:])
@@ -345,6 +343,15 @@ class TestAugmentationRun:
         a = (tmp_path / "a" / "metrics.csv").read_bytes()
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
+
+    def test_dp_manifest_rows_name_their_sigma(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = tiny_cfg("dp_sgd", 31, str(out), dp=DpConfig(), dp_sigma_grid=(1.1, 2.0), dp_epochs=1)
+        res = runner.run_dp_baseline(cfg)
+        with open(out / f"manifest_{cfg.resolved_run_id()}.csv", newline="", encoding="utf-8") as fh:
+            manifest = [(m["run_id"], m["method"], m["alpha_or_beta"]) for m in csv.DictReader(fh)]
+        assert manifest == [(r.run_id, r.method, r.alpha_or_beta) for r in res.rows]
+        assert manifest == [("dp_sgd_s31", "dp_sgd", "1.1"), ("dp_sgd_s31", "dp_sgd", "2.0")]
 
     def test_roc_file_is_final_accepted_rows(self, tmp_path):
         zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
