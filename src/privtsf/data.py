@@ -205,9 +205,9 @@ class WindowSet:
             raise ConfigurationError("input and target row or variable counts differ")
         _check_mask(self.mask_in)
         _check_mask(self.mask_out)
-        if np.any(self.values[self.mask_in == 0] != 0):
+        if np.any((self.values != 0) & (self.mask_in == 0)):
             raise ValidationError("unobserved input cells must hold 0")
-        if np.any(self.target[self.mask_out == 0] != 0):
+        if np.any((self.target != 0) & (self.mask_out == 0)):
             raise ValidationError("unobserved target cells must hold 0")
 
     def __len__(self) -> int:
@@ -300,43 +300,76 @@ def _check_var_ids(ep: Episode, n_vars: int) -> None:
         )
 
 
-def _bin_range(ep: Episode, std: Standardizer, start: float, values: np.ndarray, mask: np.ndarray) -> None:
-    """Bin hours [start, start + len(values)) of `ep` into the zeroed `values` and `mask` rows."""
-    n_hours, n_vars = values.shape
-    t, var, val = ep.t, ep.var_id, ep.value
-    lo, hi = np.searchsorted(t, [start, start + n_hours], side="left")
-    if lo == hi:
-        return
-    hours = np.floor(t[lo:hi] - start).astype(np.int64)
-    key = hours * n_vars + var[lo:hi]
-    # t-sorted input makes the first occurrence of each key the earliest observation
-    _, first = np.unique(key, return_index=True)
-    hsel = hours[first]
-    vsel = var[lo:hi][first]
-    values[hsel, vsel] = std.standardize(val[lo:hi][first], vsel)
-    mask[hsel, vsel] = 1.0
+# windows binned per vectorized pass: one pass holds index arrays over about 100 observations per window
+_BIN_CHUNK = 1024
+
+
+def _bin_blocks(obs, lo, hi, start, std: Standardizer, values: np.ndarray, mask: np.ndarray) -> None:
+    """Bin observations lo[i]:hi[i] of the flat (t, var_id, value) columns `obs`, in hours since start[i],
+    into row i of the zeroed (rows, hours, F) `values` and `mask`."""
+    t, var, val = obs
+    counts = hi - lo
+    row = np.repeat(np.arange(len(lo)), counts)
+    at = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    hours = np.floor(t[at] - start[row]).astype(np.int64)
+    # the flat index of each observation's cell; rows hold their observations in time order,
+    # so the first occurrence of each cell is its earliest observation
+    cell, first = np.unique((row * values.shape[1] + hours) * values.shape[2] + var[at], return_index=True)
+    at = at[first]
+    np.put(values, cell, std.standardize(val[at], var[at]))
+    np.put(mask, cell, 1.0)
 
 
 def bin_windows(starts: Sequence[tuple[Episode, int]], input_len: int, horizon: int, std: Standardizer) -> WindowSet:
-    """Bin each (episode, window start) into one WindowSet row, in place.
+    """Bin each (episode, window start) into one WindowSet row.
 
     A row's observation block covers hours [start, start + input_len) of its
     episode, its target block the following `horizon` hours. The first
     observation per hour and variable wins; values are standardized and
-    unobserved cells hold 0.
+    unobserved cells hold 0. Windows are binned in vectorized passes of
+    _BIN_CHUNK rows, each over the observations of its own episodes only.
     """
     if input_len <= 0 or horizon < 0:
         raise ConfigurationError("input_len must be positive and horizon non-negative")
-    shape_in, shape_out = (len(starts), input_len, std.n_vars), (len(starts), horizon, std.n_vars)
-    values, mask_in, target, mask_out = np.zeros(shape_in), np.zeros(shape_in), np.zeros(shape_out), np.zeros(shape_out)
-    for i, (ep, s) in enumerate(starts):
+    episodes: dict[int, Episode] = {}
+    for ep, s in starts:
         if s < 0 or s + input_len + horizon > ep.length_hours + 1e-9:
             raise ConfigurationError(f"window [{s}, {s + input_len + horizon}) outside stay of {ep.length_hours}h")
-        _check_var_ids(ep, std.n_vars)
-        _bin_range(ep, std, s, values[i], mask_in[i])
-        _bin_range(ep, std, s + input_len, target[i], mask_out[i])
+        if id(ep) not in episodes:
+            _check_var_ids(ep, std.n_vars)
+            episodes[id(ep)] = ep
+    start = np.array([s for _, s in starts], dtype=np.float64)
+    shape_in, shape_out = (len(starts), input_len, std.n_vars), (len(starts), horizon, std.n_vars)
+    values, mask_in, target, mask_out = np.zeros(shape_in), np.zeros(shape_in), np.zeros(shape_out), np.zeros(shape_out)
+    for a in range(0, len(starts), _BIN_CHUNK):
+        rows, s = slice(a, a + _BIN_CHUNK), start[a : a + _BIN_CHUNK]
+        rows_of: dict[int, list[int]] = {}  # the chunk's rows by episode, in order of first use
+        for r, (ep, _) in enumerate(starts[rows]):
+            rows_of.setdefault(id(ep), []).append(r)
+        # each row's block bounds as indices into the chunk episodes' concatenated columns
+        bounds = np.stack([s, s + input_len, s + input_len + horizon])
+        index = np.empty(bounds.shape, dtype=np.int64)
+        offset = 0
+        for key, r in rows_of.items():
+            index[:, r] = np.searchsorted(episodes[key].t, bounds[:, r], side="left") + offset
+            offset += episodes[key].t.size
+        obs = [np.concatenate([getattr(episodes[key], name) for key in rows_of]) for name in ("t", "var_id", "value")]
+        lo, mid, hi = index
+        _bin_blocks(obs, lo, mid, s, std, values[rows], mask_in[rows])
+        _bin_blocks(obs, mid, hi, s + input_len, std, target[rows], mask_out[rows])
     ids, window_starts = [ep.episode_id for ep, _ in starts], [s for _, s in starts]
     return WindowSet(values, mask_in, target, mask_out, episode_id=ids, window_start=window_starts)
+
+
+def _admissible(length_hours, span: int, stride: int, max_start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start grid {0, stride, ..., <= max_start} and which of its starts fit a `span`-hour window in each stay.
+
+    The mask has the shape of `length_hours` plus one trailing grid axis.
+    """
+    if stride < 1:
+        raise ConfigurationError("stride must be >= 1")
+    grid = np.arange(0, max_start + 1, stride)
+    return grid, grid + span <= np.asarray(length_hours, dtype=np.float64)[..., None] + 1e-9
 
 
 def sliding_windows(
@@ -352,13 +385,8 @@ def sliding_windows(
     start is admitted only if the full observation + forecast span fits inside
     the stay. Short stays yield an empty list.
     """
-    if stride < 1:
-        raise ConfigurationError("stride must be >= 1")
-    return [
-        s
-        for s in range(0, max_start + 1, stride)
-        if s + input_len + horizon <= ep.length_hours + 1e-9
-    ]
+    grid, fits = _admissible(ep.length_hours, input_len + horizon, stride, max_start)
+    return grid[fits].tolist()
 
 
 def split_by_episode(
@@ -403,23 +431,28 @@ def build_windows(
 
     Windows with an empty target mask are dropped. With a positive `limit`
     below the number of such windows, only a random subset of `limit` of
-    them, drawn from `rng` and kept in order, is binned.
+    them, drawn from `rng` and kept in order, is binned; a positive `limit`
+    needs an `rng`.
     Every episode with an admissible start has its variable indices checked
     against the standardizer, whether or not one of its windows is kept.
     """
     if input_len <= 0 or horizon < 0:
         raise ConfigurationError("input_len must be positive and horizon non-negative")
+    if limit < 0:
+        raise ConfigurationError(f"limit must be >= 0, got {limit}")
+    if limit and rng is None:
+        raise ConfigurationError(f"limit {limit} needs an rng to draw the kept windows")
+    episodes = list(episodes)
+    grid, fits = _admissible([ep.length_hours for ep in episodes], input_len + horizon, stride, max_start)
     starts: list[tuple[Episode, int]] = []
-    for ep in episodes:
-        admissible = sliding_windows(ep, stride=stride, input_len=input_len, horizon=horizon, max_start=max_start)
-        if not admissible:
+    for ep, admissible in zip(episodes, fits):
+        if not admissible.any():
             continue
         _check_var_ids(ep, std.n_vars)
         # a target block holds an observation exactly when its time range does
-        target_start = np.asarray(admissible) + input_len
-        lo = np.searchsorted(ep.t, target_start, side="left")
-        hi = np.searchsorted(ep.t, target_start + horizon, side="left")
-        starts.extend((ep, s) for s, a, b in zip(admissible, lo, hi) if a < b)
+        s = grid[admissible]
+        lo, hi = np.searchsorted(ep.t, [s + input_len, s + input_len + horizon], side="left")
+        starts.extend((ep, start) for start in s[lo < hi].tolist())
     if limit and len(starts) > limit:
         idx = np.sort(rng.choice(len(starts), size=limit, replace=False))
         starts = [starts[i] for i in idx]

@@ -38,6 +38,8 @@ PARAM_FIELDS = ("pos", "w_hidden", "b_hidden", "w_state", "w_feedback", "b_state
 
 _SHUFFLE_STREAM = 7
 _NOISE_STREAM = 8
+# windows per pass of bake_points
+_BAKE_CHUNK = 128
 
 
 @dataclass
@@ -196,12 +198,20 @@ def bake_points(windows: WindowSet, emb: EmbeddingMap) -> PointSet:
     """Freeze a non-empty WindowSet into a PointSet under the fixed embedding map.
 
     The points share the windows' target and mask arrays and keep their episode ids.
+    The map's input rows are built _BAKE_CHUNK windows at a time, never for the whole
+    set; matmul multiplies a stack window by window, so each chunk's rows get the
+    bits of one product over the whole set.
     """
     if not len(windows):
         raise DomainError("no windows to bake")
-    X = window_inputs(windows.values, windows.mask_in, emb.n_vars)
+    values, mask = windows.values, windows.mask_in
+    E = np.empty((len(windows), values.shape[1], emb.bias.size))
+    for a in range(0, len(E), _BAKE_CHUNK):
+        rows = slice(a, a + _BAKE_CHUNK)
+        np.matmul(window_inputs(values[rows], mask[rows], emb.n_vars), emb.weight, out=E[rows])
+    E += emb.bias
     return PointSet(
-        E=X @ emb.weight + emb.bias,
+        E=E,
         Y=windows.target,
         M=windows.mask_out,
         episode_id=windows.episode_id,

@@ -40,6 +40,7 @@ from .data import (
     PointSet,
     Standardizer,
     ValidationError,
+    WindowSet,
     build_windows,
     load_triplets,
     split_by_episode,
@@ -244,6 +245,13 @@ def load_episodes(cfg: RunConfig) -> list[Episode]:
 def build_workbench(cfg: RunConfig) -> Workbench:
     """Split, standardize, window, pretrain, and train the baseline to convergence.
 
+    The splits are handled one at a time: the train split is windowed, the
+    embedding pretrained on its windows and the windows baked, then heldout
+    and test are each windowed and baked, and the baseline is trained last.
+    Each split's windows are dropped once baked. A split without usable
+    windows raises DomainError when it is windowed, so an empty heldout or
+    test split is found after pretraining but before the baseline is trained.
+
     When cfg.checkpoint points at a saved baseline, its embedding, forecaster
     and standardizer are reused and only the datasets are rebuilt. The
     checkpoint's seed and shape (hidden size included) must match the run
@@ -266,17 +274,23 @@ def build_workbench(cfg: RunConfig) -> Workbench:
     if not cfg.checkpoint:
         std = Standardizer.fit(train_eps, cfg.n_vars)
 
-    wcfg = dict(stride=cfg.stride, input_len=cfg.input_len, horizon=cfg.train.horizon, max_start=cfg.max_start)
+    # one stream caps the splits in the order train, heldout, test
     cap_rng = np.random.default_rng([cfg.seed, _CAP_STREAM])
-    train_w = build_windows(train_eps, std, limit=cfg.max_train_windows, rng=cap_rng, **wcfg)
-    held_w = build_windows(held_eps, std, limit=cfg.max_eval_windows, rng=cap_rng, **wcfg)
-    test_w = build_windows(test_eps, std, limit=cfg.max_eval_windows, rng=cap_rng, **wcfg)
-    if not len(train_w) or not len(held_w) or not len(test_w):
-        raise DomainError("one of the splits produced no usable windows")
 
+    def windows(split: list[Episode], limit: int) -> WindowSet:
+        wcfg = dict(stride=cfg.stride, input_len=cfg.input_len, horizon=cfg.train.horizon, max_start=cfg.max_start)
+        found = build_windows(split, std, limit=limit, rng=cap_rng, **wcfg)
+        if not len(found):
+            raise DomainError("one of the splits produced no usable windows")
+        return found
+
+    train_w = windows(train_eps, cfg.max_train_windows)
     if not cfg.checkpoint:
         emb, baseline = pretrain_embedding(train_w, cfg.train)
     train_pts = bake_points(train_w, emb)
+    del train_w
+    heldout_pts = bake_points(windows(held_eps, cfg.max_eval_windows), emb)
+    test_pts = bake_points(windows(test_eps, cfg.max_eval_windows), emb)
     if not cfg.checkpoint:
         baseline, _ = train(
             train_pts, baseline, cfg.train, epochs=cfg.baseline_epochs, seed=derive_seed(cfg.seed, _BASELINE_STREAM)
@@ -285,8 +299,8 @@ def build_workbench(cfg: RunConfig) -> Workbench:
         emb=emb,
         baseline_params=baseline,
         train_pts=train_pts,
-        heldout_pts=bake_points(held_w, emb),
-        test_pts=bake_points(test_w, emb),
+        heldout_pts=heldout_pts,
+        test_pts=test_pts,
         std=std,
         seed=cfg.seed,
     )

@@ -65,6 +65,58 @@ def generate_reference(config) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
     return out
 
 
+def bin_range_reference(ep: Episode, std: Standardizer, start: float, values: np.ndarray, mask: np.ndarray) -> None:
+    """Bin hours [start, start + len(values)) of `ep` into the zeroed `values` and `mask` rows, one window alone."""
+    n_hours, n_vars = values.shape
+    t, var, val = ep.t, ep.var_id, ep.value
+    lo, hi = np.searchsorted(t, [start, start + n_hours], side="left")
+    if lo == hi:
+        return
+    hours = np.floor(t[lo:hi] - start).astype(np.int64)
+    key = hours * n_vars + var[lo:hi]
+    # t-sorted input makes the first occurrence of each key the earliest observation
+    _, first = np.unique(key, return_index=True)
+    hsel = hours[first]
+    vsel = var[lo:hi][first]
+    values[hsel, vsel] = std.standardize(val[lo:hi][first], vsel)
+    mask[hsel, vsel] = 1.0
+
+
+def bin_windows_reference(starts, input_len: int, horizon: int, std: Standardizer) -> WindowSet:
+    """`data.bin_windows` one window at a time: each row's input and target blocks binned alone."""
+    shape_in, shape_out = (len(starts), input_len, std.n_vars), (len(starts), horizon, std.n_vars)
+    values, mask_in, target, mask_out = np.zeros(shape_in), np.zeros(shape_in), np.zeros(shape_out), np.zeros(shape_out)
+    for i, (ep, s) in enumerate(starts):
+        bin_range_reference(ep, std, s, values[i], mask_in[i])
+        bin_range_reference(ep, std, s + input_len, target[i], mask_out[i])
+    ids, window_starts = [ep.episode_id for ep, _ in starts], [s for _, s in starts]
+    return WindowSet(values, mask_in, target, mask_out, episode_id=ids, window_start=window_starts)
+
+
+def build_windows_reference(episodes, std, stride=4, input_len=24, horizon=24, max_start=96, limit=0, rng=None):
+    """`data.build_windows` one episode and one start at a time, capped by the same draw, binned by the reference."""
+    starts = []
+    for ep in episodes:
+        for s in range(0, max_start + 1, stride):
+            fits = s + input_len + horizon <= ep.length_hours + 1e-9
+            if fits and np.any((ep.t >= s + input_len) & (ep.t < s + input_len + horizon)):
+                starts.append((ep, s))
+    if limit and len(starts) > limit:
+        idx = np.sort(rng.choice(len(starts), size=limit, replace=False))
+        starts = [starts[i] for i in idx]
+    return bin_windows_reference(starts, input_len, horizon, std)
+
+
+def same_windows(a: WindowSet, b: WindowSet) -> bool:
+    """Whether two window sets hold the same bytes in every array and column."""
+    return all(
+        getattr(a, f.name).dtype == getattr(b, f.name).dtype
+        and getattr(a, f.name).shape == getattr(b, f.name).shape
+        and getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes()
+        for f in dataclasses.fields(WindowSet)
+    )
+
+
 def identity_standardizer(n_vars: int) -> Standardizer:
     """A standardizer that leaves values unchanged."""
     return Standardizer(mean=np.zeros(n_vars), std=np.ones(n_vars))

@@ -412,3 +412,24 @@ class TestPipeline:
         tradeoff = tmp_path / "tradeoff.csv"
         assert main(["report", "--metrics", str(out / "metrics.csv"), "--out", str(tradeoff)]) == 0
         assert [line.split(",")[0] for line in tradeoff.read_text().splitlines()[1:]] == ids
+
+    def test_explicit_attack_ids_keep_their_nonmember_split_in_the_tradeoff(self, tmp_path):
+        # with explicit run ids, the alpha_or_beta column tells a test attack from a heldout one
+        ckpt = tmp_path / "c.npz"
+        emb, params = init_params(16, 16, 16, 24, seed=0, input_hours=24)
+        save_checkpoint(str(ckpt), emb, params, identity_standardizer(16), seed=12)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, generator={"n_episodes": 60})
+        for run_id, nonmembers in (("atk_one", "test"), ("atk_two", "heldout")):
+            argv = ["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--seed", "12"]
+            assert main(argv + ["--nonmembers", nonmembers, "--run-id", run_id]) == 0
+        out = tmp_path / "out"
+        rows = read_metrics_csv(str(out / "metrics.csv"))
+        assert [(r.run_id, r.method, r.alpha_or_beta) for r in rows] == [
+            ("atk_one", "baseline", "test"),
+            ("atk_two", "baseline", "heldout"),
+        ]
+        tradeoff = tmp_path / "tradeoff.csv"
+        assert main(["report", "--metrics", str(out / "metrics.csv"), "--out", str(tradeoff)]) == 0
+        entries = [line.split(",")[:3] for line in tradeoff.read_text().splitlines()[1:]]
+        assert entries == [["atk_one", "baseline", "test"], ["atk_two", "baseline", "heldout"]]

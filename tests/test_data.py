@@ -1,14 +1,23 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import destandardize, identity_standardizer, window_rows
+from helpers import (
+    bin_windows_reference,
+    build_windows_reference,
+    destandardize,
+    identity_standardizer,
+    same_windows,
+    window_rows,
+)
 from helpers import episode as ep
 
+from privtsf import data as data_module
 from privtsf.augment import SyntheticPool
 from privtsf.data import (
     ConfigurationError,
@@ -41,6 +50,75 @@ observations = st.tuples(
     st.one_of(st.just(0.1 + 0.2), st.floats(allow_nan=False, allow_infinity=False)),
 )
 
+
+@st.composite
+def binning_cases(draw):
+    """Windows cut from a few episodes in an interleaved order, with a drawn standardizer.
+
+    Times fall on whole hours (so on hour and block boundaries) and quarter
+    hours often, so one hour and variable often holds several observations;
+    horizon 0 and a single variable are in range.
+    """
+    n_vars = draw(st.integers(1, 3))
+    input_len, horizon = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    span = input_len + horizon
+    episodes = []
+    for eid in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(span, span + 10))
+        times = st.one_of(
+            st.integers(0, length).map(float),
+            st.integers(0, 4 * length).map(lambda q: q / 4),
+            st.floats(0.0, float(length)),
+        )
+        obs = draw(st.lists(st.tuples(times, st.integers(0, n_vars - 1), st.floats(-1e6, 1e6)), max_size=40))
+        episodes.append(ep(3 * eid + 1, obs, float(length)))
+    picks = draw(st.lists(st.integers(0, len(episodes) - 1), max_size=12))
+    starts = [(episodes[i], draw(st.integers(0, int(episodes[i].length_hours) - span))) for i in picks]
+    mean = draw(st.lists(st.floats(-10.0, 10.0), min_size=n_vars, max_size=n_vars))
+    scale = draw(st.lists(st.floats(0.1, 10.0), min_size=n_vars, max_size=n_vars))
+    return starts, input_len, horizon, Standardizer(mean=np.array(mean), std=np.array(scale))
+
+
+class TestBinningOracle:
+    """bin_windows and build_windows against binning one window at a time (tests/helpers.py), bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=binning_cases(), chunk=st.sampled_from([1, 2, 3, 1024]))
+    def test_equals_binning_each_window_alone(self, case, chunk):
+        starts, input_len, horizon, std = case
+        with mock.patch.object(data_module, "_BIN_CHUNK", chunk):
+            got = bin_windows(starts, input_len, horizon, std)
+        assert same_windows(got, bin_windows_reference(starts, input_len, horizon, std))
+
+    def test_horizon_zero_with_one_variable(self):
+        rng = np.random.default_rng(5)
+        eps = [ep(i, list(zip(rng.uniform(0, 30, 60), [0] * 60, rng.standard_normal(60))), 30.0) for i in range(3)]
+        starts = [(eps[i % 3], s) for i, s in enumerate([0, 6, 3, 22, 1, 0, 29])]
+        std = Standardizer(mean=np.array([0.3]), std=np.array([2.0]))
+        got = bin_windows(starts, 1, 0, std)
+        assert got.target.shape == (7, 0, 1)
+        assert same_windows(got, bin_windows_reference(starts, 1, 0, std))
+
+    @pytest.mark.parametrize("limit", [0, 1, 40, 10_000])
+    def test_build_keeps_the_references_windows(self, limit):
+        episodes = generate(GeneratorConfig(n_episodes=150, seed=8))
+        std = Standardizer.fit(episodes, 16)
+        got = build_windows(episodes, std, limit=limit, rng=np.random.default_rng(9))
+        if limit in (1, 40):
+            assert len(got) == limit
+        else:  # more windows than one binning pass holds
+            assert len(got) > data_module._BIN_CHUNK
+        assert same_windows(got, build_windows_reference(episodes, std, limit=limit, rng=np.random.default_rng(9)))
+
+    @pytest.mark.parametrize(("limit", "rng", "message"), [
+        (2, None, "limit 2 needs an rng"),
+        (-1, None, "limit must be >= 0, got -1"),
+        (-1, np.random.default_rng(0), "limit must be >= 0, got -1"),
+    ])
+    def test_bad_limit_is_config_error(self, limit, rng, message):
+        episodes = generate(GeneratorConfig(n_episodes=5, seed=4))
+        with pytest.raises(ConfigurationError, match=message):
+            build_windows(episodes, Standardizer.fit(episodes, 16), limit=limit, rng=rng)
 
 
 class TestBinning:
@@ -324,6 +402,25 @@ class TestWindowAndPointTypes:
                 target=np.zeros((1, 1, 1)),
                 mask_out=np.ones((1, 1, 1)),
             )
+
+    @pytest.mark.parametrize("bad", [1.0, -np.inf, np.nan])
+    @pytest.mark.parametrize(
+        ("block", "mask", "name"), [("values", "mask_in", "input"), ("target", "mask_out", "target")]
+    )
+    def test_unobserved_cell_holding_anything_but_zero_is_rejected(self, bad, block, mask, name):
+        def arrays(unobserved):
+            out = dict(
+                values=np.zeros((2, 3, 2)), mask_in=np.ones((2, 3, 2)),
+                target=np.zeros((2, 1, 2)), mask_out=np.ones((2, 1, 2)),
+            )
+            out[mask][1, 0, 1] = 0.0
+            out[block][1, 0, 1] = unobserved
+            out[block][0, 0, 0] = np.nan  # an observed cell may hold anything
+            return out
+
+        with pytest.raises(ValidationError, match=f"^unobserved {name} cells must hold 0$"):
+            WindowSet(**arrays(bad))
+        WindowSet(**arrays(0.0))
 
     def test_datapoint_arrays_read_only(self):
         p = PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=np.ones((1, 1, 1)))[0]

@@ -114,6 +114,21 @@ class TestEmbed:
         w = window(v, m)
         assert np.array_equal(fc.bake_points(w, emb)[0].e, embed_one(v, m, emb))
 
+    @pytest.mark.parametrize(
+        ("count", "hours", "n_vars", "n"), [(1, 5, 3, 4), (127, 5, 3, 4), (129, 5, 1, 4), (300, 24, 16, 32)]
+    )
+    def test_points_equal_one_product_over_the_whole_set(self, count, hours, n_vars, n):
+        # bake_points builds the map's inputs a chunk of windows at a time; the bits must not show it
+        rng = np.random.default_rng(count)
+        m = (rng.random((count, hours, n_vars)) < 0.3).astype(float)
+        ws = WindowSet(
+            values=rng.standard_normal(m.shape) * m, mask_in=m,
+            target=np.zeros((count, 1, n_vars)), mask_out=np.ones((count, 1, n_vars)),
+        )
+        emb = fc.EmbeddingMap(weight=rng.standard_normal((2 * n_vars, n)), bias=rng.standard_normal(n))
+        whole = fc.window_inputs(ws.values, ws.mask_in, n_vars) @ emb.weight + emb.bias
+        assert fc.bake_points(ws, emb).E.tobytes() == whole.tobytes()
+
     def test_dimension_mismatch(self):
         emb = fc.EmbeddingMap(weight=np.zeros((6, 2)), bias=np.zeros(2))
         w = window(np.zeros((4, 5)), np.zeros((4, 5)))

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import gc
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from privtsf.augment import MixupConfig, ZooConfig
 from privtsf.data import (
     METRICS_HEADER,
     ConfigurationError,
+    DomainError,
     MetricsRow,
     PointSet,
     ValidationError,
@@ -516,6 +519,41 @@ class TestWorkbench:
         with pytest.raises(ConfigurationError, match="^workbench built under seed 23, the run config has seed 24$"):
             run(cfg, wb)
         assert not (tmp_path / "o").exists()
+
+    def test_each_splits_windows_are_dropped_before_the_next_split_is_binned(self, small_wb, monkeypatch):
+        base_cfg, wb = small_wb
+        # the fixture's corpus, split and caps, with one pretraining and one baseline epoch
+        cfg = dataclasses.replace(base_cfg, train=dataclasses.replace(base_cfg.train, max_epochs=1), baseline_epochs=1)
+        bake, build = runner.bake_points, runner.build_windows
+        baked, alive_when_binning = [], []
+
+        def tracking_bake(windows, emb):
+            baked.append(weakref.ref(windows))
+            return bake(windows, emb)
+
+        def tracking_build(*args, **kwargs):
+            gc.collect()
+            alive_when_binning.append([ref() is not None for ref in baked])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "bake_points", tracking_bake)
+        monkeypatch.setattr(runner, "build_windows", tracking_build)
+        built = runner.build_workbench(cfg)
+        assert alive_when_binning == [[], [False], [False, False]]
+        assert [len(built.train_pts), len(built.heldout_pts), len(built.test_pts)] == [
+            len(wb.train_pts), len(wb.heldout_pts), len(wb.test_pts)
+        ]
+
+    @pytest.mark.parametrize("fractions", [(0.8, 0.0, 0.2), (0.8, 0.2, 0.0)])
+    def test_empty_eval_split_fails_after_pretraining_before_the_baseline(self, monkeypatch, fractions):
+        cfg = tiny_cfg("baseline", 47, "", split_fractions=fractions, train=TrainConfig(max_epochs=1, horizon=24))
+        pretrained = []
+        pretrain = runner.pretrain_embedding
+        monkeypatch.setattr(runner, "pretrain_embedding", lambda *a: pretrained.append(1) or pretrain(*a))
+        monkeypatch.setattr(runner, "train", lambda *a, **k: pytest.fail("baseline trained"))
+        with pytest.raises(DomainError, match="^one of the splits produced no usable windows$"):
+            runner.build_workbench(cfg)
+        assert pretrained == [1]
 
     def test_method_config_requirements(self):
         with pytest.raises(ConfigurationError):
