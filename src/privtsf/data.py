@@ -188,6 +188,8 @@ class WindowSet:
     `values` is standardized and zero-imputed; wherever `mask_in` is 0 the
     value is exactly 0. `target`/`mask_out` follow the same convention over
     the forecast horizon. The set is read as whole arrays; it has no rows.
+    A caller's array that is already contiguous float64 is kept without a
+    copy and made read-only in place; any other is copied.
     """
 
     values: np.ndarray  # (N, input_len, F)
@@ -234,7 +236,9 @@ class PointSet:
     point baked from a window and the augmentation round for a synthetic one.
     Indexing with a slice or an index array returns a PointSet without
     validating again, an int index returns that row as a DataPoint of views,
-    and iteration yields the rows in order.
+    and iteration yields the rows in order. As in WindowSet, a caller's E, Y
+    or M that is already contiguous float64 is kept without a copy and made
+    read-only in place; any other is copied.
     """
 
     E: np.ndarray  # (N, input_len, n)

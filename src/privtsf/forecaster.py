@@ -8,8 +8,11 @@ vector, and unrolls a single-step recurrent decoder for the forecast horizon.
 The decoder consumes its own previous prediction at every step (student
 forcing), during training and inference alike.
 
-Gradients are computed analytically by backpropagation through the unroll;
-per-sample gradients are available for differentially private updates.
+Gradients are computed analytically by backpropagation through the unroll.
+A differentially private step clips each sample's gradient without forming
+it: the norm comes from Gram matrices over time, the clipped mean from one
+fold of rescaled backprop signals. Per-sample gradients remain available as
+the reference that step is tested against.
 Finite-difference verification lives in the test suite.
 """
 
@@ -40,6 +43,8 @@ _SHUFFLE_STREAM = 7
 _NOISE_STREAM = 8
 # windows per pass of bake_points
 _BAKE_CHUNK = 128
+# time steps per batched matmul in the DP step's folds (_fold)
+_FOLD_STEPS = 8
 
 
 @dataclass
@@ -264,6 +269,43 @@ def masked_batch_losses(pred: np.ndarray, Y: np.ndarray, M: np.ndarray) -> np.nd
     return (((pred - Y) ** 2) * M).sum(axis=(1, 2)) / counts
 
 
+def _signals(
+    Y: np.ndarray, M: np.ndarray, params: ForecasterParams, S: np.ndarray, Yh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reverse unroll of each sample's own masked MSE: its backprop signals.
+
+    Returns DY (B, T, F), the total gradient reaching each prediction; DA
+    (B, T, H), the gradient at each pre-activation state; da0 (B, H), the
+    context's; and dpooled (B, n), the pooled embedding's. Every parameter
+    gradient is a fold of these against the unroll's activations.
+    """
+    B, T = Y.shape[0], Y.shape[1]
+    counts = M.sum(axis=(1, 2))
+    # gradient of each sample's mmse w.r.t. its predictions
+    dY_loss = 2.0 * M * (Yh[:, 1:] - Y) / counts[:, None, None]
+
+    H = params.hidden_dim
+    F = params.n_vars
+    DY = np.empty((B, T, F))
+    DA = np.empty((B, T, H))
+    da_next: np.ndarray | None = None
+    for t in range(T, 0, -1):
+        dy = dY_loss[:, t - 1].copy()
+        ds = np.zeros((B, H))
+        if da_next is not None:
+            dy += da_next @ params.w_feedback
+            ds += da_next @ params.w_state
+        ds += dy @ params.w_out
+        da = ds * (1.0 - S[:, t] ** 2)
+        DY[:, t - 1] = dy
+        DA[:, t - 1] = da
+        da_next = da
+
+    ds0 = DA[:, 0] @ params.w_state
+    da0 = ds0 * (1.0 - S[:, 0] ** 2)
+    return DY, DA, da0, da0 @ params.w_hidden
+
+
 def _backward(
     E: np.ndarray,
     Y: np.ndarray,
@@ -283,31 +325,7 @@ def _backward(
     the embedding map's gradients.
     """
     B, T = Y.shape[0], Y.shape[1]
-    counts = M.sum(axis=(1, 2))
-    # gradient of each sample's mmse w.r.t. its predictions
-    dY_loss = 2.0 * M * (Yh[:, 1:] - Y) / counts[:, None, None]
-
-    H = params.hidden_dim
-    F = params.n_vars
-    DY = np.empty((B, T, F))  # total gradient reaching each prediction
-    DA = np.empty((B, T, H))  # gradient at each pre-activation state
-    da_next: np.ndarray | None = None
-    for t in range(T, 0, -1):
-        dy = dY_loss[:, t - 1].copy()
-        ds = np.zeros((B, H))
-        if da_next is not None:
-            dy += da_next @ params.w_feedback
-            ds += da_next @ params.w_state
-        ds += dy @ params.w_out
-        da = ds * (1.0 - S[:, t] ** 2)
-        DY[:, t - 1] = dy
-        DA[:, t - 1] = da
-        da_next = da
-
-    ds0 = DA[:, 0] @ params.w_state
-    da0 = ds0 * (1.0 - S[:, 0] ** 2)
-    dpooled = da0 @ params.w_hidden
-
+    DY, DA, da0, dpooled = _signals(Y, M, params, S, Yh)
     if per_sample:
         # per-example outer products as batched matmuls (Goodfellow 2015)
         g = {
@@ -340,6 +358,88 @@ def _backward(
             g["emb_weight"] = np.einsum("bip,bin->pn", X, dE) / B
             g["emb_bias"] = dE.sum(axis=(0, 1)) / B
     return g
+
+
+def _gram(A: np.ndarray) -> np.ndarray:
+    """Each sample's Gram matrix over time: (B, T, d) -> (B, T, T)."""
+    return A @ A.transpose(0, 2, 1)
+
+
+def _sample_norms(
+    E: np.ndarray,
+    pooled: np.ndarray,
+    S: np.ndarray,
+    Yh: np.ndarray,
+    signals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Each sample's gradient L2 norm over all parameters, without forming the gradient.
+
+    A recurrent weight's per-sample gradient is a sum of outer products over
+    time, so its squared norm is sum(A A^T * B B^T) over T x T Gram matrices
+    (Goodfellow 2015); the biases, w_hidden and pos are direct.
+    """
+    DY, DA, da0, dpooled = signals
+    T = DY.shape[1]
+    G_S = _gram(S)  # both state blocks: S_prev is [:T, :T], S_next is [1:, 1:]
+    G = _gram(Yh[:, :T])
+    G += G_S[:, :T, :T]
+    G *= _gram(DA)
+    sq = G.sum(axis=(1, 2))  # w_state, w_feedback
+    sq += (_gram(DY) * G_S[:, 1:, 1:]).sum(axis=(1, 2))  # w_out
+    sq += (DY.sum(axis=1) ** 2).sum(axis=1) + (DA.sum(axis=1) ** 2).sum(axis=1)  # b_out, b_state
+    sq += (da0**2).sum(axis=1) * ((pooled**2).sum(axis=1) + 1.0)  # w_hidden, b_hidden
+    sq += ((E @ dpooled[:, :, None]) ** 2).sum(axis=(1, 2))  # pos
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _fold(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """sum over t of A[:, t].T @ Z[t], for batch-major A (B, T, p) and time-major Z (T, B, q).
+
+    One (p, B) x (B, q) product per step, _FOLD_STEPS steps per batched
+    matmul. The products stay small enough for BLAS to run each on one
+    thread; a single (p, T*B) x (T*B, q) product starts BLAS threads, and
+    those stall whenever another process holds a core.
+    """
+    T = A.shape[1]
+    return sum(
+        np.matmul(A[:, t : t + _FOLD_STEPS].transpose(1, 2, 0), Z[t : t + _FOLD_STEPS]).sum(axis=0)
+        for t in range(0, T, _FOLD_STEPS)
+    )
+
+
+def _clipped_mean(
+    E: np.ndarray,
+    pooled: np.ndarray,
+    S: np.ndarray,
+    Yh: np.ndarray,
+    signals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    clip_norm: float,
+) -> dict[str, np.ndarray]:
+    """Batch mean of the per-sample gradients, each clipped to L2 norm clip_norm,
+    without forming any of them ("ghost clipping", Li et al. 2022): each
+    sample's signals are scaled by its clip factor over B (DY and DA in
+    place) and folded once against the unroll's activations. The norms'
+    Gram matrices are freed before the fold, which keeps the step's peak
+    allocation low.
+    """
+    DY, DA, da0, dpooled = signals
+    B, T = DY.shape[:2]
+    norms = _sample_norms(E, pooled, S, Yh, signals)
+    k = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300)) / B
+    DY *= k[:, None, None]
+    DA *= k[:, None, None]
+    da0, dpooled = da0 * k[:, None], dpooled * k[:, None]
+    S_tm, Yh_tm = S.transpose(1, 0, 2), Yh.transpose(1, 0, 2)  # _forward's time-major buffers
+    return {
+        "w_out": _fold(DY, S_tm[1:]),
+        "b_out": DY.sum(axis=(0, 1)),
+        "w_state": _fold(DA, S_tm[:T]),
+        "w_feedback": _fold(DA, Yh_tm[:T]),
+        "b_state": DA.sum(axis=(0, 1)),
+        "w_hidden": da0.T @ pooled,
+        "b_hidden": da0.sum(axis=0),
+        "pos": np.einsum("bn,bin->i", dpooled, E),
+    }
 
 
 def _gradients(points: PointSet, params: ForecasterParams, per_sample: bool):
@@ -403,19 +503,19 @@ def dp_train_step(
 ) -> ForecasterParams:
     """One differentially private step: clip per-sample gradients, average, add noise.
 
-    The noise is Gaussian with per-coordinate std noise_multiplier * clip_norm /
-    batch_size, and the step uses cfg.learning_rate * dp.lr_scale.
+    The clipped mean comes from _clipped_mean, so no per-sample gradient is
+    formed. The noise is Gaussian with per-coordinate std noise_multiplier *
+    clip_norm / batch_size, and the step uses cfg.learning_rate * dp.lr_scale.
     """
     if len(points) == 0:
         raise DomainError("empty batch")
-    grads, losses = per_sample_gradients(points, params)
-    _assert_finite_grads(grads, float(losses.mean()))
-    B = losses.shape[0]
-    clipped, _ = clip_per_sample(grads, dp.clip_norm)
-    noise_std = dp.noise_multiplier * dp.clip_norm / B
-    update = {
-        k: g.mean(axis=0) + noise_std * rng.standard_normal(g.shape[1:]) for k, g in clipped.items()
-    }
+    E, Y, M = points.E, points.Y, points.M
+    pooled, S, Yh = _forward(E, params)
+    loss = float(masked_batch_losses(Yh[:, 1:], Y, M).mean())
+    mean = _clipped_mean(E, pooled, S, Yh, _signals(Y, M, params, S, Yh), dp.clip_norm)
+    _assert_finite_grads(mean, loss)
+    noise_std = dp.noise_multiplier * dp.clip_norm / len(points)
+    update = {k: g + noise_std * rng.standard_normal(g.shape) for k, g in mean.items()}
     return params.updated(update, -cfg.learning_rate * dp.lr_scale)
 
 
@@ -480,12 +580,12 @@ def pretrain_embedding(windows: WindowSet, cfg: TrainConfig) -> tuple[EmbeddingM
         raise DomainError("empty pretraining set")
     input_hours, n_vars = windows.values.shape[1:]
     emb, params = init_params(cfg.n, cfg.hidden_dim, n_vars, cfg.horizon, cfg.seed, input_hours=input_hours)
-    X = window_inputs(windows.values, windows.mask_in, n_vars)
-    Y, M = windows.target, windows.mask_out
+    values, mask_in, Y, M = windows.values, windows.mask_in, windows.target, windows.mask_out
 
     def step(state, idx: np.ndarray):
         params, weight, bias = state
-        Xb, Yb, Mb = X[idx], Y[idx], M[idx]
+        # only this batch's map inputs: the same rows as gathering from the whole split's
+        Xb, Yb, Mb = window_inputs(values[idx], mask_in[idx], n_vars), Y[idx], M[idx]
         Eb = Xb @ weight + bias
         pooled, S, Yh = _forward(Eb, params)
         loss = float(masked_batch_losses(Yh[:, 1:], Yb, Mb).mean())

@@ -317,7 +317,7 @@ class TestCriterion7DpTradeoff:
             7,
             ok,
             f"dp-sgd tradeoff: Priv@tau = {row.priv_ratio:.3f} (in [0.9, 1.1]), "
-            f"test MSE {ratio:.2f}x baseline (>= 1.15x)",
+            f"test MSE {ratio:.3f}x baseline (>= 1.15x)",
         )
         assert 0.9 <= row.priv_ratio <= 1.1
         assert ratio >= 1.15

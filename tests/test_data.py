@@ -385,6 +385,25 @@ class TestEpisodeValidation:
 
 
 class TestWindowAndPointTypes:
+    def test_sets_freeze_the_callers_contiguous_float64_arrays_in_place(self):
+        # documented on both types: such an array is kept uncopied and made read-only,
+        # while a non-contiguous or non-float64 array is copied and stays writable
+        values, mask_in = np.zeros((2, 3, 1)), np.zeros((2, 3, 1))
+        target, mask_out = np.zeros((2, 1, 1)), np.ones((2, 1, 1))
+        ws = WindowSet(values=values, mask_in=mask_in, target=target, mask_out=mask_out)
+        for name, arr in (("values", values), ("mask_in", mask_in), ("target", target), ("mask_out", mask_out)):
+            assert getattr(ws, name) is arr and not arr.flags.writeable, name
+        E, Y, M = np.zeros((2, 3, 2)), np.zeros((2, 1, 1)), np.ones((2, 1, 1))
+        pts = PointSet(E=E, Y=Y, M=M)
+        for name, arr in (("E", E), ("Y", Y), ("M", M)):
+            assert getattr(pts, name) is arr and not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            E[0, 0, 0] = 1.0
+        strided, ints = np.zeros((2, 3, 4))[:, :, ::2], np.zeros((2, 1, 1), dtype=np.int64)
+        pts = PointSet(E=strided, Y=ints, M=np.ones((2, 1, 1)))
+        assert strided.flags.writeable and ints.flags.writeable
+        assert not (np.shares_memory(pts.E, strided) or np.shares_memory(pts.Y, ints))
+
     def test_mask_must_be_binary(self):
         with pytest.raises(ValidationError):
             WindowSet(

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,53 @@ class TestDpStep:
         for name in fc.PARAM_FIELDS:
             expected = getattr(params, name) - 0.1 * clipped[name].mean(axis=0)
             assert np.allclose(getattr(new, name), expected, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), clip_frac=st.floats(0.25, 4.0),
+        dims=st.one_of(small_dims, st.just(FIXTURE_DIMS)),
+    )
+    def test_noiseless_step_is_the_mean_of_clipped_per_sample_gradients(self, B, seed, clip_frac, dims):
+        # the step never forms per-sample gradients; at noise 0 its update must still be the
+        # reference's clipped mean. A clip bound around the median norm binds for some rows
+        # only, and one row forecasts its own target exactly, so its gradient is exactly zero
+        params, E, Y, M, rng = unroll_case(seed, B, dims)
+        zero = int(rng.integers(B))
+        Y[zero] = fc.forecast_batch(E, params)[zero]
+        pts = PointSet(E=E, Y=Y, M=M)
+        per, _ = fc.per_sample_gradients(pts, params)
+        norms = np.sqrt(sum((g.reshape(B, -1) ** 2).sum(axis=1) for g in per.values()))
+        assert norms[zero] == 0.0
+        C = clip_frac * float(np.median(norms[norms > 0])) if np.any(norms > 0) else 1.0
+        clipped, _ = fc.clip_per_sample(per, C)
+        seen: dict[str, np.ndarray] = {}
+        updated = fc.ForecasterParams.updated
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fc.ForecasterParams, "updated", lambda p, deltas, scale: seen.update(deltas) or updated(p, deltas, scale))
+            fc.dp_train_step(pts, params, fc.TrainConfig(), fc.DpConfig(noise_multiplier=0.0, clip_norm=C), np.random.default_rng(0))
+        for name in fc.PARAM_FIELDS:
+            assert np.all(np.isfinite(seen[name])), name
+            assert relative_error(seen[name], clipped[name].mean(axis=0)) <= 1e-12, name
+
+    def test_step_allocates_less_than_two_per_sample_state_gradients(self):
+        # at the fixture shape one (B, H, H) tensor of per-sample w_state gradients is 1 MiB;
+        # a step that formed per-sample gradients peaked at 4.2 MiB at this shape
+        params, E, Y, M, _ = unroll_case(5, 32, FIXTURE_DIMS)
+        pts = PointSet(E=E, Y=Y, M=M)
+        step = lambda: fc.dp_train_step(pts, params, fc.TrainConfig(), fc.DpConfig(), np.random.default_rng(0))
+        step()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 2 * 32 * params.hidden_dim**2 * 8, peak
 
     def test_noise_applied_when_sigma_positive(self):
         _, params = fc.init_params(4, 4, 3, 2, seed=11, input_hours=5)
