@@ -4,24 +4,25 @@ perturbations, convex mixing, and the bounded synthetic pool.
 One kernel, `zoo_descend`, does the gradient-free route for a whole batch of
 embedding matrices. It estimates the gradient of a batched objective from
 paired evaluations at unit perturbations of each matrix and takes descent
-steps. The caller passes the perturbations in as an explicit array, so the
-kernel draws nothing itself. The model-backed objective (`zoo_objective`)
-trades off diversity (raising the candidate's masked MSE) against attacker
-confusion (making it look like a member of the reference set); alpha = 1
-optimizes purely for diversity, alpha = 0 purely for member-likeness. The
-PCA variant confines the perturbations to the span of the top principal
-components of the training embeddings.
+steps. The caller passes each step's perturbations in as the step starts,
+so the kernel draws nothing itself and holds one step's probes at a time.
+The model-backed objective (`zoo_objective`) trades off diversity (raising
+the candidate's masked MSE) against attacker confusion (making it look like
+a member of the reference set); alpha = 1 optimizes purely for diversity,
+alpha = 0 purely for member-likeness. The PCA variant confines the
+perturbations to the span of the top principal components of the training
+embeddings.
 
 `zoo_generate` draws the perturbations of seed point j from its own RNG
-stream derived from (wave seed, j), so waves reproduce exactly regardless of
-evaluation order.
+stream derived from (wave seed, j), one step at a time, so waves reproduce
+exactly regardless of evaluation order.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +35,8 @@ from .data import (
     ValidationError,
     readonly,
 )
-from .forecaster import ForecasterParams, forecast_batch, masked_batch_losses
+from .forecaster import ForecasterParams, forecast_batch
+from .metrics import chunked_losses
 
 log = logging.getLogger(__name__)
 
@@ -95,10 +97,11 @@ class PcaBasis:
 def pca_fit(embeddings: Sequence[np.ndarray] | np.ndarray, variance_threshold: float = 0.70) -> PcaBasis:
     """Fit a PCA basis on flattened embedding matrices, given as an (N, ...) array or a sequence of them.
 
-    Components come from the eigendecomposition of the sample covariance in
-    descending eigenvalue order; directions below numerical rank are dropped
-    before applying the threshold, so a threshold of 1.0 keeps exactly the
-    covariance rank.
+    Components are the right singular vectors of the centred data matrix in
+    descending singular-value order (the sample covariance's eigenvectors);
+    directions below numerical rank are dropped before applying the
+    threshold, so a threshold of 1.0 keeps exactly the covariance rank. The
+    SVD's bits, and so every zoo-pca wave's, depend on the BLAS thread count.
     """
     X = np.asarray(embeddings, dtype=np.float64)
     X = X.reshape(X.shape[0], -1)
@@ -124,21 +127,28 @@ def pca_fit(embeddings: Sequence[np.ndarray] | np.ndarray, variance_threshold: f
     )
 
 
-def unit_perturbations(
-    shape: tuple[int, ...],
-    k: int,
-    rng: np.random.Generator,
-    basis: PcaBasis | None = None,
-) -> np.ndarray:
-    """k random directions of unit Frobenius norm; confined to the basis span if given."""
-    if basis is None:
-        u = rng.standard_normal((k,) + shape)
-    else:
-        coef = rng.standard_normal((k, basis.n_components))
-        u = (coef @ basis.components).reshape((k,) + shape)
-    flat = u.reshape(k, -1)
-    norms = np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
-    return (flat / norms[:, None]).reshape((k,) + shape)
+def zoo_probes(
+    shape: tuple[int, ...], count: int, cfg: ZooConfig, seed: int, basis: PcaBasis | None = None
+) -> Iterator[np.ndarray]:
+    """Each step's unit perturbations for `count` seed points, one step at a time.
+
+    Yields cfg.steps arrays of shape (count, k) + shape, each of unit
+    Frobenius norm and confined to the basis span if one is given. Point j
+    draws its k normals (or k coefficient rows) per step next on the stream
+    (seed, j). One buffer is refilled for every step, so a yielded array holds
+    only until the next one is drawn.
+    """
+    rngs = [np.random.default_rng([seed, j]) for j in range(count)]
+    size = int(np.prod(shape))
+    draw = np.empty((count, cfg.k, size if basis is None else basis.n_components))
+    U = draw if basis is None else np.empty((count, cfg.k, size))
+    for _ in range(cfg.steps):
+        for rng, rows in zip(rngs, draw):
+            rng.standard_normal(out=rows)
+        if basis is not None:
+            np.matmul(draw.reshape(-1, basis.n_components), basis.components, out=U.reshape(-1, size))
+        U /= np.maximum(np.linalg.norm(U, axis=-1), 1e-300)[..., None]
+        yield U.reshape((count, cfg.k) + shape)
 
 
 def zoo_objective(
@@ -147,11 +157,12 @@ def zoo_objective(
     """Model-backed objective over a batch of embeddings with fixed targets and masks.
 
     Row j is -(alpha * loss_j + (1 - alpha) * [loss_j < tau]), where loss_j is
-    the masked MSE of the forecast for embedding j against (Y[j], M[j]).
+    the masked MSE of the forecast for embedding j against (Y[j], M[j]),
+    evaluated in chunks as `metrics.chunked_losses` does.
     """
 
     def objective(E: np.ndarray) -> np.ndarray:
-        losses = masked_batch_losses(forecast_batch(E, params), Y, M)
+        losses = chunked_losses(forecast_batch, params, (E, Y, M))
         return -(alpha * losses + (1.0 - alpha) * (losses < tau).astype(np.float64))
 
     return objective
@@ -160,27 +171,30 @@ def zoo_objective(
 def zoo_descend(
     E: np.ndarray,
     objective: Callable[[np.ndarray], np.ndarray],
-    U: np.ndarray,
+    probes: Iterable[np.ndarray],
     cfg: ZooConfig,
 ) -> tuple[np.ndarray, int]:
     """Run the estimator steps on a batch of embeddings; returns (moved E, skipped pairs).
 
-    `objective` maps a (B, ...) batch to (B,) values. U holds the unit
-    perturbations, shaped (B, steps, k) + E.shape[1:]. Step s probes the
-    objective at E +/- mu * U[:, s, i] for each i in turn, averages the k
-    paired differences along their directions, and moves every row by -lam
-    times that estimate. A pair whose difference is not finite is skipped and
-    adds nothing to its row's estimate.
+    `objective` maps a (B, ...) batch to (B,) values. `probes` yields each
+    step's unit perturbations, shaped (B, k) + E.shape[1:], for cfg.steps
+    steps. Step s probes the objective at E +/- mu * U[:, i] for each i of
+    its probes U in turn, averages the k paired differences along their
+    directions, and moves every row by -lam times that estimate. A pair whose
+    difference is not finite is skipped and adds nothing to its row's estimate.
     """
     E = np.asarray(E, dtype=np.float64)
-    want = (E.shape[0], cfg.steps, cfg.k) + E.shape[1:]
-    if U.shape != want:
-        raise ConfigurationError(f"perturbations of shape {U.shape}, expected (B, steps, k, ...) = {want}")
+    want = (E.shape[0], cfg.k) + E.shape[1:]
+    steps = iter(probes)
     skipped = 0
     for s in range(cfg.steps):
+        U = next(steps, None)
+        if U is None or U.shape != want:
+            got = "none" if U is None else f"shape {U.shape}"
+            raise ConfigurationError(f"step {s} of {cfg.steps} has perturbations of {got}, expected (B, k, ...) = {want}")
         est = np.zeros_like(E)
         for i in range(cfg.k):
-            Us = U[:, s, i]
+            Us = U[:, i]
             diff = (objective(E + cfg.mu * Us) - objective(E - cfg.mu * Us)) / (2.0 * cfg.mu)
             finite = np.isfinite(diff)
             skipped += int((~finite).sum())
@@ -203,22 +217,14 @@ def zoo_generate(
     """Run the multi-step update on every seed point and emit synthetic points.
 
     Each output keeps its seed's target, mask and episode id; only the embedding moves.
-    Point j draws its perturbations from the stream (seed, j).
+    Point j draws its perturbations from the stream (seed, j), one step at a time (`zoo_probes`).
     """
     if len(seed_points) == 0:
         raise DomainError("no seed points")
     E, Y, M = seed_points.E, seed_points.Y, seed_points.M
     if cfg.steps > 0:
-        shape = E.shape[1:]
-        U = np.stack(
-            [
-                unit_perturbations(shape, cfg.steps * cfg.k, np.random.default_rng([seed, j]), basis).reshape(
-                    (cfg.steps, cfg.k) + shape
-                )
-                for j in range(len(seed_points))
-            ]
-        )
-        E, _ = zoo_descend(E, zoo_objective(Y, M, tau, params, cfg.alpha), U, cfg)
+        probes = zoo_probes(E.shape[1:], len(E), cfg, seed, basis)
+        E, _ = zoo_descend(E, zoo_objective(Y, M, tau, params, cfg.alpha), probes, cfg)
     return PointSet(E=E, Y=Y, M=M, episode_id=seed_points.episode_id, created_epoch=epoch)
 
 

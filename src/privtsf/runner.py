@@ -361,15 +361,16 @@ def attack_row(
 ) -> tuple[MetricsRow, AttackReport]:
     """The one evaluation of a model: a metrics row and its attack report.
 
-    Forecasts the training points plus the synthetic `pool`, the heldout split
-    and the test split once each. Members are the training points, tau is the
-    mean loss over the training points plus the pool, and the non-members are
-    the `nonmembers` split ("test" or "heldout"). Gate rows pass the pool and
-    "heldout"; attack and DP rows pass no pool and the test split.
+    Forecasts the training points plus the synthetic `pool` (as one
+    evaluation, without joining them), the heldout split and the test split
+    once each. Members are the training points, tau is the mean loss over the
+    training points plus the pool, and the non-members are the `nonmembers`
+    split ("test" or "heldout"). Gate rows pass the pool and "heldout"; attack
+    and DP rows pass no pool and the test split.
     """
     n_train = len(wb.train_pts)
-    reference = PointSet.concat(wb.train_pts, pool)
-    ref_losses, held, test = (dataset_losses(pts, params) for pts in (reference, wb.heldout_pts, wb.test_pts))
+    ref_losses = dataset_losses(wb.train_pts, params, pool)
+    held, test = (dataset_losses(pts, params) for pts in (wb.heldout_pts, wb.test_pts))
     report = attack_report(ref_losses[:n_train], test if nonmembers == "test" else held, float(ref_losses.mean()))
     row = _round_row(run_id, method, tag, epoch, report, float(held.mean()), float(test.mean()))
     return row, report
@@ -444,7 +445,7 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
         state = None if rounds == 0 else AcceptanceState(priv_best=report.priv, mse_best=row.mse_heldout)
         for r in range(1, rounds + 1):
             # an accepted round already measured the current model over train + the current pool
-            tau_ref = report.tau if audits[-1].accepted else mse_set(PointSet.concat(wb.train_pts, pool.items), params)
+            tau_ref = report.tau if audits[-1].accepted else mse_set(wb.train_pts, params, pool.items)
             wave = _generate_wave(cfg, wb, params, tau_ref, r, n_samples, basis)
             pool.insert(wave)
 

@@ -4,6 +4,7 @@ reference formulas that the package itself does not need."""
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import types
 
 import numpy as np
@@ -172,6 +173,18 @@ def fd_param_gradients(points, params, step: float = 1e-4) -> dict[str, np.ndarr
     return out
 
 
+def unit_perturbations(shape, k, rng, basis=None) -> np.ndarray:
+    """k random directions of unit Frobenius norm drawn at once from `rng`; confined to the basis span if given."""
+    if basis is None:
+        u = rng.standard_normal((k,) + tuple(shape))
+    else:
+        coef = rng.standard_normal((k, basis.n_components))
+        u = (coef @ basis.components).reshape((k,) + tuple(shape))
+    flat = u.reshape(k, -1)
+    norms = np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
+    return (flat / norms[:, None]).reshape((k,) + tuple(shape))
+
+
 def zoo_descend_one(e, objective, cfg, rng, basis=None) -> np.ndarray:
     """One step of the batched zoo kernel on a single embedding (B=1).
 
@@ -179,9 +192,52 @@ def zoo_descend_one(e, objective, cfg, rng, basis=None) -> np.ndarray:
     and lifts the scalar `objective` to a batch; `cfg.steps` must be 1.
     """
     e = np.asarray(e, dtype=np.float64)
-    U = ag.unit_perturbations(e.shape, cfg.k, rng, basis)[None, None]
-    out, _ = ag.zoo_descend(e[None], lambda E: np.array([objective(x) for x in E]), U, cfg)
+    U = unit_perturbations(e.shape, cfg.k, rng, basis)[None]
+    out, _ = ag.zoo_descend(e[None], lambda E: np.array([objective(x) for x in E]), [U], cfg)
     return out[0]
+
+
+def zoo_generate_drawn_first(seed_points, tau, params, cfg, seed, epoch, basis=None) -> PointSet:
+    """A zoo wave that draws every probe before the first step: the reference for `zoo_generate`.
+
+    Seed point j draws all steps * k of its perturbations at once from the
+    stream (seed, j), the wave stacks them into one (B, steps, k, ...) array,
+    and the objective forecasts the whole batch in one call.
+    """
+    E, Y, M = seed_points.E, seed_points.Y, seed_points.M
+    if cfg.steps > 0:
+        shape = E.shape[1:]
+        U = np.stack(
+            [
+                unit_perturbations(shape, cfg.steps * cfg.k, np.random.default_rng([seed, j]), basis).reshape(
+                    (cfg.steps, cfg.k) + shape
+                )
+                for j in range(len(seed_points))
+            ]
+        )
+
+        def objective(X):
+            losses = fc.masked_batch_losses(fc.forecast_batch(X, params), Y, M)
+            return -(cfg.alpha * losses + (1.0 - cfg.alpha) * (losses < tau).astype(np.float64))
+
+        E, _ = ag.zoo_descend(E, objective, [U[:, s] for s in range(cfg.steps)], cfg)
+    return PointSet(E=E, Y=Y, M=M, episode_id=seed_points.episode_id, created_epoch=epoch)
+
+
+def allocation_peak(fn) -> int:
+    """Bytes that a second call of `fn` allocates at its peak, above what was live before it, by tracemalloc."""
+    fn()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

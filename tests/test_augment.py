@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FixedRng, zoo_descend_one
+from helpers import (
+    FixedRng,
+    allocation_peak,
+    make_points,
+    unit_perturbations,
+    zoo_descend_one,
+    zoo_generate_drawn_first,
+)
 
 from privtsf import augment as ag
+from privtsf import forecaster as fc
 from privtsf import metrics as pm
 from privtsf.data import ConfigurationError, DataPoint, DomainError, PointSet, ValidationError
 
@@ -74,9 +82,9 @@ class TestZooUpdate:
     def test_non_finite_pairs_skipped(self, caplog):
         cfg = ag.ZooConfig(alpha=0.5, lam=1.0, mu=1.0, k=2, steps=1)
         e = np.zeros((1, 1))
-        U = ag.unit_perturbations(e.shape, cfg.k, np.random.default_rng(0))[None, None]
+        U = unit_perturbations(e.shape, cfg.k, np.random.default_rng(0))[None]
         with caplog.at_level(logging.WARNING):
-            out, skipped = ag.zoo_descend(e[None], lambda E: np.full(len(E), math.nan), U, cfg)
+            out, skipped = ag.zoo_descend(e[None], lambda E: np.full(len(E), math.nan), [U], cfg)
         assert np.array_equal(out[0], e)
         assert skipped == cfg.k
         assert any("non-finite" in r.message for r in caplog.records)
@@ -86,21 +94,24 @@ class TestZooUpdate:
         rng = np.random.default_rng(14)
         cfg = ag.ZooConfig(alpha=0.5, lam=0.3, mu=1e-2, k=3, steps=4)
         E = rng.standard_normal((5, 2, 3))
-        U = np.stack([ag.unit_perturbations((2, 3), 12, rng).reshape((4, 3, 2, 3)) for _ in range(5)])
+        U = np.stack([unit_perturbations((2, 3), 12, rng).reshape((4, 3, 2, 3)) for _ in range(5)])
         w = rng.standard_normal(6)
 
         def g(X):
             return np.array([np.tanh(x.ravel() @ w) for x in X])
 
-        out, _ = ag.zoo_descend(E, g, U, cfg)
+        out, _ = ag.zoo_descend(E, g, [U[:, s] for s in range(4)], cfg)
         for j in range(5):
-            one, _ = ag.zoo_descend(E[j : j + 1], g, U[j : j + 1], cfg)
+            one, _ = ag.zoo_descend(E[j : j + 1], g, [U[j : j + 1, s] for s in range(4)], cfg)
             assert np.array_equal(out[j], one[0])
         assert not np.allclose(out, E)
 
     def test_perturbation_shape_checked(self):
         cfg = ag.ZooConfig(alpha=0.5, lam=1.0, mu=1.0, k=2, steps=3)
-        U = np.zeros((1, 1, 2, 1, 1))  # one step where cfg asks for three
+        U = [np.zeros((1, 2, 1, 1))]  # one step where cfg asks for three
+        with pytest.raises(ConfigurationError):
+            ag.zoo_descend(np.zeros((1, 1, 1)), lambda E: np.zeros(len(E)), U, cfg)
+        U = [np.zeros((1, 1, 1, 1))] * 3  # one probe a step where cfg asks for two
         with pytest.raises(ConfigurationError):
             ag.zoo_descend(np.zeros((1, 1, 1)), lambda E: np.zeros(len(E)), U, cfg)
 
@@ -148,17 +159,20 @@ class TestObjective:
 
 class TestPerturbations:
     def test_unit_frobenius_norm(self):
-        rng = np.random.default_rng(4)
-        us = ag.unit_perturbations((6, 5), 40, rng)
-        norms = np.linalg.norm(us.reshape(40, -1), axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-9
+        cfg = ag.ZooConfig(k=10, steps=3)
+        for us in ag.zoo_probes((6, 5), 4, cfg, seed=4):
+            assert us.shape == (4, 10, 6, 5)
+            norms = np.linalg.norm(us.reshape(40, -1), axis=1)
+            assert np.max(np.abs(norms - 1.0)) < 1e-9
 
     def test_unit_norm_within_basis(self):
         rng = np.random.default_rng(5)
         basis = ag.pca_fit(rng.standard_normal((30, 4, 3)), 0.9)
-        us = ag.unit_perturbations((4, 3), 40, rng, basis)
-        norms = np.linalg.norm(us.reshape(40, -1), axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-9
+        cfg = ag.ZooConfig(k=10, steps=3)
+        for us in ag.zoo_probes((4, 3), 4, cfg, seed=5, basis=basis):
+            flat = us.reshape(40, -1)
+            assert np.max(np.abs(np.linalg.norm(flat, axis=1) - 1.0)) < 1e-9
+            assert np.max(np.abs(flat - flat @ basis.components.T @ basis.components)) < 1e-9
 
 
 class TestPcaFit:
@@ -251,9 +265,9 @@ class TestZooPcaStep:
         basis = ag.pca_fit(wb.train_pts.E, 0.70)
         x = wb.train_pts[0]
         cfg = ag.ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=3, steps=1)
-        U = ag.unit_perturbations(x.e.shape, cfg.k, np.random.default_rng(7), basis)[None, None]
+        U = unit_perturbations(x.e.shape, cfg.k, np.random.default_rng(7), basis)[None]
         objective = ag.zoo_objective(x.y[None], x.m[None], small_tau, wb.baseline_params, cfg.alpha)
-        out, _ = ag.zoo_descend(x.e[None], objective, U, cfg)
+        out, _ = ag.zoo_descend(x.e[None], objective, [U], cfg)
         disp = (out[0] - x.e).ravel()
         proj = basis.components.T @ (basis.components @ disp)
         assert np.linalg.norm(disp - proj) < 1e-8
@@ -317,6 +331,44 @@ class TestZooGenerate:
         b = ag.zoo_generate(seeds, small_tau, wb.baseline_params, cfg, seed=5, epoch=1)
         for x, y in zip(a, b):
             assert np.array_equal(x.e, y.e)
+
+
+@pytest.fixture(scope="module")
+def fixture_wave_case():
+    """Seeded params at the acceptance fixture's shape, 175 seed points, a PCA basis and a tau between their losses."""
+    rng = np.random.default_rng(17)
+    _, params = fc.init_params(32, 64, 16, 24, seed=17, input_hours=24)
+    seeds = make_points(rng, 175, 24, 32, 24, 16)
+    basis = ag.pca_fit(make_points(rng, 350, 24, 32, 24, 16).E, 0.70)
+    return params, seeds, basis, float(np.median(pm.dataset_losses(seeds, params)))
+
+
+class TestZooStreaming:
+    """Waves drawn one step at a time, against the wave that drew every probe first."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 10])
+    @pytest.mark.parametrize("B", [1, 2, 95, 96, 175])
+    @pytest.mark.parametrize("pca", [False, True])
+    def test_wave_equals_drawn_first_byte_for_byte(self, fixture_wave_case, pca, B, steps):
+        params, seeds, basis, tau = fixture_wave_case
+        cfg = ag.ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=3, steps=steps)
+        basis = basis if pca else None
+        got = ag.zoo_generate(seeds[:B], tau, params, cfg, seed=29, epoch=2, basis=basis)
+        want = zoo_generate_drawn_first(seeds[:B], tau, params, cfg, seed=29, epoch=2, basis=basis)
+        for name in ("E", "Y", "M", "episode_id", "created_epoch"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.E.shape == seeds[:B].E.shape
+        assert steps == 0 or not np.array_equal(got.E, seeds[:B].E)
+
+    def test_wave_allocates_under_half_of_one_probe_stack(self, fixture_wave_case):
+        # drawing every probe first held a (175, 10, 3, 24, 32) array (30.8 MiB) twice: a 61.6 MiB peak.
+        # One step at a time peaks at 9.3 MiB (9.8 with a basis); the bound is half of one such array.
+        params, seeds, basis, tau = fixture_wave_case
+        cfg = ag.ZooConfig(0.75, 30.0, 3.0, 3, 10)
+        stack = len(seeds) * cfg.steps * cfg.k * seeds.E[0].size * 8
+        for b in (None, basis):
+            peak = allocation_peak(lambda: ag.zoo_generate(seeds, tau, params, cfg, seed=3, epoch=1, basis=b))
+            assert peak < stack / 2, peak
 
 
 class TestMixup:

@@ -2,7 +2,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_loss, fd_param_gradients, make_points, relative_error, take_windows
+from helpers import allocation_peak, batch_loss, fd_param_gradients, make_points, relative_error, take_windows
 
 from privtsf import forecaster as fc
 from privtsf.data import (
@@ -536,19 +535,9 @@ class TestDpStep:
         # a step that formed per-sample gradients peaked at 4.2 MiB at this shape
         params, E, Y, M, _ = unroll_case(5, 32, FIXTURE_DIMS)
         pts = PointSet(E=E, Y=Y, M=M)
-        step = lambda: fc.dp_train_step(pts, params, fc.TrainConfig(), fc.DpConfig(), np.random.default_rng(0))
-        step()
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            step()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
+        peak = allocation_peak(
+            lambda: fc.dp_train_step(pts, params, fc.TrainConfig(), fc.DpConfig(), np.random.default_rng(0))
+        )
         assert peak < 2 * 32 * params.hidden_dim**2 * 8, peak
 
     def test_noise_applied_when_sigma_positive(self):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import priv, roc_curve, tpr_fpr
+from helpers import make_points, priv, roc_curve, tpr_fpr
 
 from privtsf import metrics as pm
 from privtsf.data import DomainError, PointSet
+from privtsf import forecaster as fc
 from privtsf.forecaster import ForecasterParams, masked_batch_losses
 
 
@@ -110,6 +111,45 @@ class TestMseSet:
     def test_empty_is_domain_error(self):
         with pytest.raises(DomainError):
             pm.mse_set(points_with_losses(), zero_params())
+
+
+@pytest.fixture(scope="module")
+def fixture_eval_case():
+    """Seeded params at the acceptance fixture's shape (H 64, n 32, F 16, T 24) and 2,925 points."""
+    _, params = fc.init_params(32, 64, 16, 24, seed=5, input_hours=24)
+    return params, make_points(np.random.default_rng(5), 2925, 24, 32, 24, 16)
+
+
+def whole_batch_losses(points, params):
+    """One _forward over every row, then masked_batch_losses: the reference for chunked evaluation."""
+    return masked_batch_losses(fc._forward(points.E, params)[2][:, 1:], points.Y, points.M)
+
+
+class TestChunkedLosses:
+    @pytest.mark.parametrize("n", [1, 95, 96, 1023, 1024, 1025, 1535, 2925])
+    def test_chunks_equal_one_whole_batch_bit_for_bit(self, fixture_eval_case, monkeypatch, n):
+        params, pts = fixture_eval_case
+        calls = []
+        real = pm.forecast_batch
+        monkeypatch.setattr(pm, "forecast_batch", lambda E, p: calls.append(len(E)) or real(E, p))
+        got = pm.dataset_losses(pts[:n], params)
+        assert got.tobytes() == whole_batch_losses(pts[:n], params).tobytes()
+        # EVAL_CHUNK-row chunks, the last one taking the remainder: one call below 2 * EVAL_CHUNK rows
+        chunks = max(1, n // pm.EVAL_CHUNK)
+        assert calls == [pm.EVAL_CHUNK] * (chunks - 1) + [n - pm.EVAL_CHUNK * (chunks - 1)]
+        assert min(calls) >= min(n, pm.EVAL_CHUNK) and max(calls) < 2 * pm.EVAL_CHUNK
+
+    @pytest.mark.parametrize("n_train, n_pool", [(350, 175), (700, 600), (511, 2), (1024, 1), (0, 600)])
+    def test_parts_scored_as_one_evaluation(self, fixture_eval_case, n_train, n_pool):
+        # a chunk that straddles the train rows and the pool rows copies only its own rows
+        params, pts = fixture_eval_case
+        train, pool = pts[:n_train], pts[2925 - n_pool :]
+        want = whole_batch_losses(PointSet.concat(train, pool), params)
+        got = pm.chunked_losses(pm.forecast_batch, params, *((p.E, p.Y, p.M) for p in (train, pool)))
+        assert got.tobytes() == want.tobytes()
+        if n_train:
+            assert pm.dataset_losses(train, params, pool).tobytes() == want.tobytes()
+            assert pm.mse_set(train, params, pool) == float(want.mean())
 
 
 class TestAvgTrainLossTau:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import identity_standardizer
+from helpers import allocation_peak, identity_standardizer, make_points
 
 from privtsf import runner
 from privtsf.augment import MixupConfig, ZooConfig
@@ -130,6 +130,19 @@ class TestEvaluateCandidate:
         assert m_held_ref.tau > m_train_ref.tau
         assert m_held_ref.tpr >= m_train_ref.tpr
         assert m_held_ref.fpr >= m_train_ref.fpr
+
+
+class TestAttackRowMemory:
+    def test_row_allocates_less_than_joining_train_and_pool(self):
+        # at the bench shape, with 350 train, 175 pool, 1,200 heldout and 1,200 test points, a row
+        # that joined train and pool and forecast each split in one call peaked at 26.0 MiB;
+        # chunked evaluation without the join peaks at 14.9 MiB, and the bound leaves 5 MiB above it
+        rng = np.random.default_rng(3)
+        emb, params = init_params(32, 64, 16, 24, seed=3, input_hours=24)
+        train, pool, held, test = (make_points(rng, count, 24, 32, 24, 16) for count in (350, 175, 1200, 1200))
+        wb = runner.Workbench(emb, params, train, held, test, identity_standardizer(16), seed=3)
+        peak = allocation_peak(lambda: runner.attack_row("r", "zoo", "", params, wb, "heldout", pool=pool, epoch=1))
+        assert peak < 20 * 2**20, peak
 
 
 class TestReplayGate:
