@@ -4,7 +4,7 @@ Raw observations arrive as (time, variable, value) triplets grouped into
 episodes (one episode per patient stay). Episodes are binned into hourly
 buckets where the first observation per hour and variable wins, standardized
 per variable on training-split statistics, and cut into fixed-length
-observation/forecast windows with binary observation masks. Unobserved cells
+observation/forecast windows with bool observation masks. Unobserved cells
 hold 0, which is the per-variable mean in standardized space.
 
 All containers are immutable after construction: numpy payloads are marked
@@ -156,14 +156,22 @@ class Standardizer:
         return (np.asarray(values, dtype=np.float64) - self.mean[var_ids]) / self.std[var_ids]
 
 
-def _freeze(obj, arrays: Sequence[str], columns: Sequence[str]) -> int:
-    """Make a frozen set's `arrays` read-only and give each of its int64 `columns` one value per row.
+def _freeze(obj, arrays: Sequence[str], masks: Sequence[str], columns: Sequence[str]) -> int:
+    """Make a frozen set's float64 `arrays` and bool `masks` read-only and give each of its int64 `columns`
+    one value per row.
 
-    A scalar column value applies to every row, and a float value must be a
+    A mask of any other dtype must hold only 0 and 1, checked before it is
+    cast, so 0.5 or NaN raises ValidationError rather than becoming True. A
+    scalar column value applies to every row, and a float value must be a
     whole number. Returns the row count, the length of the first array.
     """
     for name in arrays:
         object.__setattr__(obj, name, readonly(getattr(obj, name)))
+    for name in masks:
+        m = np.asarray(getattr(obj, name))
+        if m.dtype != bool and not np.all((m == 0) | (m == 1)):
+            raise ValidationError("mask entries must be 0 or 1")
+        object.__setattr__(obj, name, readonly(m, bool))
     n = len(getattr(obj, arrays[0]))
     for name in columns:
         col = np.asarray(getattr(obj, name))
@@ -176,40 +184,35 @@ def _freeze(obj, arrays: Sequence[str], columns: Sequence[str]) -> int:
     return n
 
 
-def _check_mask(m: np.ndarray) -> None:
-    if not np.all((m == 0) | (m == 1)):
-        raise ValidationError("mask entries must be 0 or 1")
-
-
 @dataclass(frozen=True, eq=False)
 class WindowSet:
     """N observation windows plus their forecast targets, hourly binned, with episode id and start columns.
 
-    `values` is standardized and zero-imputed; wherever `mask_in` is 0 the
-    value is exactly 0. `target`/`mask_out` follow the same convention over
-    the forecast horizon. The set is read as whole arrays; it has no rows.
-    A caller's array that is already contiguous float64 is kept without a
-    copy and made read-only in place; any other is copied.
+    `values` is standardized and zero-imputed; wherever `mask_in` is False
+    the value is exactly 0. `target`/`mask_out` follow the same convention
+    over the forecast horizon. The masks are bool, one byte per cell; a mask
+    of another dtype must hold only 0 and 1 and is copied to bool. The set is
+    read as whole arrays; it has no rows. A caller's values or target that is
+    already contiguous float64, or mask that is already contiguous bool, is
+    kept without a copy and made read-only in place; any other is copied.
     """
 
     values: np.ndarray  # (N, input_len, F)
-    mask_in: np.ndarray  # (N, input_len, F) in {0, 1}
+    mask_in: np.ndarray  # (N, input_len, F) bool
     target: np.ndarray  # (N, horizon, F)
-    mask_out: np.ndarray  # (N, horizon, F) in {0, 1}
+    mask_out: np.ndarray  # (N, horizon, F) bool
     episode_id: np.ndarray | int = 0
     window_start: np.ndarray | int = 0
 
     def __post_init__(self) -> None:
-        _freeze(self, ("values", "mask_in", "target", "mask_out"), ("episode_id", "window_start"))
+        _freeze(self, ("values", "target"), ("mask_in", "mask_out"), ("episode_id", "window_start"))
         if self.values.ndim != 3 or self.values.shape != self.mask_in.shape or self.target.shape != self.mask_out.shape:
             raise ConfigurationError("value/mask shape mismatch")
         if self.target.ndim != 3 or self.values.shape[::2] != self.target.shape[::2]:
             raise ConfigurationError("input and target row or variable counts differ")
-        _check_mask(self.mask_in)
-        _check_mask(self.mask_out)
-        if np.any((self.values != 0) & (self.mask_in == 0)):
+        if np.any((self.values != 0) & ~self.mask_in):
             raise ValidationError("unobserved input cells must hold 0")
-        if np.any((self.target != 0) & (self.mask_out == 0)):
+        if np.any((self.target != 0) & ~self.mask_out):
             raise ValidationError("unobserved target cells must hold 0")
 
     def __len__(self) -> int:
@@ -222,28 +225,30 @@ class DataPoint:
 
     e: np.ndarray  # (input_len, n)
     y: np.ndarray  # (horizon, F)
-    m: np.ndarray  # (horizon, F) in {0, 1}
+    m: np.ndarray  # (horizon, F) bool
     episode_id: int = 0
     created_epoch: int = 0
 
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """N points as stacked read-only arrays plus two int64 provenance columns.
+    """N points as stacked read-only arrays, float64 E and Y and a bool mask M, plus two int64 provenance columns.
 
     `episode_id` is the stay the point's window came from (a synthetic point
     keeps its seed's, or its dominant input's); `created_epoch` is 0 for a
     point baked from a window and the augmentation round for a synthetic one.
     Indexing with a slice or an index array returns a PointSet without
     validating again, an int index returns that row as a DataPoint of views,
-    and iteration yields the rows in order. As in WindowSet, a caller's E, Y
-    or M that is already contiguous float64 is kept without a copy and made
-    read-only in place; any other is copied.
+    and iteration yields the rows in order. As in WindowSet, M holds one byte
+    per cell, a mask of another dtype must hold only 0 and 1 and is copied to
+    bool, and a caller's E or Y that is already contiguous float64, or M that
+    is already contiguous bool, is kept without a copy and made read-only in
+    place; any other is copied.
     """
 
     E: np.ndarray  # (N, input_len, n)
     Y: np.ndarray  # (N, horizon, F)
-    M: np.ndarray  # (N, horizon, F) in {0, 1}
+    M: np.ndarray  # (N, horizon, F) bool
     episode_id: np.ndarray | int = 0
     created_epoch: np.ndarray | int = 0
 
@@ -251,10 +256,9 @@ class PointSet:
     _COLUMNS = ("episode_id", "created_epoch")
 
     def __post_init__(self) -> None:
-        n = _freeze(self, self._ARRAYS, self._COLUMNS)
+        n = _freeze(self, ("E", "Y"), ("M",), self._COLUMNS)
         if self.E.ndim != 3 or self.Y.ndim != 3 or self.Y.shape != self.M.shape or len(self.Y) != n:
             raise ConfigurationError(f"point arrays of shapes {self.E.shape}, {self.Y.shape}, {self.M.shape}")
-        _check_mask(self.M)
 
     def __len__(self) -> int:
         return len(self.E)
@@ -294,7 +298,42 @@ class PointSet:
 
 
 # holds no rows, so concatenating it with other point sets takes on their shape
-NO_POINTS = PointSet(E=np.empty((0, 0, 0)), Y=np.empty((0, 0, 0)), M=np.empty((0, 0, 0)))
+NO_POINTS = PointSet(E=np.empty((0, 0, 0)), Y=np.empty((0, 0, 0)), M=np.empty((0, 0, 0), dtype=bool))
+
+
+class PointRows:
+    """Rows `index` of the concatenation of `parts`, copied a batch at a time.
+
+    `rows[idx]` equals `PointSet.concat(*parts)[index][idx]` byte for byte,
+    but it copies only the rows that `idx` selects, so neither the joined set
+    nor its selection is ever held whole. A training loop reads it as it reads
+    a PointSet: by `len` and by index arrays.
+    """
+
+    def __init__(self, parts: Sequence[PointSet], index: np.ndarray):
+        self._parts = [p for p in parts if len(p)]
+        if len({(p.E.shape[1:], p.Y.shape[1:]) for p in self._parts}) > 1:
+            raise ConfigurationError("cannot join point sets of different shapes")
+        self._starts = np.cumsum([0] + [len(p) for p in self._parts])
+        self._index = np.asarray(index, dtype=np.int64)
+        if self._index.size and not (0 <= self._index.min() and self._index.max() < self._starts[-1]):
+            raise ConfigurationError(f"row index outside the {self._starts[-1]} joined rows")
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, idx: np.ndarray) -> PointSet:
+        at = self._index[idx]
+        part = np.searchsorted(self._starts, at, side="right") - 1
+        out = {}
+        for name in (*PointSet._ARRAYS, *PointSet._COLUMNS):
+            first = getattr(self._parts[0], name)
+            arr = np.empty((len(at), *first.shape[1:]), dtype=first.dtype)
+            for k, p in enumerate(self._parts):
+                rows = part == k
+                arr[rows] = getattr(p, name)[at[rows] - self._starts[k]]
+            out[name] = arr
+        return PointSet._trusted(out)
 
 
 def _check_var_ids(ep: Episode, n_vars: int) -> None:
@@ -321,7 +360,7 @@ def _bin_blocks(obs, lo, hi, start, std: Standardizer, values: np.ndarray, mask:
     cell, first = np.unique((row * values.shape[1] + hours) * values.shape[2] + var[at], return_index=True)
     at = at[first]
     np.put(values, cell, std.standardize(val[at], var[at]))
-    np.put(mask, cell, 1.0)
+    np.put(mask, cell, True)
 
 
 def bin_windows(starts: Sequence[tuple[Episode, int]], input_len: int, horizon: int, std: Standardizer) -> WindowSet:
@@ -344,7 +383,8 @@ def bin_windows(starts: Sequence[tuple[Episode, int]], input_len: int, horizon: 
             episodes[id(ep)] = ep
     start = np.array([s for _, s in starts], dtype=np.float64)
     shape_in, shape_out = (len(starts), input_len, std.n_vars), (len(starts), horizon, std.n_vars)
-    values, mask_in, target, mask_out = np.zeros(shape_in), np.zeros(shape_in), np.zeros(shape_out), np.zeros(shape_out)
+    values, target = np.zeros(shape_in), np.zeros(shape_out)
+    mask_in, mask_out = np.zeros(shape_in, dtype=bool), np.zeros(shape_out, dtype=bool)
     for a in range(0, len(starts), _BIN_CHUNK):
         rows, s = slice(a, a + _BIN_CHUNK), start[a : a + _BIN_CHUNK]
         rows_of: dict[int, list[int]] = {}  # the chunk's rows by episode, in order of first use
@@ -374,23 +414,6 @@ def _admissible(length_hours, span: int, stride: int, max_start: int) -> tuple[n
         raise ConfigurationError("stride must be >= 1")
     grid = np.arange(0, max_start + 1, stride)
     return grid, grid + span <= np.asarray(length_hours, dtype=np.float64)[..., None] + 1e-9
-
-
-def sliding_windows(
-    ep: Episode,
-    stride: int = 4,
-    input_len: int = 24,
-    horizon: int = 24,
-    max_start: int = 96,
-) -> list[int]:
-    """Window start offsets for one episode.
-
-    Starts run over {0, stride, 2*stride, ...}, capped at `max_start`, and a
-    start is admitted only if the full observation + forecast span fits inside
-    the stay. Short stays yield an empty list.
-    """
-    grid, fits = _admissible(ep.length_hours, input_len + horizon, stride, max_start)
-    return grid[fits].tolist()
 
 
 def split_by_episode(

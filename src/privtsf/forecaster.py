@@ -28,6 +28,7 @@ from .data import (
     ConfigurationError,
     DomainError,
     EvaluationError,
+    PointRows,
     PointSet,
     Standardizer,
     TrainingError,
@@ -193,7 +194,7 @@ def init_params(
 
 
 def window_inputs(values: np.ndarray, mask: np.ndarray, n_vars: int) -> np.ndarray:
-    """The embedding map's input rows (..., input_len, 2F): each hour's values, then its input mask."""
+    """The embedding map's input rows (..., input_len, 2F): each hour's values, then its input mask as 0.0 or 1.0."""
     if values.shape != mask.shape or values.shape[-1] != n_vars:
         raise ConfigurationError(f"windows have {values.shape[-1]} variables, embedding expects {n_vars}")
     return np.concatenate([values, mask], axis=-1)
@@ -262,7 +263,12 @@ def forecast_batch(E: np.ndarray, params: ForecasterParams) -> np.ndarray:
 
 
 def masked_batch_losses(pred: np.ndarray, Y: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Per-sample masked mean squared error over a batch."""
+    """Per-sample masked mean squared error over a batch.
+
+    M is the points' bool mask (a 0/1 float mask gives the same bits): the
+    squared errors are multiplied by it as 0.0 / 1.0 and each sample's sum is
+    divided by its count of observed cells.
+    """
     counts = M.sum(axis=(1, 2))
     if np.any(counts < 1):
         raise DomainError("sample with empty target mask")
@@ -536,13 +542,17 @@ def _run_epochs(state, n: int, batch_size: int, epochs: int, rng: np.random.Gene
 
 
 def train(
-    points: PointSet,
+    points: PointSet | PointRows,
     params: ForecasterParams,
     cfg: TrainConfig,
     epochs: int,
     seed: int,
 ) -> tuple[ForecasterParams, list[float]]:
-    """Minibatch SGD for a fixed number of epochs; returns params and per-epoch mean loss."""
+    """Minibatch SGD for a fixed number of epochs; returns params and per-epoch mean loss.
+
+    `points` is read only by `len` and by each batch's index array, so a
+    PointRows trains exactly as the PointSet it selects would.
+    """
     if len(points) == 0:
         raise DomainError("empty training set")
     rng = np.random.default_rng([seed, _SHUFFLE_STREAM])

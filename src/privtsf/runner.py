@@ -37,6 +37,7 @@ from .data import (
     Episode,
     MetricsRow,
     NO_POINTS,
+    PointRows,
     PointSet,
     Standardizer,
     ValidationError,
@@ -451,7 +452,8 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
 
             mix_rng = np.random.default_rng([cfg.seed, _MIX_STREAM, r])
             pidx = pool_sample_indices(len(pool), n_train, mix_rng)
-            mixture = PointSet.concat(wb.train_pts, pool.items[pidx])
+            # the train rows then the sampled pool rows, gathered batch by batch: the mixture is never copied whole
+            mixture = PointRows((wb.train_pts, pool.items), np.concatenate([np.arange(n_train), n_train + pidx]))
 
             candidate, _ = train(
                 mixture,

@@ -25,6 +25,7 @@ from privtsf.data import (
     MetricsRow,
     NO_POINTS,
     ParseError,
+    PointRows,
     PointSet,
     Standardizer,
     ValidationError,
@@ -33,7 +34,6 @@ from privtsf.data import (
     build_windows,
     load_triplets,
     read_metrics_csv,
-    sliding_windows,
     split_by_episode,
     write_report_csv,
     write_roc_csv,
@@ -218,27 +218,33 @@ class TestBinning:
             assert np.all(w.target[w.mask_out == 0] == 0)
 
 
+def admissible_starts(length_hours, stride=4, input_len=24, horizon=24, max_start=96) -> list[int]:
+    """One stay's window starts as build_windows admits them, before the empty-target filter."""
+    grid, fits = data_module._admissible(length_hours, input_len + horizon, stride, max_start)
+    return grid[fits].tolist()
+
+
 class TestSlidingWindows:
     def test_96_hour_stay(self):
-        e = ep(1, [(0.0, 0, 1.0)], 96.0)
-        starts = sliding_windows(e, stride=4, input_len=24, horizon=24, max_start=96)
+        starts = admissible_starts(96.0, stride=4, input_len=24, horizon=24, max_start=96)
         assert starts == [0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48]
         assert len(starts) == 13
 
     def test_short_stay_gives_empty_sequence(self):
-        e = ep(1, [(0.0, 0, 1.0)], 47.0)
-        assert sliding_windows(e) == []
+        assert admissible_starts(47.0) == []
+        assert len(build_windows([ep(1, [(0.0, 0, 1.0)], 47.0)], identity_standardizer(2))) == 0
 
     def test_long_stay_caps_at_max_start(self):
-        e = ep(1, [(0.0, 0, 1.0)], 1000.0)
-        starts = sliding_windows(e)
+        starts = admissible_starts(1000.0)
         assert starts == list(range(0, 97, 4))
         assert len(starts) == 25
 
     def test_invalid_stride(self):
         e = ep(1, [(0.0, 0, 1.0)], 96.0)
         with pytest.raises(ConfigurationError):
-            sliding_windows(e, stride=0)
+            admissible_starts(96.0, stride=0)
+        with pytest.raises(ConfigurationError):
+            build_windows([e], identity_standardizer(2), stride=0)
 
     def test_empty_target_windows_dropped_by_builder(self):
         # single observation at hour 0: every window's target block is empty
@@ -386,23 +392,54 @@ class TestEpisodeValidation:
 
 class TestWindowAndPointTypes:
     def test_sets_freeze_the_callers_contiguous_float64_arrays_in_place(self):
-        # documented on both types: such an array is kept uncopied and made read-only,
-        # while a non-contiguous or non-float64 array is copied and stays writable
-        values, mask_in = np.zeros((2, 3, 1)), np.zeros((2, 3, 1))
-        target, mask_out = np.zeros((2, 1, 1)), np.ones((2, 1, 1))
+        # documented on both types: a contiguous float64 data array or contiguous bool mask is kept
+        # uncopied and made read-only, while any other array is copied (a 0/1 float mask to bool,
+        # after its check) and the caller's stays writable
+        values, mask_in = np.zeros((2, 3, 1)), np.zeros((2, 3, 1), dtype=bool)
+        target, mask_out = np.zeros((2, 1, 1)), np.ones((2, 1, 1), dtype=bool)
         ws = WindowSet(values=values, mask_in=mask_in, target=target, mask_out=mask_out)
         for name, arr in (("values", values), ("mask_in", mask_in), ("target", target), ("mask_out", mask_out)):
             assert getattr(ws, name) is arr and not arr.flags.writeable, name
-        E, Y, M = np.zeros((2, 3, 2)), np.zeros((2, 1, 1)), np.ones((2, 1, 1))
+        E, Y, M = np.zeros((2, 3, 2)), np.zeros((2, 1, 1)), np.ones((2, 1, 1), dtype=bool)
         pts = PointSet(E=E, Y=Y, M=M)
         for name, arr in (("E", E), ("Y", Y), ("M", M)):
             assert getattr(pts, name) is arr and not arr.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             E[0, 0, 0] = 1.0
         strided, ints = np.zeros((2, 3, 4))[:, :, ::2], np.zeros((2, 1, 1), dtype=np.int64)
-        pts = PointSet(E=strided, Y=ints, M=np.ones((2, 1, 1)))
-        assert strided.flags.writeable and ints.flags.writeable
-        assert not (np.shares_memory(pts.E, strided) or np.shares_memory(pts.Y, ints))
+        float_mask = np.array([[[1.0]], [[0.0]]])
+        pts = PointSet(E=strided, Y=ints, M=float_mask)
+        assert strided.flags.writeable and ints.flags.writeable and float_mask.flags.writeable
+        assert not any(np.shares_memory(a, b) for a, b in ((pts.E, strided), (pts.Y, ints), (pts.M, float_mask)))
+        assert pts.M.dtype == bool and not pts.M.flags.writeable and pts.M.ravel().tolist() == [True, False]
+        float_in, float_out = np.zeros((2, 3, 1)), np.ones((2, 1, 1))
+        ws = WindowSet(values=values, mask_in=float_in, target=target, mask_out=float_out)
+        assert ws.mask_in.dtype == ws.mask_out.dtype == bool
+        assert float_in.flags.writeable and float_out.flags.writeable
+        assert ws.mask_in.tolist() == float_in.tolist() and ws.mask_out.tolist() == float_out.tolist()
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_masks_outside_zero_and_one_are_rejected_before_the_cast(self, bad):
+        # cast first, each of these would become True
+        def mask(shape):
+            m = np.ones(shape)
+            m[0, 0, 0] = bad
+            return m
+
+        for name, shape in (("mask_in", (1, 2, 1)), ("mask_out", (1, 1, 1))):
+            arrays = dict(values=np.zeros((1, 2, 1)), mask_in=np.ones((1, 2, 1)),
+                          target=np.zeros((1, 1, 1)), mask_out=np.ones((1, 1, 1)))
+            arrays[name] = mask(shape)
+            with pytest.raises(ValidationError, match="mask entries must be 0 or 1"):
+                WindowSet(**arrays)
+        with pytest.raises(ValidationError, match="mask entries must be 0 or 1"):
+            PointSet(E=np.zeros((1, 2, 2)), Y=np.ones((1, 1, 1)), M=mask((1, 1, 1)))
+
+    def test_binned_masks_are_bool(self):
+        episodes = generate(GeneratorConfig(n_episodes=10, seed=6))
+        windows = build_windows(episodes, Standardizer.fit(episodes, 16))
+        assert windows.mask_in.dtype == windows.mask_out.dtype == bool
+        assert windows.mask_in.nbytes == windows.values.nbytes // 8
 
     def test_mask_must_be_binary(self):
         with pytest.raises(ValidationError):
@@ -526,6 +563,36 @@ class TestPointSetProperties:
             assert cut.episode_id.tolist() == cut.E[:, 0, 0].tolist()
             assert cut.created_epoch.tolist() == cut.E[:, 0, 1].tolist()
             assert [(r.episode_id, r.created_epoch) for r in cut] == list(zip(cut.E[:, 0, 0], cut.E[:, 0, 1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 8), min_size=1, max_size=3),
+        index=st.lists(st.integers(0, 23), min_size=1, max_size=30),
+        picks=st.lists(st.integers(0, 29), max_size=12),
+    )
+    def test_point_rows_equal_rows_of_the_joined_selection(self, seed, sizes, index, picks):
+        rng = np.random.default_rng(seed)
+        parts = [random_points(rng, count, epoch) for epoch, count in enumerate(sizes, start=1)]
+        joined = PointSet.concat(*parts)
+        index = np.array([i for i in index if i < len(joined)], dtype=np.int64)
+        if not len(index):
+            return
+        selected, rows = joined[index], PointRows(parts, index)
+        assert len(rows) == len(selected)
+        idx = np.array([i for i in picks if i < len(index)], dtype=np.int64)
+        got, want = rows[idx], selected[idx]
+        for name in (*PointSet._ARRAYS, *PointSet._COLUMNS):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert a.flags.c_contiguous and not a.flags.writeable, name
+
+    def test_point_rows_check_their_index(self):
+        pts = random_points(np.random.default_rng(0), 3, 1)
+        with pytest.raises(ConfigurationError, match="outside the 3 joined rows"):
+            PointRows([pts], [0, 3])
+        with pytest.raises(ConfigurationError, match="different shapes"):
+            PointRows([pts, PointSet(E=np.zeros((1, 1, 1)), Y=np.zeros((1, 1, 1)), M=np.ones((1, 1, 1)))], [0])
 
     def test_concat_returns_a_lone_part_with_rows_uncopied(self):
         pts = random_points(np.random.default_rng(0), 3, 1)

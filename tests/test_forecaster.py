@@ -129,6 +129,22 @@ class TestEmbed:
         whole = fc.window_inputs(ws.values, ws.mask_in, n_vars) @ emb.weight + emb.bias
         assert fc.bake_points(ws, emb).E.tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("count", [1, 129, 300])
+    def test_points_hold_one_byte_masks_and_embed_as_the_float_masks_did(self, count):
+        rng = np.random.default_rng(count)
+        m_in = (rng.random((count, 24, 16)) < 0.3).astype(float)
+        m_out = (rng.random((count, 24, 16)) < 0.3).astype(float)
+        ws = WindowSet(
+            values=rng.standard_normal(m_in.shape) * m_in, mask_in=m_in,
+            target=rng.standard_normal(m_out.shape) * m_out, mask_out=m_out,
+        )
+        emb = fc.EmbeddingMap(weight=rng.standard_normal((32, 32)), bias=rng.standard_normal(32))
+        pts = fc.bake_points(ws, emb)
+        assert pts.M.dtype == bool and pts.M.nbytes == pts.Y.nbytes // 8
+        assert np.array_equal(pts.M, m_out)
+        float_inputs = np.concatenate([ws.values, m_in], axis=-1)
+        assert pts.E.tobytes() == (float_inputs @ emb.weight + emb.bias).tobytes()
+
     def test_dimension_mismatch(self):
         emb = fc.EmbeddingMap(weight=np.zeros((6, 2)), bias=np.zeros(2))
         w = window(np.zeros((4, 5)), np.zeros((4, 5)))
@@ -233,6 +249,33 @@ def unroll_case(seed, B, dims):
     M = (rng.random((B, T, F)) < 0.7).astype(float)
     M[:, 0, 0] = 1.0
     return params, E, Y, M, rng
+
+
+class TestBoolMasks:
+    @settings(max_examples=40, deadline=None)
+    @given(B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), dims=st.one_of(small_dims, st.just(FIXTURE_DIMS)))
+    def test_bool_masks_give_the_float_masks_bits(self, B, seed, dims):
+        # a point set casts its mask to bool; the same points with the float 0/1 mask, kept
+        # as given, must give the same losses, gradients and noiseless DP step bit for bit
+        params, E, Y, M, rng = unroll_case(seed, B, dims)
+        Y[int(rng.integers(B))] = fc.forecast_batch(E, params)[0]  # one row near its forecast
+        as_bool = PointSet(E=E.copy(), Y=Y.copy(), M=M.copy())
+        columns = dict(episode_id=np.zeros(B, np.int64), created_epoch=np.zeros(B, np.int64))
+        as_float = PointSet._trusted(dict(E=E, Y=Y, M=M, **columns))
+        assert as_bool.M.dtype == bool and as_float.M.dtype == np.float64
+
+        pred = fc.forecast_batch(E, params)
+        losses = fc.masked_batch_losses(pred, as_bool.Y, as_bool.M)
+        assert losses.tobytes() == fc.masked_batch_losses(pred, Y, M).tobytes()
+        for fn in (fc.mean_gradients, fc.per_sample_gradients):
+            (got, got_loss), (want, want_loss) = fn(as_bool, params), fn(as_float, params)
+            assert np.asarray(got_loss).tobytes() == np.asarray(want_loss).tobytes(), fn.__name__
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (fn.__name__, name)
+        cfg, dp = fc.TrainConfig(), fc.DpConfig(noise_multiplier=0.0, clip_norm=0.5)
+        stepped = [fc.dp_train_step(pts, params, cfg, dp, np.random.default_rng(0)) for pts in (as_bool, as_float)]
+        for name in fc.PARAM_FIELDS:
+            assert getattr(stepped[0], name).tobytes() == getattr(stepped[1], name).tobytes(), name
 
 
 class TestUnrollBits:

@@ -446,6 +446,18 @@ class TestMixupRun:
         assert all(r.alpha_or_beta == "1.0" for r in res.rows)
         assert all(r.method == "mixup" for r in res.rows)
 
+    def test_mixture_read_batch_by_batch_trains_as_the_joined_mixture(self, small_wb, tmp_path, monkeypatch):
+        # the retraining mixture gathers each batch from train and pool; joining them first must give the same run
+        base_cfg, wb = small_wb
+        cfg = dataclasses.replace(base_cfg, method="mixup", mixup=MixupConfig(beta=1.0), rounds=3, retrain_epochs=1)
+        runs = [runner.run_augmentation_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "a")), wb)]
+        monkeypatch.setattr(runner, "PointRows", lambda parts, index: PointSet.concat(*parts)[index])
+        runs.append(runner.run_augmentation_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "b")), wb))
+        assert runs[0].rows == runs[1].rows and [a.accepted for a in runs[0].audits] == [a.accepted for a in runs[1].audits]
+        for name, arr in runs[0].final_params.arrays().items():
+            assert arr.tobytes() == runs[1].final_params.arrays()[name].tobytes(), name
+        assert runs[0].final_epoch > 0  # an accepted round, so the final model is a retrained one
+
     @pytest.mark.parametrize("beta, epoch, n_samples", [(1.0, 1, 1), (1.0, 3, 75), (0.2, 2, 40), (5.0, 6, 16)])
     def test_wave_equals_pair_by_pair_reference(self, small_wb, beta, epoch, n_samples):
         base_cfg, wb = small_wb
