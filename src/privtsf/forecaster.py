@@ -9,10 +9,10 @@ The decoder consumes its own previous prediction at every step (student
 forcing), during training and inference alike.
 
 Gradients are computed analytically by backpropagation through the unroll.
-A differentially private step clips each sample's gradient without forming
-it: the norm comes from Gram matrices over time, the clipped mean from one
-fold of rescaled backprop signals. Per-sample gradients remain available as
-the reference that step is tested against.
+Plain, pretraining and private steps fold the backprop signals through one
+kernel (_fold); a private step first rescales each sample's signals to clip
+its gradient, whose norm comes from Gram matrices over time. Per-sample
+gradients remain available as the reference that step is tested against.
 Finite-difference verification lives in the test suite.
 """
 
@@ -44,7 +44,7 @@ _SHUFFLE_STREAM = 7
 _NOISE_STREAM = 8
 # windows per pass of bake_points
 _BAKE_CHUNK = 128
-# time steps per batched matmul in the DP step's folds (_fold)
+# time steps per batched matmul in the recurrent weight folds (_fold)
 _FOLD_STEPS = 8
 
 
@@ -325,8 +325,9 @@ def _backward(
 ) -> dict[str, np.ndarray]:
     """Backprop each sample's own masked MSE through the unroll.
 
-    With per_sample=True the returned arrays keep the leading batch axis;
-    otherwise they are already averaged over the batch. On the batch-mean
+    With per_sample=True the returned arrays keep the leading batch axis (the
+    DP step's reference); otherwise they are averaged over the batch, the
+    decoder's from _recurrent_folds as the DP step's are. On the batch-mean
     path only, passing the raw window inputs X (B, I, 2F) additionally yields
     the embedding map's gradients.
     """
@@ -345,20 +346,11 @@ def _backward(
             "pos": (E @ dpooled[:, :, None])[:, :, 0],
         }
     else:
-        # einsum folds each output element over (b, t) in order. On contiguous
-        # copies it runs that fold as one loop, on _forward's strided views as
-        # many short ones: the same bits at H, F >= 2, in a third of the time
-        S_next, S_prev, Yh_prev = (np.ascontiguousarray(a) for a in (S[:, 1:], S[:, :T], Yh[:, :T]))
-        g = {
-            "w_out": np.einsum("btf,bth->fh", DY, S_next) / B,
-            "b_out": DY.sum(axis=(0, 1)) / B,
-            "w_state": np.einsum("bth,btk->hk", DA, S_prev) / B,
-            "w_feedback": np.einsum("bth,btf->hf", DA, Yh_prev) / B,
-            "b_state": DA.sum(axis=(0, 1)) / B,
-            "w_hidden": np.einsum("bh,bn->hn", da0, pooled) / B,
-            "b_hidden": da0.sum(axis=0) / B,
-            "pos": np.einsum("bn,bin->i", dpooled, E) / B,
-        }
+        # the unscaled signals are folded, then divided: scaling them by 1/B first rounds differently
+        g = {name: total / B for name, total in _recurrent_folds(DY, DA, S, Yh).items()}
+        g["w_hidden"] = np.einsum("bh,bn->hn", da0, pooled) / B
+        g["b_hidden"] = da0.sum(axis=0) / B
+        g["pos"] = np.einsum("bn,bin->i", dpooled, E) / B
         if X is not None:
             dE = params.pos[None, :, None] * dpooled[:, None, :]
             g["emb_weight"] = np.einsum("bip,bin->pn", X, dE) / B
@@ -401,9 +393,10 @@ def _sample_norms(
 def _fold(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """sum over t of A[:, t].T @ Z[t], for batch-major A (B, T, p) and time-major Z (T, B, q).
 
-    One (p, B) x (B, q) product per step, _FOLD_STEPS steps per batched
-    matmul. The products stay small enough for BLAS to run each on one
-    thread; a single (p, T*B) x (T*B, q) product starts BLAS threads, and
+    The one kernel behind every recurrent weight gradient, plain, pretraining
+    and DP alike: one (p, B) x (B, q) product per step, _FOLD_STEPS steps per
+    batched matmul. The products stay small enough for BLAS to run each on
+    one thread; a single (p, T*B) x (T*B, q) product starts BLAS threads, and
     those stall whenever another process holds a core.
     """
     T = A.shape[1]
@@ -411,6 +404,20 @@ def _fold(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
         np.matmul(A[:, t : t + _FOLD_STEPS].transpose(1, 2, 0), Z[t : t + _FOLD_STEPS]).sum(axis=0)
         for t in range(0, T, _FOLD_STEPS)
     )
+
+
+def _recurrent_folds(DY: np.ndarray, DA: np.ndarray, S: np.ndarray, Yh: np.ndarray) -> dict[str, np.ndarray]:
+    """The decoder's gradients summed over batch and time, each sample weighted as its DY and
+    DA already are; the weights fold through _fold against _forward's time-major buffers."""
+    T = DY.shape[1]
+    S_tm, Yh_tm = S.transpose(1, 0, 2), Yh.transpose(1, 0, 2)
+    return {
+        "w_out": _fold(DY, S_tm[1:]),
+        "b_out": DY.sum(axis=(0, 1)),
+        "w_state": _fold(DA, S_tm[:T]),
+        "w_feedback": _fold(DA, Yh_tm[:T]),
+        "b_state": DA.sum(axis=(0, 1)),
+    }
 
 
 def _clipped_mean(
@@ -422,26 +429,19 @@ def _clipped_mean(
     clip_norm: float,
 ) -> dict[str, np.ndarray]:
     """Batch mean of the per-sample gradients, each clipped to L2 norm clip_norm,
-    without forming any of them ("ghost clipping", Li et al. 2022): each
-    sample's signals are scaled by its clip factor over B (DY and DA in
-    place) and folded once against the unroll's activations. The norms'
-    Gram matrices are freed before the fold, which keeps the step's peak
-    allocation low.
+    without forming any of them ("ghost clipping", Li et al. 2022): DY and DA
+    are scaled in place by each sample's clip factor over B and go through
+    _recurrent_folds, as the plain step's do. The norms' Gram matrices are
+    freed before the fold, which keeps the step's peak allocation low.
     """
     DY, DA, da0, dpooled = signals
-    B, T = DY.shape[:2]
     norms = _sample_norms(E, pooled, S, Yh, signals)
-    k = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300)) / B
+    k = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300)) / len(DY)
     DY *= k[:, None, None]
     DA *= k[:, None, None]
     da0, dpooled = da0 * k[:, None], dpooled * k[:, None]
-    S_tm, Yh_tm = S.transpose(1, 0, 2), Yh.transpose(1, 0, 2)  # _forward's time-major buffers
     return {
-        "w_out": _fold(DY, S_tm[1:]),
-        "b_out": DY.sum(axis=(0, 1)),
-        "w_state": _fold(DA, S_tm[:T]),
-        "w_feedback": _fold(DA, Yh_tm[:T]),
-        "b_state": DA.sum(axis=(0, 1)),
+        **_recurrent_folds(DY, DA, S, Yh),
         "w_hidden": da0.T @ pooled,
         "b_hidden": da0.sum(axis=0),
         "pos": np.einsum("bn,bin->i", dpooled, E),
