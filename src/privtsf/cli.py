@@ -43,10 +43,15 @@ log = logging.getLogger("privtsf")
 
 
 def _load_json(path: str) -> dict:
+    """A config file's JSON object; a file that is not UTF-8 JSON, or holds NaN or Infinity, is a ConfigurationError."""
+
+    def non_finite(token: str):
+        raise ConfigurationError(f"config file {path} holds {token}, which is not a JSON number")
+
     with open(path, encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+            cfg = json.load(fh, parse_constant=non_finite)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object, got {type(cfg).__name__}")

@@ -427,8 +427,8 @@ def split_by_episode(
     exactly one set; deterministic for a fixed seed.
     """
     fr = np.asarray(fractions, dtype=np.float64)
-    if fr.shape != (3,) or np.any(fr < 0) or abs(float(fr.sum()) - 1.0) > 1e-9:
-        raise ConfigurationError(f"fractions must be 3 non-negative values summing to 1, got {fractions}")
+    if fr.shape != (3,) or not np.all(np.isfinite(fr)) or np.any(fr < 0) or abs(float(fr.sum()) - 1.0) > 1e-9:
+        raise ConfigurationError(f"fractions must be 3 finite non-negative values summing to 1, got {fractions}")
     ids = sorted(ep.episode_id for ep in episodes)
     if len(ids) != len(set(ids)):
         raise ValidationError("duplicate episode ids")

@@ -9,16 +9,18 @@ The decoder consumes its own previous prediction at every step (student
 forcing), during training and inference alike.
 
 Gradients are computed analytically by backpropagation through the unroll.
-Plain, pretraining and private steps fold the backprop signals through one
-kernel (_fold); a private step first rescales each sample's signals to clip
-its gradient, whose norm comes from Gram matrices over time. Per-sample
-gradients remain available as the reference that step is tested against.
+One _unroll yields each sample's backprop signals; plain and pretraining
+steps reduce them to the batch mean, private steps to the mean of gradients
+clipped by norms from Gram matrices over time, and the per-sample reference
+that step is tested against keeps the batch axis. One minibatch loop,
+_run_epochs, owns the shuffle stream for every kind of training.
 Finite-difference verification lives in the test suite.
 """
 
 from __future__ import annotations
 
 import logging
+import zipfile
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -312,50 +314,51 @@ def _signals(
     return DY, DA, da0, da0 @ params.w_hidden
 
 
-def _backward(
-    E: np.ndarray,
-    Y: np.ndarray,
-    M: np.ndarray,
-    params: ForecasterParams,
-    pooled: np.ndarray,
-    S: np.ndarray,
-    Yh: np.ndarray,
-    per_sample: bool,
-    X: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Backprop each sample's own masked MSE through the unroll.
+def _unroll(E: np.ndarray, Y: np.ndarray, M: np.ndarray, params: ForecasterParams):
+    """A batch's activations (pooled, S, Yh), per-sample masked MSE and backprop signals
+    (DY, DA, da0, dpooled); each step kind reduces them as (E, acts, signals)."""
+    pooled, S, Yh = _forward(E, params)
+    return (pooled, S, Yh), masked_batch_losses(Yh[:, 1:], Y, M), _signals(Y, M, params, S, Yh)
 
-    With per_sample=True the returned arrays keep the leading batch axis (the
-    DP step's reference); otherwise they are averaged over the batch, the
-    decoder's from _recurrent_folds as the DP step's are. On the batch-mean
-    path only, passing the raw window inputs X (B, I, 2F) additionally yields
-    the embedding map's gradients.
-    """
-    B, T = Y.shape[0], Y.shape[1]
-    DY, DA, da0, dpooled = _signals(Y, M, params, S, Yh)
-    if per_sample:
-        # per-example outer products as batched matmuls (Goodfellow 2015)
-        g = {
-            "w_out": DY.transpose(0, 2, 1) @ S[:, 1:],
-            "b_out": DY.sum(axis=1),
-            "w_state": DA.transpose(0, 2, 1) @ S[:, :T],
-            "w_feedback": DA.transpose(0, 2, 1) @ Yh[:, :T],
-            "b_state": DA.sum(axis=1),
-            "w_hidden": da0[:, :, None] * pooled[:, None, :],
-            "b_hidden": da0,
-            "pos": (E @ dpooled[:, :, None])[:, :, 0],
-        }
-    else:
-        # the unscaled signals are folded, then divided: scaling them by 1/B first rounds differently
-        g = {name: total / B for name, total in _recurrent_folds(DY, DA, S, Yh).items()}
-        g["w_hidden"] = np.einsum("bh,bn->hn", da0, pooled) / B
-        g["b_hidden"] = da0.sum(axis=0) / B
-        g["pos"] = np.einsum("bn,bin->i", dpooled, E) / B
-        if X is not None:
-            dE = params.pos[None, :, None] * dpooled[:, None, :]
-            g["emb_weight"] = np.einsum("bip,bin->pn", X, dE) / B
-            g["emb_bias"] = dE.sum(axis=(0, 1)) / B
+
+def _mean_grads(E: np.ndarray, acts, signals) -> dict[str, np.ndarray]:
+    """Batch mean of the per-sample gradients, the decoder's from _recurrent_folds
+    as the DP step's are; the plain and pretraining steps' reduction."""
+    pooled, S, Yh = acts
+    DY, DA, da0, dpooled = signals
+    B = len(E)
+    # the unscaled signals are folded, then divided: scaling them by 1/B first rounds differently
+    g = {name: total / B for name, total in _recurrent_folds(DY, DA, S, Yh).items()}
+    g["w_hidden"] = np.einsum("bh,bn->hn", da0, pooled) / B
+    g["b_hidden"] = da0.sum(axis=0) / B
+    g["pos"] = np.einsum("bn,bin->i", dpooled, E) / B
     return g
+
+
+def _per_sample_grads(E: np.ndarray, acts, signals) -> dict[str, np.ndarray]:
+    """Each sample's gradient, with a leading batch axis: the reference the DP step
+    is tested against, as per-example outer products in batched matmuls (Goodfellow 2015)."""
+    pooled, S, Yh = acts
+    DY, DA, da0, dpooled = signals
+    T = DY.shape[1]
+    return {
+        "w_out": DY.transpose(0, 2, 1) @ S[:, 1:],
+        "b_out": DY.sum(axis=1),
+        "w_state": DA.transpose(0, 2, 1) @ S[:, :T],
+        "w_feedback": DA.transpose(0, 2, 1) @ Yh[:, :T],
+        "b_state": DA.sum(axis=1),
+        "w_hidden": da0[:, :, None] * pooled[:, None, :],
+        "b_hidden": da0,
+        "pos": (E @ dpooled[:, :, None])[:, :, 0],
+    }
+
+
+def _embedding_grads(X: np.ndarray, pos: np.ndarray, dpooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch-mean gradients of the embedding map's weight and bias, from the batch's
+    map inputs X (B, I, 2F) and the pooled embedding's signal; pretraining only."""
+    B = len(X)
+    dE = pos[None, :, None] * dpooled[:, None, :]
+    return np.einsum("bip,bin->pn", X, dE) / B, dE.sum(axis=(0, 1)) / B
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
@@ -363,19 +366,14 @@ def _gram(A: np.ndarray) -> np.ndarray:
     return A @ A.transpose(0, 2, 1)
 
 
-def _sample_norms(
-    E: np.ndarray,
-    pooled: np.ndarray,
-    S: np.ndarray,
-    Yh: np.ndarray,
-    signals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
+def _sample_norms(E: np.ndarray, acts, signals) -> np.ndarray:
     """Each sample's gradient L2 norm over all parameters, without forming the gradient.
 
     A recurrent weight's per-sample gradient is a sum of outer products over
     time, so its squared norm is sum(A A^T * B B^T) over T x T Gram matrices
     (Goodfellow 2015); the biases, w_hidden and pos are direct.
     """
+    pooled, S, Yh = acts
     DY, DA, da0, dpooled = signals
     T = DY.shape[1]
     G_S = _gram(S)  # both state blocks: S_prev is [:T, :T], S_next is [1:, 1:]
@@ -420,22 +418,16 @@ def _recurrent_folds(DY: np.ndarray, DA: np.ndarray, S: np.ndarray, Yh: np.ndarr
     }
 
 
-def _clipped_mean(
-    E: np.ndarray,
-    pooled: np.ndarray,
-    S: np.ndarray,
-    Yh: np.ndarray,
-    signals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    clip_norm: float,
-) -> dict[str, np.ndarray]:
+def _clipped_mean(E: np.ndarray, acts, signals, clip_norm: float) -> dict[str, np.ndarray]:
     """Batch mean of the per-sample gradients, each clipped to L2 norm clip_norm,
     without forming any of them ("ghost clipping", Li et al. 2022): DY and DA
     are scaled in place by each sample's clip factor over B and go through
     _recurrent_folds, as the plain step's do. The norms' Gram matrices are
     freed before the fold, which keeps the step's peak allocation low.
     """
+    pooled, S, Yh = acts
     DY, DA, da0, dpooled = signals
-    norms = _sample_norms(E, pooled, S, Yh, signals)
+    norms = _sample_norms(E, acts, signals)
     k = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300)) / len(DY)
     DY *= k[:, None, None]
     DA *= k[:, None, None]
@@ -448,27 +440,20 @@ def _clipped_mean(
     }
 
 
-def _gradients(points: PointSet, params: ForecasterParams, per_sample: bool):
-    """Gradients of each point's masked MSE (or their batch mean) and the per-point losses."""
-    E, Y, M = points.E, points.Y, points.M
-    pooled, S, Yh = _forward(E, params)
-    losses = masked_batch_losses(Yh[:, 1:], Y, M)
-    return _backward(E, Y, M, params, pooled, S, Yh, per_sample=per_sample), losses
-
-
 def mean_gradients(points: PointSet, params: ForecasterParams) -> tuple[dict[str, np.ndarray], float]:
     """Batch-mean gradient of the masked MSE and the mean loss itself."""
-    grads, losses = _gradients(points, params, per_sample=False)
-    return grads, float(losses.mean())
+    acts, losses, signals = _unroll(points.E, points.Y, points.M, params)
+    return _mean_grads(points.E, acts, signals), float(losses.mean())
 
 
 def per_sample_gradients(points: PointSet, params: ForecasterParams) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Per-sample gradients (leading batch axis) and per-sample losses."""
-    return _gradients(points, params, per_sample=True)
+    acts, losses, signals = _unroll(points.E, points.Y, points.M, params)
+    return _per_sample_grads(points.E, acts, signals), losses
 
 
-def _assert_finite_grads(grads: dict[str, np.ndarray], loss: float) -> None:
-    if not np.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads.values()):
+def _assert_finite_grads(loss: float, *grads: np.ndarray) -> None:
+    if not np.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads):
         raise TrainingError(f"non-finite gradient or loss (loss={loss})")
 
 
@@ -481,7 +466,7 @@ def train_step(
     if len(points) == 0:
         raise DomainError("empty batch")
     grads, loss = mean_gradients(points, params)
-    _assert_finite_grads(grads, loss)
+    _assert_finite_grads(loss, *grads.values())
     return params.updated(grads, -cfg.learning_rate), loss
 
 
@@ -515,20 +500,22 @@ def dp_train_step(
     """
     if len(points) == 0:
         raise DomainError("empty batch")
-    E, Y, M = points.E, points.Y, points.M
-    pooled, S, Yh = _forward(E, params)
-    loss = float(masked_batch_losses(Yh[:, 1:], Y, M).mean())
-    mean = _clipped_mean(E, pooled, S, Yh, _signals(Y, M, params, S, Yh), dp.clip_norm)
-    _assert_finite_grads(mean, loss)
+    acts, losses, signals = _unroll(points.E, points.Y, points.M, params)
+    loss = float(losses.mean())
+    mean = _clipped_mean(points.E, acts, signals, dp.clip_norm)
+    _assert_finite_grads(loss, *mean.values())
     noise_std = dp.noise_multiplier * dp.clip_norm / len(points)
     update = {k: g + noise_std * rng.standard_normal(g.shape) for k, g in mean.items()}
     return params.updated(update, -cfg.learning_rate * dp.lr_scale)
 
 
-def _run_epochs(state, n: int, batch_size: int, epochs: int, rng: np.random.Generator, step: Callable):
-    """The one minibatch loop: each epoch shuffles n items with `rng` and calls
-    `state, loss = step(state, idx)` on each batch's indices. Returns the final
-    state and each epoch's mean loss."""
+def _run_epochs(state, n: int, batch_size: int, epochs: int, seed: int, step: Callable):
+    """The one minibatch loop: each epoch shuffles n items with the seed's shuffle
+    stream and calls `state, loss = step(state, idx)` on each batch's indices.
+    Returns the final state and each epoch's mean loss; n = 0 is a DomainError."""
+    if n == 0:
+        raise DomainError("empty training set")
+    rng = np.random.default_rng([seed, _SHUFFLE_STREAM])
     history: list[float] = []
     for _ in range(epochs):
         perm = rng.permutation(n)
@@ -553,10 +540,7 @@ def train(
     `points` is read only by `len` and by each batch's index array, so a
     PointRows trains exactly as the PointSet it selects would.
     """
-    if len(points) == 0:
-        raise DomainError("empty training set")
-    rng = np.random.default_rng([seed, _SHUFFLE_STREAM])
-    return _run_epochs(params, len(points), cfg.batch_size, epochs, rng, lambda p, idx: train_step(points[idx], p, cfg))
+    return _run_epochs(params, len(points), cfg.batch_size, epochs, seed, lambda p, idx: train_step(points[idx], p, cfg))
 
 
 def dp_train(
@@ -568,15 +552,12 @@ def dp_train(
     seed: int,
 ) -> ForecasterParams:
     """DP-SGD training loop with independent shuffle and noise streams; a DP step reports no loss."""
-    if len(points) == 0:
-        raise DomainError("empty training set")
-    shuffle_rng = np.random.default_rng([seed, _SHUFFLE_STREAM])
     noise_rng = np.random.default_rng([seed, _NOISE_STREAM])
 
     def step(p: ForecasterParams, idx: np.ndarray) -> tuple[ForecasterParams, float]:
         return dp_train_step(points[idx], p, cfg, dp, noise_rng), 0.0
 
-    return _run_epochs(params, len(points), cfg.batch_size, epochs, shuffle_rng, step)[0]
+    return _run_epochs(params, len(points), cfg.batch_size, epochs, seed, step)[0]
 
 
 def pretrain_embedding(windows: WindowSet, cfg: TrainConfig) -> tuple[EmbeddingMap, ForecasterParams]:
@@ -586,8 +567,6 @@ def pretrain_embedding(windows: WindowSet, cfg: TrainConfig) -> tuple[EmbeddingM
     is the one all later augmentation and retraining operates on; only the
     forecaster parameters remain trainable afterwards.
     """
-    if not len(windows):
-        raise DomainError("empty pretraining set")
     input_hours, n_vars = windows.values.shape[1:]
     emb, params = init_params(cfg.n, cfg.hidden_dim, n_vars, cfg.horizon, cfg.seed, input_hours=input_hours)
     values, mask_in, Y, M = windows.values, windows.mask_in, windows.target, windows.mask_out
@@ -595,20 +574,20 @@ def pretrain_embedding(windows: WindowSet, cfg: TrainConfig) -> tuple[EmbeddingM
     def step(state, idx: np.ndarray):
         params, weight, bias = state
         # only this batch's map inputs: the same rows as gathering from the whole split's
-        Xb, Yb, Mb = window_inputs(values[idx], mask_in[idx], n_vars), Y[idx], M[idx]
+        Xb = window_inputs(values[idx], mask_in[idx], n_vars)
         Eb = Xb @ weight + bias
-        pooled, S, Yh = _forward(Eb, params)
-        loss = float(masked_batch_losses(Yh[:, 1:], Yb, Mb).mean())
-        grads = _backward(Eb, Yb, Mb, params, pooled, S, Yh, per_sample=False, X=Xb)
-        _assert_finite_grads(grads, loss)
-        params = params.updated({k: grads[k] for k in PARAM_FIELDS}, -cfg.learning_rate)
-        weight = weight - cfg.learning_rate * grads["emb_weight"]
-        bias = bias - cfg.learning_rate * grads["emb_bias"]
+        acts, losses, signals = _unroll(Eb, Y[idx], M[idx], params)
+        loss = float(losses.mean())
+        grads = _mean_grads(Eb, acts, signals)
+        d_weight, d_bias = _embedding_grads(Xb, params.pos, signals[3])
+        _assert_finite_grads(loss, *grads.values(), d_weight, d_bias)
+        params = params.updated(grads, -cfg.learning_rate)
+        weight = weight - cfg.learning_rate * d_weight
+        bias = bias - cfg.learning_rate * d_bias
         return (params, weight, bias), loss
 
-    rng = np.random.default_rng([cfg.seed, _SHUFFLE_STREAM])
     state = (params, emb.weight, emb.bias)
-    (params, weight, bias), _ = _run_epochs(state, len(windows), cfg.batch_size, cfg.max_epochs, rng, step)
+    (params, weight, bias), _ = _run_epochs(state, len(windows), cfg.batch_size, cfg.max_epochs, cfg.seed, step)
     return EmbeddingMap(weight=weight, bias=bias), params
 
 
@@ -619,6 +598,7 @@ def pretrain_embedding(windows: WindowSet, cfg: TrainConfig) -> tuple[EmbeddingM
 CHECKPOINT_VERSION = 1
 # the model shape a checkpoint records beside its arrays, checked against the run config on load
 _SHAPE_KEYS = ("n", "hidden_dim", "n_vars", "horizon", "input_hours")
+_CHECKPOINT_KEYS = ("version", *_SHAPE_KEYS, "seed", "emb_weight", "emb_bias", "std_mean", "std_std", *PARAM_FIELDS)
 
 
 def save_checkpoint(
@@ -643,15 +623,27 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[EmbeddingMap, ForecasterParams, Standardizer, dict]:
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ConfigurationError(f"unsupported checkpoint version {version}")
-        emb = EmbeddingMap(weight=data["emb_weight"], bias=data["emb_bias"])
-        params = ForecasterParams(
-            **{name: data[name] for name in PARAM_FIELDS},
-            horizon=int(data["horizon"]),
-        )
-        std = Standardizer(mean=data["std_mean"], std=data["std_std"])
-        meta = {k: int(data[k]) for k in (*_SHAPE_KEYS, "seed")}
+    """Read a save_checkpoint archive. A file that is not an npz archive of plain
+    arrays, or lacks one of the layout's keys, is a ConfigurationError naming it."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("it holds a single array")
+        with data:
+            missing = [key for key in _CHECKPOINT_KEYS if key not in data.files]
+            if missing:
+                raise ConfigurationError(f"checkpoint {path} has no {', '.join(missing)}")
+            arrays = {key: data[key] for key in _CHECKPOINT_KEYS}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(f"checkpoint {path} is not an npz archive of arrays: {exc}") from exc
+    version = int(arrays["version"])
+    if version != CHECKPOINT_VERSION:
+        raise ConfigurationError(f"unsupported checkpoint version {version}")
+    emb = EmbeddingMap(weight=arrays["emb_weight"], bias=arrays["emb_bias"])
+    params = ForecasterParams(
+        **{name: arrays[name] for name in PARAM_FIELDS},
+        horizon=int(arrays["horizon"]),
+    )
+    std = Standardizer(mean=arrays["std_mean"], std=arrays["std_std"])
+    meta = {k: int(arrays[k]) for k in (*_SHAPE_KEYS, "seed")}
     return emb, params, std, meta

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from helpers import identity_standardizer
@@ -132,6 +133,23 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(cfg_path) in err and message in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"run_id": "caf\xe9"}', "is not valid JSON: 'utf-8' codec can't decode"),
+            (b'{"split": [NaN, 0.5, 0.5]}', "holds NaN, which is not a JSON number"),
+            (b'{"train": {"learning_rate": NaN}}', "holds NaN, which is not a JSON number"),
+            (b'{"rounds": Infinity}', "holds Infinity, which is not a JSON number"),
+            (b'{"dp": {"clip_norm": -Infinity}}', "holds -Infinity, which is not a JSON number"),
+        ],
+    )
+    def test_config_that_is_not_utf8_json_exits_1_naming_it(self, tmp_path, capsys, content, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        assert main(["pretrain", "--config", str(cfg_path), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file ") and str(cfg_path) in err and message in err
+
     def test_string_rounds_exits_1_naming_key_and_type(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, rounds="3")
@@ -249,6 +267,36 @@ class TestCheckpointBinding:
         argv = ["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--seed", "12"]
         assert main(argv) == 1
         assert "has seed 11, the run config 12" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("kind", ["text", "empty", "bad zip", "one array", "no w_state", "object array"])
+    def test_malformed_checkpoint_exits_1_naming_it(self, tmp_path, capsys, kind):
+        ckpt = tmp_path / "c.npz"
+        emb, params = init_params(16, 16, 16, 24, seed=0, input_hours=24)
+        save_checkpoint(str(ckpt), emb, params, identity_standardizer(16), seed=12)
+        with np.load(ckpt) as data:
+            arrays = dict(data)
+        if kind == "text":
+            ckpt.write_text("version,1\n")
+        elif kind == "empty":
+            ckpt.write_bytes(b"")
+        elif kind == "bad zip":
+            ckpt.write_bytes(ckpt.read_bytes()[:100])
+        elif kind == "one array":
+            with open(ckpt, "wb") as fh:
+                np.save(fh, params.w_state)
+        elif kind == "no w_state":
+            np.savez(ckpt, **{k: v for k, v in arrays.items() if k != "w_state"})
+        else:
+            np.savez(ckpt, **{**arrays, "std_std": np.array([{}], dtype=object)})
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, generator={"n_episodes": 30})
+        argv = ["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--seed", "12"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {ckpt} "), err
+        expected = "has no w_state" if kind == "no w_state" else "is not an npz archive of arrays"
+        assert expected in err, err
 
 
 class TestPipeline:

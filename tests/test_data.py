@@ -348,6 +348,12 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             split_by_episode(self._episodes(4), (0.5, 0.2, 0.2), seed=0)
 
+    @pytest.mark.parametrize("fractions", [(np.nan, 0.5, 0.5), (0.5, np.nan, 0.5), (np.inf, 0.0, 0.0), (0.5, 0.5, -np.inf)])
+    def test_non_finite_fractions(self, fractions):
+        # NaN compares false with everything, so it must not slip past the range and sum checks
+        with pytest.raises(ConfigurationError, match="finite non-negative values summing to 1"):
+            split_by_episode(self._episodes(4), fractions, seed=0)
+
 
 class TestStandardizer:
     def test_round_trip(self):

@@ -14,6 +14,7 @@ from helpers import allocation_peak, batch_loss, fd_param_gradients, make_points
 from privtsf import forecaster as fc
 from privtsf.data import (
     ConfigurationError,
+    DomainError,
     EvaluationError,
     PointSet,
     Standardizer,
@@ -253,6 +254,18 @@ def unroll_case(seed, B, dims):
     return params, E, Y, M, rng
 
 
+def reduce_signals(E, Y, M, params, acts, per_sample, X=None):
+    """The reverse unroll of `acts` (pooled, S, Yh) reduced as one step kind does: per-sample,
+    or the batch mean, plus the embedding map's gradients when given its inputs X."""
+    signals = fc._signals(Y, M, params, acts[1], acts[2])
+    if per_sample:
+        return fc._per_sample_grads(E, acts, signals)
+    g = fc._mean_grads(E, acts, signals)
+    if X is not None:
+        g["emb_weight"], g["emb_bias"] = fc._embedding_grads(X, params.pos, signals[3])
+    return g
+
+
 class TestBoolMasks:
     @settings(max_examples=40, deadline=None)
     @given(B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), dims=st.one_of(small_dims, st.just(FIXTURE_DIMS)))
@@ -303,8 +316,7 @@ class TestUnrollBits:
         for per_sample, X_in in ((False, None), (True, None), (False, X)):
             if per_sample and min(params.hidden_dim, params.n_vars) < 2:
                 continue
-            got = fc._backward(E, Y, M, params, *views, per_sample=per_sample, X=X_in)
-            want = fc._backward(E, Y, M, params, *copies, per_sample=per_sample, X=X_in)
+            got, want = (reduce_signals(E, Y, M, params, acts, per_sample, X_in) for acts in (views, copies))
             assert got.keys() == want.keys()
             for name in got:
                 case = (per_sample, X_in is not None, name)
@@ -381,7 +393,7 @@ class TestFolds:
         X = rng.standard_normal((B, params.input_hours, 2 * params.n_vars))
         views = fc._forward(E, params)
         for X_in in (None, X):
-            got = fc._backward(E, Y, M, params, *views, per_sample=False, X=X_in)
+            got = reduce_signals(E, Y, M, params, views, False, X_in)
             want = strided_mean_backward(E, Y, M, params, *views, X=X_in)
             assert got.keys() == want.keys()
             for name in got:
@@ -484,8 +496,8 @@ class TestGradients:
         M = (rng.random((5, 2, 3)) < 0.7).astype(float)
         M[:, 0, 0] = 1.0
         E = X @ emb.weight + emb.bias
-        pooled, S, Yh = fc._forward(E, params)
-        grads = fc._backward(E, Y, M, params, pooled, S, Yh, per_sample=False, X=X)
+        _, _, signals = fc._unroll(E, Y, M, params)
+        grads = dict(zip(("emb_weight", "emb_bias"), fc._embedding_grads(X, params.pos, signals[3])))
 
         def loss(weight, bias):
             En = X @ weight + bias
@@ -536,13 +548,54 @@ class TestTrainStep:
             losses.append(loss)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_nan_input_aborts_with_diagnostic(self):
+    @staticmethod
+    def _nan_windows():
+        """Four windows (5 input hours, horizon 2, F 3) whose second holds one observed NaN value."""
+        rng = np.random.default_rng(6)
+        mask_in = rng.random((4, 5, 3)) < 0.6
+        mask_in[1, 0, 0] = True
+        values = rng.standard_normal(mask_in.shape) * mask_in
+        values[1, 0, 0] = np.nan
+        mask_out = np.ones((4, 2, 3), bool)
+        return WindowSet(values=values, mask_in=mask_in, target=rng.standard_normal(mask_out.shape), mask_out=mask_out)
+
+    def _loops(self, windows, points):
+        """Each training entry point, run for one epoch or step on `windows` or their baked `points`."""
         _, params = fc.init_params(4, 4, 3, 2, seed=5, input_hours=5)
-        pts = make_points(np.random.default_rng(6), 2, 5, 4, 2, 3)
-        bad = PointSet(E=np.full((1, 5, 4), np.nan), Y=pts.Y[:1], M=pts.M[:1])
         cfg = fc.TrainConfig(learning_rate=0.01, batch_size=4, max_epochs=1, hidden_dim=4, n=4, horizon=2)
-        with pytest.raises(TrainingError):
-            fc.train_step(PointSet.concat(bad, pts), params, cfg)
+        return {
+            "train_step": lambda: fc.train_step(points, params, cfg),
+            "dp_train_step": lambda: fc.dp_train_step(points, params, cfg, fc.DpConfig(), np.random.default_rng(0)),
+            "train": lambda: fc.train(points, params, cfg, epochs=1, seed=0),
+            "dp_train": lambda: fc.dp_train(points, params, cfg, fc.DpConfig(), epochs=1, seed=0),
+            "pretrain_embedding": lambda: fc.pretrain_embedding(windows, cfg),
+        }
+
+    @pytest.mark.parametrize("step", ["train_step", "dp_train_step", "pretrain_embedding"])
+    def test_nan_input_aborts_with_diagnostic(self, step):
+        windows = self._nan_windows()
+        emb, _ = fc.init_params(4, 4, 3, 2, seed=5, input_hours=5)
+        with pytest.raises(TrainingError, match="non-finite gradient or loss"):
+            self._loops(windows, fc.bake_points(windows, emb))[step]()
+
+    def test_pretraining_checks_the_map_gradient(self):
+        # the map's gradient is not one of the forecaster's: a non-finite one alone must abort
+        windows = take_windows(self._nan_windows(), [0, 2, 3])
+
+        def nan_weight(X, pos, dpooled):
+            return np.full((X.shape[2], dpooled.shape[1]), np.nan), np.zeros(dpooled.shape[1])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fc, "_embedding_grads", nan_weight)
+            with pytest.raises(TrainingError, match="non-finite gradient or loss"):
+                fc.pretrain_embedding(windows, fc.TrainConfig(batch_size=4, max_epochs=1, hidden_dim=4, n=4, horizon=2))
+
+    @pytest.mark.parametrize("loop", ["train", "dp_train", "pretrain_embedding"])
+    def test_empty_set_is_a_domain_error(self, loop):
+        windows = take_windows(self._nan_windows(), slice(0))
+        points = make_points(np.random.default_rng(2), 2, 5, 4, 2, 3)[:0]
+        with pytest.raises(DomainError, match="^empty training set$"):
+            self._loops(windows, points)[loop]()
 
 
 class TestDpStep:
