@@ -31,6 +31,7 @@ from .data import (
     DataPoint,
     DomainError,
     NO_POINTS,
+    PointRows,
     PointSet,
     ValidationError,
     readonly,
@@ -54,8 +55,9 @@ class ZooConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError("alpha must lie in [0, 1]")
-        if self.lam <= 0 or self.mu <= 0:
-            raise ConfigurationError("lam and mu must be positive")
+        for name in ("lam", "mu"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.k < 1 or self.steps < 0:
             raise ConfigurationError("k must be >= 1 and steps >= 0")
 
@@ -67,8 +69,8 @@ class MixupConfig:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ConfigurationError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ConfigurationError(f"beta must be positive and finite, got {self.beta}")
 
 
 @dataclass
@@ -162,7 +164,7 @@ def zoo_objective(
     """
 
     def objective(E: np.ndarray) -> np.ndarray:
-        losses = chunked_losses(forecast_batch, params, (E, Y, M))
+        losses = chunked_losses(forecast_batch, params, PointSet(E=E, Y=Y, M=M))
         return -(alpha * losses + (1.0 - alpha) * (losses < tau).astype(np.float64))
 
     return objective
@@ -271,7 +273,9 @@ class SyntheticPool:
     """Bounded first-in-first-out store of synthetic points.
 
     Inserts append in creation order and evict from the front (oldest
-    creation epoch first) until the size bound holds again.
+    creation epoch first) until the size bound holds again. The pool's
+    arrays are a copy of its newest rows, joined through PointRows, so no
+    evicted row is kept alive behind them.
     """
 
     def __init__(self, cap: int):
@@ -283,9 +287,9 @@ class SyntheticPool:
     def insert(self, items: PointSet) -> None:
         if np.any(items.created_epoch < 1):
             raise ValidationError("pool accepts synthetic points only (created_epoch >= 1)")
-        merged = PointSet.concat(self._items, items)
-        # the newest `cap` rows; at cap 0 that is none of them
-        self._items = merged[len(merged) - min(self.cap, len(merged)) :]
+        n = len(self._items) + len(items)
+        # a copy of the newest `cap` rows, so no evicted row stays alive; at cap 0 that is none of them
+        self._items = PointRows((self._items, items), np.arange(n - min(self.cap, n), n))[:]
 
     @property
     def items(self) -> PointSet:

@@ -281,37 +281,24 @@ class PointSet:
             object.__setattr__(out, name, arr)
         return out
 
-    @staticmethod
-    def concat(*parts: "PointSet") -> "PointSet":
-        """The rows of every part in order; parts without rows are left out.
 
-        A lone part with rows is returned as it is: point sets are read-only,
-        so it needs no copy.
-        """
-        parts = [p for p in parts if len(p)] or parts[:1]
-        if len(parts) == 1:
-            return parts[0]
-        if len({(p.E.shape[1:], p.Y.shape[1:]) for p in parts}) > 1:
-            raise ConfigurationError("cannot concatenate point sets of different shapes")
-        names = (*PointSet._ARRAYS, *PointSet._COLUMNS)
-        return PointSet._trusted({name: np.concatenate([getattr(p, name) for p in parts]) for name in names})
-
-
-# holds no rows, so concatenating it with other point sets takes on their shape
+# holds no rows, so joining it with other point sets in a PointRows takes on their shape
 NO_POINTS = PointSet(E=np.empty((0, 0, 0)), Y=np.empty((0, 0, 0)), M=np.empty((0, 0, 0), dtype=bool))
 
 
 class PointRows:
-    """Rows `index` of the concatenation of `parts`, copied a batch at a time.
+    """Rows `index` of the rows of `parts` in order, copied a batch at a time: the one join of point sets.
 
-    `rows[idx]` equals `PointSet.concat(*parts)[index][idx]` byte for byte,
-    but it copies only the rows that `idx` selects, so neither the joined set
-    nor its selection is ever held whole. A training loop reads it as it reads
-    a PointSet: by `len` and by index arrays.
+    `rows[idx]`, for an index array or a slice, is a new PointSet of the
+    stacked rows of every part at `index[idx]`, byte for byte, and `rows[:]`
+    the whole selection; only those rows are copied, so the joined set is never
+    held whole. The pool keeps its newest rows, training reads the retraining
+    mixture, and an evaluation of several sets reads its chunks this way.
+    With no rows in any part, rows take the first part's shape.
     """
 
     def __init__(self, parts: Sequence[PointSet], index: np.ndarray):
-        self._parts = [p for p in parts if len(p)]
+        self._parts = [p for p in parts if len(p)] or list(parts[:1])
         if len({(p.E.shape[1:], p.Y.shape[1:]) for p in self._parts}) > 1:
             raise ConfigurationError("cannot join point sets of different shapes")
         self._starts = np.cumsum([0] + [len(p) for p in self._parts])

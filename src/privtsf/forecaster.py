@@ -144,8 +144,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.learning_rate, self.batch_size, self.max_epochs, self.hidden_dim, self.n, self.horizon) <= 0:
-            raise ConfigurationError("TrainConfig values must be positive")
+        # each bound is written so that NaN fails it
+        for name in ("learning_rate", "batch_size", "max_epochs", "hidden_dim", "n", "horizon"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -157,12 +159,11 @@ class DpConfig:
     lr_scale: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.noise_multiplier < 0:
-            raise ConfigurationError("noise_multiplier must be >= 0")
-        if self.clip_norm <= 0:
-            raise ConfigurationError("clip_norm must be > 0")
-        if self.lr_scale <= 0:
-            raise ConfigurationError("lr_scale must be > 0")
+        if not 0 <= self.noise_multiplier < np.inf:
+            raise ConfigurationError(f"noise_multiplier must be >= 0 and finite, got {self.noise_multiplier}")
+        for name in ("clip_norm", "lr_scale"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
 
 
 def init_params(

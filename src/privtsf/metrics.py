@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DomainError, PointSet, readonly
+from .data import DomainError, PointRows, PointSet, readonly
 from .forecaster import ForecasterParams, forecast_batch, masked_batch_losses
 
 
@@ -30,39 +30,37 @@ EVAL_CHUNK = 512
 def chunked_losses(
     forecast: Callable[[np.ndarray, ForecasterParams], np.ndarray],
     params: ForecasterParams,
-    *parts: tuple[np.ndarray, ...],
+    rows: PointSet | PointRows,
 ) -> np.ndarray:
-    """Per-row masked MSE over the rows of every (E, Y, M) part in order, scored as one evaluation.
+    """Per-row masked MSE over `rows`, forecasting `rows[a:b]` one chunk at a time.
 
     `forecast(E, params)` forecasts each chunk. Evaluation passes this
     module's `forecast_batch` and the zoo objective passes augment's, so
     wrapping one module's name sees only its own callers' forecasts. Chunks
     hold EVAL_CHUNK rows and the last one the remainder too, so a call has at
     least EVAL_CHUNK and under 2 * EVAL_CHUNK rows, and an evaluation of
-    fewer rows is one call. A chunk inside one part reads its rows in place;
-    one that spans parts copies only its own rows.
+    fewer rows is one call. A PointSet chunk is read in place; a PointRows
+    chunk copies only its own rows.
     """
-    starts = np.cumsum([0] + [len(E) for E, _, _ in parts]).tolist()
-    n = starts[-1]
+    n = len(rows)
     bounds = list(range(0, n, EVAL_CHUNK))[: max(1, n // EVAL_CHUNK)] + [n]
     out = np.empty(n)
     for a, b in zip(bounds, bounds[1:]):
-        spans = zip(parts, starts, starts[1:])
-        pieces = [(part, slice(max(a, lo) - lo, min(b, hi) - lo)) for part, lo, hi in spans if lo < b and hi > a]
-        if len(pieces) == 1:
-            (part, rows), = pieces
-            E, Y, M = (x[rows] for x in part)
-        else:
-            E, Y, M = (np.concatenate([part[f][rows] for part, rows in pieces]) for f in range(3))
-        out[a:b] = masked_batch_losses(forecast(E, params), Y, M)
+        chunk = rows[a:b]
+        out[a:b] = masked_batch_losses(forecast(chunk.E, params), chunk.Y, chunk.M)
     return out
 
 
 def dataset_losses(points: PointSet, params: ForecasterParams, *more: PointSet) -> np.ndarray:
-    """Per-sample masked MSE for every point, then for every point of each of `more`, as one evaluation."""
+    """Per-sample masked MSE for every point, then for every point of each of `more`, as one evaluation.
+
+    Sets with rows are joined through one PointRows; a set alone is read in place and copies no rows."""
     if len(points) == 0:
         raise DomainError("empty dataset")
-    return chunked_losses(forecast_batch, params, *((p.E, p.Y, p.M) for p in (points, *more)))
+    parts = (points, *more)
+    total = sum(map(len, parts))
+    rows = points if total == len(points) else PointRows(parts, np.arange(total))
+    return chunked_losses(forecast_batch, params, rows)
 
 
 def mse_set(points: PointSet, params: ForecasterParams, *more: PointSet) -> float:

@@ -190,6 +190,12 @@ class RunConfig:
         for name in counts:
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # written so that NaN fails them, before any data is read
+        if not 0 < self.pca_ratio <= 1:
+            raise ConfigurationError(f"pca_ratio must lie in (0, 1], got {self.pca_ratio}")
+        for sigma in self.dp_sigma_grid:
+            if not 0 <= sigma < np.inf:
+                raise ConfigurationError(f"dp_sigma_grid entries must be >= 0 and finite, got {sigma}")
 
     def resolved_run_id(self) -> str:
         if self.run_id:
@@ -363,7 +369,7 @@ def attack_row(
     """The one evaluation of a model: a metrics row and its attack report.
 
     Forecasts the training points plus the synthetic `pool` (as one
-    evaluation, without joining them), the heldout split and the test split
+    evaluation, through one PointRows), the heldout split and the test split
     once each. Members are the training points, tau is the mean loss over the
     training points plus the pool, and the non-members are the `nonmembers`
     split ("test" or "heldout"). Gate rows pass the pool and "heldout"; attack

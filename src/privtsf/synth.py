@@ -54,8 +54,8 @@ class GeneratorConfig:
                 raise ConfigurationError("observation rates must lie in [0, 1]")
         if not 0.0 < self.ar_coefficient < 1.0:
             raise ConfigurationError("ar_coefficient must lie in (0, 1)")
-        if self.obs_noise_std < 0:
-            raise ConfigurationError("obs_noise_std must be non-negative")
+        if not 0 <= self.obs_noise_std < np.inf:
+            raise ConfigurationError(f"obs_noise_std must be non-negative and finite, got {self.obs_noise_std}")
         lo, hi = self.stay_hours
         if lo < 1 or hi < lo:
             raise ConfigurationError("stay_hours must be a non-empty positive range")

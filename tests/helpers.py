@@ -148,6 +148,12 @@ def make_points(rng: np.random.Generator, count: int, input_hours: int, n: int, 
     return PointSet(E=E, Y=Y, M=M)
 
 
+def stacked_points(*parts: PointSet) -> PointSet:
+    """The rows of every part in order, each array stacked whole: the reference for `data.PointRows`."""
+    names = ("E", "Y", "M", "episode_id", "created_epoch")
+    return PointSet(**{name: np.concatenate([getattr(p, name) for p in parts]) for name in names})
+
+
 def batch_loss(points, params) -> float:
     pred = fc.forecast_batch(points.E, params)
     return float(fc.masked_batch_losses(pred, points.Y, points.M).mean())

@@ -18,7 +18,7 @@ from helpers import (
 from privtsf import augment as ag
 from privtsf import forecaster as fc
 from privtsf import metrics as pm
-from privtsf.data import ConfigurationError, DataPoint, DomainError, PointSet, ValidationError
+from privtsf.data import ConfigurationError, DataPoint, DomainError, PointRows, PointSet, ValidationError
 
 
 def syn_points(tags, epoch=1):
@@ -477,7 +477,7 @@ class TestSyntheticPool:
 
     def test_rejects_a_set_with_any_row_at_epoch_zero(self):
         pool = ag.SyntheticPool(cap=3)
-        mixed = PointSet.concat(syn_points([1], epoch=2), syn_points([2], epoch=0))
+        mixed = PointRows((syn_points([1], epoch=2), syn_points([2], epoch=0)), np.arange(2))[:]
         with pytest.raises(ValidationError, match="created_epoch"):
             pool.insert(mixed)
         assert len(pool) == 0
@@ -487,3 +487,14 @@ class TestSyntheticPool:
         for epoch in range(1, 5):
             pool.insert(syn_points([epoch * 10 + j for j in range(2)], epoch=epoch))
         assert [p.created_epoch for p in pool.items] == [3, 3, 4, 4]
+
+    def test_holds_only_its_newest_cap_rows(self):
+        # evicted rows must not stay alive behind a view of the joined rows
+        cap = 5
+        pool = ag.SyntheticPool(cap=cap)
+        for epoch in range(1, 4):
+            pool.insert(syn_points(range(epoch * cap, (epoch + 1) * cap), epoch=epoch))
+        assert pool.items.episode_id.tolist() == list(range(3 * cap, 4 * cap))
+        for name in ("E", "Y"):
+            arr = getattr(pool.items, name)
+            assert arr.base is None or arr.base.nbytes <= arr.nbytes, name

@@ -11,7 +11,10 @@ attack-convention metrics row, and `train` must return (params, history).
 `bench/tracing.py` wraps package functions by module and name, and derives
 each per-layer metric from the spans of some of them; a function it cannot
 find is left untraced and its metrics read 0. Those names are pinned here,
-so a rename in the package fails a test instead.
+so a rename in the package fails a test instead. Its window counts read the
+length of `dataset_losses`' first argument, which it also iterates, and of
+each `forecast_batch` batch; the split sizes those counts must give are
+pinned here too.
 
 `bench/selftest.py`, the benchmark's tests of its own reference code, runs
 here in a child interpreter, so a change to a package function it calls
@@ -23,10 +26,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from privtsf import augment
 from privtsf import forecaster as fc
 from privtsf import runner
+from privtsf.data import PointSet
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SHARED = ("gradients", "clipping", "noiseless-dp-step", "zoo-pca-span", "mixup")
@@ -86,6 +92,34 @@ def test_attack_row_matches_the_reference(workloads, small_wb):
     _, wb = small_wb
     row, _ = runner.attack_row("contract", "baseline", "", wb.baseline_params, wb, "test")
     workloads.check_row(row, wb.baseline_params, wb, "test", True, "attack row")
+
+
+def test_tracer_counts_an_attack_rows_windows(small_wb, monkeypatch):
+    _, wb = small_wb
+    tracing = bench_module("tracing")
+    firsts = []
+    record = tracing._record_args
+
+    def spy(name, arguments):
+        if name == "metrics.dataset_losses":
+            firsts.append(type(arguments[0]))
+        return record(name, arguments)
+
+    monkeypatch.setattr(tracing, "_record_args", spy)
+    pool = augment.mixup_wave(wb.train_pts[:40], wb.train_pts[40:80], np.full(40, 0.3), epoch=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        runner.attack_row("contract", "mixup", "", wb.baseline_params, wb, "heldout", pool=pool, epoch=1)
+    finally:
+        tracer.uninstall()
+    splits = (wb.train_pts, wb.heldout_pts, wb.test_pts)
+    losses = [span.info for span in tracer.spans if span.name == "metrics.dataset_losses"]
+    assert firsts == [PointSet] * 3
+    assert [info["windows"] for info in losses] == [len(split) for split in splits]
+    assert [len(info["pairs"]) for info in losses] == [len(split) for split in splits]
+    forecast = [span.info["windows"] for span in tracer.spans if span.name == "forecaster.forecast_batch"]
+    assert sum(forecast) == len(pool) + sum(len(split) for split in splits)
 
 
 def test_train_returns_params_and_history(small_wb):

@@ -150,6 +150,20 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: config file ") and str(cfg_path) in err and message in err
 
+    @pytest.mark.parametrize(
+        "text, command, message",
+        [
+            ('{"train": {"learning_rate": 1e999}}', ["pretrain"], "learning_rate must be positive and finite, got inf"),
+            ('{"data": "missing.csv", "pca_ratio": 1.5}', ["augment", "--method", "zoo-pca"], "pca_ratio must lie in"),
+            ('{"data": "missing.csv", "dp_sigma_grid": [1.1, -1]}', ["dp-train"], "dp_sigma_grid entries must be >= 0"),
+        ],
+    )
+    def test_out_of_range_value_exits_1_naming_key_before_reading_data(self, tmp_path, capsys, text, command, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main([*command, "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_string_rounds_exits_1_naming_key_and_type(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, rounds="3")

@@ -13,6 +13,7 @@ from helpers import (
     destandardize,
     identity_standardizer,
     same_windows,
+    stacked_points,
     window_rows,
 )
 from helpers import episode as ep
@@ -533,7 +534,7 @@ class TestPointSetProperties:
     def test_indexing_and_concatenation_equal_stacked_rows(self, seed, sizes, picks):
         rng = np.random.default_rng(seed)
         a, b = random_points(rng, sizes[0], 1), random_points(rng, sizes[1], 2)
-        both = PointSet.concat(a, b)
+        both = PointRows((a, b), np.arange(sum(sizes)))[:]
         rows = list(a) + list(b)
         assert len(both) == len(rows)
         idx = np.array([i for i in picks if i < len(rows)], dtype=np.int64)
@@ -562,7 +563,8 @@ class TestPointSetProperties:
             Y, M = np.zeros((count, 1, 1)), np.ones((count, 1, 1))
             return PointSet(E=E, Y=Y, M=M, episode_id=ids, created_epoch=epoch)
 
-        both = PointSet.concat(*(tagged(epoch, count) for epoch, count in enumerate(sizes, start=1)))
+        parts = [tagged(epoch, count) for epoch, count in enumerate(sizes, start=1)]
+        both = PointRows(parts, np.arange(sum(sizes)))[:]
         idx = np.array([i for i in picks if i < len(both)], dtype=np.int64)
         for cut in (both, both[idx], both[start::step], both[::-1]):
             assert cut.episode_id.dtype == cut.created_epoch.dtype == np.int64
@@ -580,7 +582,7 @@ class TestPointSetProperties:
     def test_point_rows_equal_rows_of_the_joined_selection(self, seed, sizes, index, picks):
         rng = np.random.default_rng(seed)
         parts = [random_points(rng, count, epoch) for epoch, count in enumerate(sizes, start=1)]
-        joined = PointSet.concat(*parts)
+        joined = stacked_points(*parts)
         index = np.array([i for i in index if i < len(joined)], dtype=np.int64)
         if not len(index):
             return
@@ -600,10 +602,11 @@ class TestPointSetProperties:
         with pytest.raises(ConfigurationError, match="different shapes"):
             PointRows([pts, PointSet(E=np.zeros((1, 1, 1)), Y=np.zeros((1, 1, 1)), M=np.ones((1, 1, 1)))], [0])
 
-    def test_concat_returns_a_lone_part_with_rows_uncopied(self):
+    def test_point_rows_without_rows_take_the_first_parts_shape(self):
         pts = random_points(np.random.default_rng(0), 3, 1)
-        assert PointSet.concat(pts, NO_POINTS) is pts
-        assert PointSet.concat(NO_POINTS, pts[:0], pts) is pts
+        for parts, shape in (((pts[:0], NO_POINTS), (0, 3, 2)), ((NO_POINTS, pts[:0]), (0, 0, 0))):
+            rows = PointRows(parts, np.arange(0))[:]
+            assert rows.E.shape == shape and len(rows.episode_id) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), cap=st.integers(0, 6), inserts=st.lists(st.integers(0, 9), max_size=8))

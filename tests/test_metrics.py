@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_points, priv, roc_curve, tpr_fpr
+from helpers import make_points, priv, roc_curve, stacked_points, tpr_fpr
 
 from privtsf import metrics as pm
-from privtsf.data import DomainError, PointSet
+from privtsf.data import NO_POINTS, DomainError, PointRows, PointSet
 from privtsf import forecaster as fc
 from privtsf.forecaster import ForecasterParams, masked_batch_losses
 
@@ -144,12 +144,23 @@ class TestChunkedLosses:
         # a chunk that straddles the train rows and the pool rows copies only its own rows
         params, pts = fixture_eval_case
         train, pool = pts[:n_train], pts[2925 - n_pool :]
-        want = whole_batch_losses(PointSet.concat(train, pool), params)
-        got = pm.chunked_losses(pm.forecast_batch, params, *((p.E, p.Y, p.M) for p in (train, pool)))
+        want = whole_batch_losses(stacked_points(train, pool), params)
+        got = pm.chunked_losses(pm.forecast_batch, params, PointRows((train, pool), np.arange(n_train + n_pool)))
         assert got.tobytes() == want.tobytes()
         if n_train:
             assert pm.dataset_losses(train, params, pool).tobytes() == want.tobytes()
             assert pm.mse_set(train, params, pool) == float(want.mean())
+
+
+    def test_a_set_alone_is_read_in_place(self, fixture_eval_case, monkeypatch):
+        # a lone set, or one joined only with empty sets, is forecast from views of its own rows
+        params, pts = fixture_eval_case
+        seen = []
+        real = pm.forecast_batch
+        monkeypatch.setattr(pm, "forecast_batch", lambda E, p: seen.append(E) or real(E, p))
+        alone = pm.dataset_losses(pts[:1100], params)
+        assert pm.dataset_losses(pts[:1100], params, NO_POINTS, pts[:0]).tobytes() == alone.tobytes()
+        assert len(seen) == 4 and all(np.shares_memory(E, pts.E) for E in seen)
 
 
 class TestAvgTrainLossTau:

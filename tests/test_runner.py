@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import allocation_peak, identity_standardizer, make_points
+from helpers import allocation_peak, identity_standardizer, make_points, stacked_points
 
 from privtsf import runner
 from privtsf.augment import MixupConfig, ZooConfig
@@ -451,7 +451,7 @@ class TestMixupRun:
         base_cfg, wb = small_wb
         cfg = dataclasses.replace(base_cfg, method="mixup", mixup=MixupConfig(beta=1.0), rounds=3, retrain_epochs=1)
         runs = [runner.run_augmentation_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "a")), wb)]
-        monkeypatch.setattr(runner, "PointRows", lambda parts, index: PointSet.concat(*parts)[index])
+        monkeypatch.setattr(runner, "PointRows", lambda parts, index: stacked_points(*parts)[index])
         runs.append(runner.run_augmentation_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "b")), wb))
         assert runs[0].rows == runs[1].rows and [a.accepted for a in runs[0].audits] == [a.accepted for a in runs[1].audits]
         for name, arr in runs[0].final_params.arrays().items():
@@ -589,6 +589,38 @@ class TestWorkbench:
             runner.RunConfig(method="mixup", seed=1)
         with pytest.raises(ConfigurationError):
             runner.RunConfig(method="dp_sgd", seed=1, dp=DpConfig(), dp_sigma_grid=())
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (TrainConfig, "learning_rate"),
+            (DpConfig, "noise_multiplier"),
+            (DpConfig, "clip_norm"),
+            (DpConfig, "lr_scale"),
+            (ZooConfig, "lam"),
+            (ZooConfig, "mu"),
+            (MixupConfig, "beta"),
+            (GeneratorConfig, "obs_noise_std"),
+        ],
+    )
+    def test_non_finite_value_is_rejected_naming_its_field(self, cls, name, bad):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be .* and finite, got {bad}$"):
+            cls(**{name: bad})
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_pca_ratio_outside_the_unit_interval_is_rejected(self, ratio):
+        with pytest.raises(ConfigurationError, match=rf"^pca_ratio must lie in \(0, 1\], got {ratio}$"):
+            runner.RunConfig(method="zoo_pca", seed=1, zoo=ZooConfig(), pca_ratio=ratio)
+        assert runner.RunConfig(method="zoo_pca", seed=1, zoo=ZooConfig(), pca_ratio=1.0).pca_ratio == 1.0
+
+    @pytest.mark.parametrize("sigma", [-1.0, -math.inf, math.nan, math.inf])
+    def test_negative_or_non_finite_dp_sigma_is_rejected(self, sigma):
+        with pytest.raises(ConfigurationError, match=f"^dp_sigma_grid entries must be >= 0 and finite, got {sigma}$"):
+            runner.RunConfig(method="dp_sgd", seed=1, dp=DpConfig(), dp_sigma_grid=(1.1, sigma))
+        assert runner.RunConfig(method="dp_sgd", seed=1, dp=DpConfig(), dp_sigma_grid=(0.0,)).dp_sigma_grid == (0.0,)
 
 
 class TestTradeoff:
