@@ -99,35 +99,22 @@ EPS_MSE = 0.005
 BETA_ACCEPT = 3.0
 
 
-@dataclass
-class AcceptanceState:
-    """Best accepted privacy/error pair."""
+def gate_failures(best: MetricsRow, row: MetricsRow) -> str:
+    """The acceptance inequalities `row` fails against the best accepted row, joined by "+"; "" accepts it.
 
-    priv_best: float
-    mse_best: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.priv_best) and math.isfinite(self.mse_best)):
-            got = f"priv {self.priv_best!r} and mse {self.mse_best!r}"
-            raise ConfigurationError(f"acceptance state must start from finite baseline metrics, got {got}")
-
-
-def apply_gate(state: AcceptanceState, priv_value: float, mse_value: float) -> tuple[bool, str, AcceptanceState]:
-    """Check the three acceptance inequalities; on accept, bests move to the candidate.
-
-    All three comparisons are inclusive, so a candidate equal to the current
-    bests is accepted.
+    The comparisons are inclusive. A non-finite `best` cannot seed the gate and raises ConfigurationError.
     """
-    if not (math.isfinite(priv_value) and math.isfinite(mse_value)):
-        return False, "non-finite candidate metrics", state
-    ok_priv = priv_value <= (1.0 + EPS_PRIV) * state.priv_best
-    ok_mse = mse_value <= (1.0 + EPS_MSE) * state.mse_best
-    combined = priv_value + BETA_ACCEPT * mse_value
-    ok_combined = combined <= state.priv_best + BETA_ACCEPT * state.mse_best
-    if ok_priv and ok_mse and ok_combined:
-        return True, "", replace(state, priv_best=priv_value, mse_best=mse_value)
-    failed = (name for name, ok in (("priv", ok_priv), ("mse", ok_mse), ("combined", ok_combined)) if not ok)
-    return False, "+".join(failed), state
+    if not (math.isfinite(best.priv_ratio) and math.isfinite(best.mse_heldout)):
+        got = f"priv {best.priv_ratio!r} and mse {best.mse_heldout!r}"
+        raise ConfigurationError(f"the acceptance gate must start from finite baseline metrics, got {got}")
+    if not (math.isfinite(row.priv_ratio) and math.isfinite(row.mse_heldout)):
+        return "non-finite candidate metrics"
+    checks = (
+        ("priv", row.priv_ratio <= (1.0 + EPS_PRIV) * best.priv_ratio),
+        ("mse", row.mse_heldout <= (1.0 + EPS_MSE) * best.mse_heldout),
+        ("combined", row.priv_ratio + BETA_ACCEPT * row.mse_heldout <= best.priv_ratio + BETA_ACCEPT * best.mse_heldout),
+    )
+    return "+".join(name for name, ok in checks if not ok)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +183,12 @@ class RunConfig:
         for sigma in self.dp_sigma_grid:
             if not 0 <= sigma < np.inf:
                 raise ConfigurationError(f"dp_sigma_grid entries must be >= 0 and finite, got {sigma}")
+        if not self.data_path and self.generator is not None and self.generator.n_vars != self.n_vars:
+            raise ConfigurationError(f"generator n_vars must equal n_vars {self.n_vars}, got {self.generator.n_vars}")
 
     def resolved_run_id(self) -> str:
-        if self.run_id:
-            return self.run_id
-        if self.method in ("zoo", "zoo_pca"):
-            return f"{self.method}_a{self.param_tag()}_s{self.seed}"
-        if self.method == "mixup":
-            return f"mixup_b{self.param_tag()}_s{self.seed}"
-        return f"{self.method}_s{self.seed}"
+        kind = {"zoo": "_a", "zoo_pca": "_a", "mixup": "_b"}.get(self.method, "")
+        return self.run_id or f"{self.method}{kind}{self.param_tag()}_s{self.seed}"
 
     def param_tag(self) -> str:
         if self.method in ("zoo", "zoo_pca"):
@@ -320,12 +304,17 @@ def build_workbench(cfg: RunConfig) -> Workbench:
 
 @dataclass(frozen=True)
 class RoundAudit:
+    """One manifest row. `reason` holds the gate's failed inequalities; a row is accepted exactly when it is ""."""
+
     epoch: int
-    accepted: bool
     pool_size: int = 0
     samples_generated: int = 0
     steps_executed: int = 0
-    reason: str = ""  # the gate's failed inequalities, "" when accepted
+    reason: str = ""
+
+    @property
+    def accepted(self) -> bool:
+        return not self.reason
 
 
 @dataclass
@@ -444,12 +433,13 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
     params = wb.baseline_params
     row, report = attack_row(run_id, cfg.method, tag, params, wb, "heldout", pool=pool.items)
     rows = [row]  # `report` stays the last accepted model's
-    audits = [RoundAudit(epoch=0, accepted=True)]
-    final_epoch = 0
+    audits = [RoundAudit(epoch=0)]
+    final_epoch = 0  # each candidate is gated against rows[final_epoch], the best accepted row
 
     try:
-        # a non-finite baseline cannot seed the gate: a ConfigurationError, raised with the baseline row flushed
-        state = None if rounds == 0 else AcceptanceState(priv_best=report.priv, mse_best=row.mse_heldout)
+        if rounds:
+            # a non-finite baseline cannot seed the gate: a ConfigurationError, raised with the baseline row flushed
+            gate_failures(row, row)
         for r in range(1, rounds + 1):
             # an accepted round already measured the current model over train + the current pool
             tau_ref = report.tau if audits[-1].accepted else mse_set(wb.train_pts, params, pool.items)
@@ -471,16 +461,14 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
             row, candidate_report = attack_row(
                 run_id, cfg.method, tag, candidate, wb, "heldout", pool=pool.items, epoch=r
             )
-            accepted, reason, new_state = apply_gate(state, candidate_report.priv, row.mse_heldout)
+            reason = gate_failures(rows[final_epoch], row)
             steps = cfg.zoo.steps if cfg.method in ("zoo", "zoo_pca") else 0
             rows.append(row)
             audits.append(
-                RoundAudit(
-                    r, accepted, pool_size=len(pool), samples_generated=len(wave), steps_executed=steps, reason=reason
-                )
+                RoundAudit(r, pool_size=len(pool), samples_generated=len(wave), steps_executed=steps, reason=reason)
             )
-            if accepted:
-                params, state, final_epoch, report = candidate, new_state, r, candidate_report
+            if not reason:
+                params, final_epoch, report = candidate, r, candidate_report
     finally:
         _flush_outputs(cfg, rows, audits)
 
@@ -512,7 +500,7 @@ def run_dp_baseline(cfg: RunConfig, wb: Workbench | None = None) -> RunResult:
             params = dp_train(wb.train_pts, fresh, cfg.train, dp, epochs=cfg.dp_epochs, seed=train_seed)
             row, report = attack_row(cfg.resolved_run_id(), cfg.method, repr(float(sigma)), params, wb, "test")
             rows.append(row)
-            audits.append(RoundAudit(epoch=0, accepted=True))
+            audits.append(RoundAudit(epoch=0))
     finally:
         _flush_outputs(cfg, rows, audits)
     _write_final_artifacts(cfg, wb, params, report)
@@ -548,60 +536,50 @@ def _write_final_artifacts(cfg: RunConfig, wb: Workbench, params: ForecasterPara
 
 
 def replay_gate(rows: Sequence[MetricsRow]) -> list[int]:
-    """Re-run the acceptance gate over logged rows of one run.
+    """Indices of one run's accepted rows, in epoch order, by the gate the run itself applied.
 
-    Row 0 (the baseline evaluation) initializes the bests and counts as
-    accepted; the returned list holds indices of all accepted rows.
+    Row 0 (the baseline) is accepted, and each later row is gated by `gate_failures` against the last
+    accepted row. A lone row 0 is accepted whatever its metrics; a non-finite row 0 followed by more
+    rows raises ConfigurationError.
     """
-    if not rows:
-        return []
-    state = AcceptanceState(priv_best=rows[0].priv_ratio, mse_best=rows[0].mse_heldout)
-    accepted = [0]
-    for i, row in enumerate(rows[1:], start=1):
-        ok, _, state = apply_gate(state, row.priv_ratio, row.mse_heldout)
-        if ok:
+    accepted = [0] if rows else []
+    for i in range(1, len(rows)):
+        if not gate_failures(rows[accepted[-1]], rows[i]):
             accepted.append(i)
     return accepted
 
 
-def build_tradeoff(rows: Sequence[MetricsRow]):
-    """One tradeoff entry per run: the final accepted model's priv and test MSE.
+def build_tradeoff(rows: Sequence[MetricsRow]) -> list[MetricsRow]:
+    """The metrics rows of the tradeoff report: each DP row, and each other run's final accepted row.
 
-    Gated methods replay the acceptance gate to locate the final accepted row;
-    baseline runs contribute their single row and DP runs one row per noise
-    level. Two rows of one run at the same epoch (or, for DP, the same sigma)
-    mean two runs logged under one run id, a ValidationError.
+    A run other than DP is a gated run, a baseline run one with no rounds, and
+    `replay_gate` locates its final accepted row. Two rows of one run at the
+    same epoch (or, for DP, the same sigma) mean two runs logged under one run
+    id, a ValidationError.
     """
     by_run: dict[str, list[MetricsRow]] = {}
     for row in rows:
         by_run.setdefault(row.run_id, []).append(row)
     out = []
     for run_id, run_rows in by_run.items():
-        method = run_rows[0].method
-        what = "sigma" if method == "dp_sgd" else "epoch"
-        keys = [r.alpha_or_beta if method == "dp_sgd" else r.epoch for r in run_rows]
+        dp = run_rows[0].method == "dp_sgd"
+        keys = [r.alpha_or_beta if dp else r.epoch for r in run_rows]
         twice = [k for i, k in enumerate(keys) if k in keys[:i]]
         if twice:
+            what = "sigma" if dp else "epoch"
             raise ValidationError(f"run {run_id} has two rows at {what} {twice[0]}; give each run its own run id")
-        if method == "dp_sgd":
-            chosen = run_rows
-        elif method == "baseline":
-            chosen = [run_rows[0]]
-        else:
-            ordered = sorted(run_rows, key=lambda r: r.epoch)
-            accepted = replay_gate(ordered)
-            chosen = [ordered[accepted[-1]]]
-        for row in chosen:
-            out.append((run_id, row.method, row.alpha_or_beta, row.mse_test, row.priv_ratio, row.auroc))
+        ordered = sorted(run_rows, key=lambda r: r.epoch)
+        out.extend(run_rows if dp else [ordered[replay_gate(ordered)[-1]]])
     return out
 
 
 TRADEOFF_HEADER = ("run_id", "method", "alpha_or_beta", "mse_test", "priv_ratio", "auroc")
 
 
-def write_tradeoff_csv(entries, path: str) -> None:
+def write_tradeoff_csv(rows: Sequence[MetricsRow], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRADEOFF_HEADER)
-        for run_id, method, ab, mse, pr, auroc in entries:
-            writer.writerow([run_id, method, ab, repr(float(mse)), repr(float(pr)), repr(float(auroc))])
+        for row in rows:
+            labels = [getattr(row, name) for name in TRADEOFF_HEADER[:3]]
+            writer.writerow(labels + [repr(float(getattr(row, name))) for name in TRADEOFF_HEADER[3:]])

@@ -156,6 +156,7 @@ class TestConfig:
             ('{"train": {"learning_rate": 1e999}}', ["pretrain"], "learning_rate must be positive and finite, got inf"),
             ('{"data": "missing.csv", "pca_ratio": 1.5}', ["augment", "--method", "zoo-pca"], "pca_ratio must lie in"),
             ('{"data": "missing.csv", "dp_sigma_grid": [1.1, -1]}', ["dp-train"], "dp_sigma_grid entries must be >= 0"),
+            ('{"generator": {"n_episodes": 30, "n_vars": 8}}', ["pretrain"], "generator n_vars must equal n_vars 16, got 8"),
         ],
     )
     def test_out_of_range_value_exits_1_naming_key_before_reading_data(self, tmp_path, capsys, text, command, message):

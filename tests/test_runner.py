@@ -14,6 +14,7 @@ from helpers import allocation_peak, identity_standardizer, make_points, stacked
 
 from privtsf import runner
 from privtsf.augment import MixupConfig, ZooConfig
+from privtsf.cli import main
 from privtsf.data import (
     METRICS_HEADER,
     ConfigurationError,
@@ -45,62 +46,55 @@ def row(epoch, priv, mse_h, run_id="r", method="zoo", ab="0.75", mse_t=0.5, tau=
     )
 
 
+BEST = row(0, 2.0, 0.5)
+
+
 class TestGate:
     def test_accepts_small_joint_improvement(self):
-        state = runner.AcceptanceState(priv_best=2.0, mse_best=0.5)
-        ok, reason, new = runner.apply_gate(state, 1.9, 0.502)
+        candidate = row(1, 1.9, 0.502)
         # 1.9 <= 2.01, 0.502 <= 0.5025, 1.9 + 3*0.502 = 3.406 <= 3.5
-        assert ok
-        assert new.priv_best == 1.9
-        assert new.mse_best == 0.502
+        assert runner.gate_failures(BEST, candidate) == ""
+        assert runner.replay_gate([BEST, candidate]) == [0, 1]  # the accepted row becomes the best
 
     def test_rejects_on_privacy_condition(self):
-        state = runner.AcceptanceState(priv_best=2.0, mse_best=0.5)
-        ok, reason, new = runner.apply_gate(state, 2.05, 0.49)
-        assert not ok
+        candidate = row(1, 2.05, 0.49)
+        reason = runner.gate_failures(BEST, candidate)
+        assert reason
         assert "priv" in reason
-        assert new == state
+        assert runner.replay_gate([BEST, candidate]) == [0]  # the best stays row 0
 
     def test_rejects_on_mse_condition(self):
-        state = runner.AcceptanceState(priv_best=2.0, mse_best=0.5)
-        ok, reason, _ = runner.apply_gate(state, 1.0, 0.6)
-        assert not ok
+        reason = runner.gate_failures(BEST, row(1, 1.0, 0.6))
+        assert reason
         assert "mse" in reason
 
     def test_rejects_on_combined_condition(self):
         # each individual bound holds but the combined objective worsens
-        state = runner.AcceptanceState(priv_best=2.0, mse_best=0.5)
-        ok, reason, _ = runner.apply_gate(state, 2.005, 0.5019)
-        assert not ok
-        assert reason == "combined"
+        assert runner.gate_failures(BEST, row(1, 2.005, 0.5019)) == "combined"
 
     def test_boundary_equality_accepts(self):
-        state = runner.AcceptanceState(priv_best=2.0, mse_best=0.5)
-        ok, _, new = runner.apply_gate(state, 2.0, 0.5)
-        assert ok
-        assert (new.priv_best, new.mse_best) == (2.0, 0.5)
+        candidate = row(1, 2.0, 0.5)
+        assert runner.gate_failures(BEST, candidate) == ""
+        assert runner.replay_gate([BEST, candidate]) == [0, 1]  # the best moves to the equal (2.0, 0.5) row
 
     @settings(max_examples=200, deadline=None)
     @given(
         priv=st.floats(0.0, 1e12),
         mse=st.floats(0.0, 1e12),
     )
-    def test_equal_candidate_accepted_and_state_unchanged(self, priv, mse):
-        # the gate is idempotent at equality: re-gating the bests accepts them and moves nothing
-        state = runner.AcceptanceState(priv, mse)
-        ok, reason, new = runner.apply_gate(state, state.priv_best, state.mse_best)
-        assert ok, reason
-        assert new == state
+    def test_row_equal_to_best_accepted(self, priv, mse):
+        # the gate is idempotent at equality: re-gating the best row accepts it
+        r = row(0, priv, mse)
+        assert runner.gate_failures(r, r) == ""
 
     def test_non_finite_rejected(self):
-        state = runner.AcceptanceState(priv_best=2.0, mse_best=0.5)
-        ok, reason, _ = runner.apply_gate(state, math.inf, 0.4)
-        assert not ok
+        reason = runner.gate_failures(BEST, row(1, math.inf, 0.4))
+        assert reason
         assert "non-finite" in reason
 
-    def test_state_requires_finite_baseline(self):
+    def test_best_row_requires_finite_metrics(self):
         with pytest.raises(ConfigurationError):
-            runner.AcceptanceState(priv_best=math.inf, mse_best=0.5)
+            runner.gate_failures(row(0, math.inf, 0.5), row(1, 1.0, 0.5))
 
 
 def gate_row(wb, pool):
@@ -110,17 +104,14 @@ def gate_row(wb, pool):
 
 class TestEvaluateCandidate:
     def test_unchanged_candidate_accepted_on_boundary(self, small_wb):
-        # re-evaluating the model the state was initialized from hits all three
-        # inequalities with equality and is accepted
+        # re-evaluating the model of the best row hits all three inequalities with equality and is accepted
         _, wb = small_wb
         row0, m0 = gate_row(wb, wb.train_pts[:0])  # an empty pool
-        state = runner.AcceptanceState(priv_best=m0.priv, mse_best=row0.mse_heldout)
         row, report = gate_row(wb, wb.train_pts[:0])
-        accepted, _, new_state = runner.apply_gate(state, report.priv, row.mse_heldout)
-        assert accepted
+        assert runner.gate_failures(row0, row) == ""
         assert report.priv == m0.priv
         assert report.tau == m0.tau
-        assert (new_state.priv_best, new_state.mse_best) == (m0.priv, row0.mse_heldout)
+        assert (row.priv_ratio, row.mse_heldout) == (m0.priv, row0.mse_heldout)
 
     def test_reference_set_drives_tau(self, small_wb):
         # a pool with higher losses raises tau and both rates
@@ -233,6 +224,18 @@ def roc_file_area(path):
     return float(np.trapezoid(pts[:, 2], pts[:, 1]))
 
 
+@pytest.fixture
+def infinite_priv(monkeypatch):
+    """Every metrics row, the baseline's included, reads priv inf."""
+    measured = runner.attack_row
+
+    def attack_row(*args, **kwargs):
+        row, report = measured(*args, **kwargs)
+        return dataclasses.replace(row, priv_ratio=math.inf), dataclasses.replace(report, priv=math.inf)
+
+    monkeypatch.setattr(runner, "attack_row", attack_row)
+
+
 class TestAugmentationRun:
     def test_baseline_method_emits_single_row(self, tmp_path):
         cfg = tiny_cfg("baseline", 31, str(tmp_path / "o"))
@@ -289,22 +292,16 @@ class TestAugmentationRun:
         back = read_metrics_csv(str(out / "metrics.csv"))
         assert back == res.rows
 
-    def test_rows_round_trip_through_gate_replay(self, tmp_path):
-        zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
-        cfg = tiny_cfg("zoo", 37, str(tmp_path / "o"), zoo=zoo, rounds=3)
+    @pytest.mark.parametrize("method", ["zoo", "mixup"])
+    def test_rows_round_trip_through_gate_replay(self, tmp_path, method):
+        extra = dict(zoo=ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2), mixup=MixupConfig(beta=1.0))
+        cfg = tiny_cfg(method, 37, str(tmp_path / "o"), rounds=3, **extra)
         res = runner.run_augmentation_experiment(cfg)
         replayed = runner.replay_gate(read_metrics_csv(str(tmp_path / "o" / "metrics.csv")))
         accepted = [a.epoch for a in res.audits if a.accepted]
         assert replayed == accepted
 
-    def test_non_finite_baseline_priv_raises_with_the_baseline_row_flushed(self, tmp_path, monkeypatch):
-        measured = runner.attack_row
-
-        def infinite_priv(*args, **kwargs):
-            row, report = measured(*args, **kwargs)
-            return dataclasses.replace(row, priv_ratio=math.inf), dataclasses.replace(report, priv=math.inf)
-
-        monkeypatch.setattr(runner, "attack_row", infinite_priv)
+    def test_non_finite_baseline_priv_raises_with_the_baseline_row_flushed(self, tmp_path, infinite_priv):
         out = tmp_path / "o"
         cfg = tiny_cfg("zoo", 31, str(out), zoo=ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2))
         with pytest.raises(ConfigurationError, match="got priv inf"):
@@ -313,6 +310,25 @@ class TestAugmentationRun:
         with open(out / f"manifest_{cfg.resolved_run_id()}.csv", newline="", encoding="utf-8") as fh:
             manifest = list(csv.DictReader(fh))
         assert [(m["run_id"], m["epoch"], m["accepted"]) for m in manifest] == [(cfg.resolved_run_id(), "0", "1")]
+
+    @pytest.mark.parametrize("method", ["zoo", "mixup"])
+    def test_run_without_rounds_reports_its_non_finite_baseline_row(self, tmp_path, infinite_priv, method):
+        extra = dict(zoo=ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2), mixup=MixupConfig(beta=1.0))
+        out = tmp_path / "o"
+        res = runner.run_augmentation_experiment(tiny_cfg(method, 31, str(out), rounds=0, **extra))
+        assert res.rows[0].priv_ratio == math.inf
+        tradeoff = tmp_path / "tradeoff.csv"
+        assert main(["report", "--metrics", str(out / "metrics.csv"), "--out", str(tradeoff)]) == 0
+        assert tradeoff.read_text().splitlines()[1].split(",")[:5] == [
+            res.rows[0].run_id, method, res.rows[0].alpha_or_beta, repr(res.rows[0].mse_test), "inf"
+        ]
+
+    def test_non_finite_baseline_row_followed_by_rounds_cannot_be_reported(self, tmp_path, infinite_priv):
+        out = tmp_path / "o"
+        res = runner.run_augmentation_experiment(tiny_cfg("mixup", 31, str(out), rounds=0, mixup=MixupConfig()))
+        rows = [*read_metrics_csv(str(out / "metrics.csv")), dataclasses.replace(res.rows[0], epoch=1, priv_ratio=1.0)]
+        with pytest.raises(ConfigurationError, match="got priv inf"):
+            runner.build_tradeoff(rows)
 
     def test_manifest_names_each_rejected_rounds_failed_inequalities(self, tmp_path):
         zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
@@ -527,7 +543,7 @@ class TestWorkbench:
             "seed": {"seed": run_value},
             "horizon": {"train": dataclasses.replace(cfg.train, horizon=run_value)},
             "input_hours": {"input_len": run_value},
-            "n_vars": {"n_vars": run_value},
+            "n_vars": {"n_vars": run_value, "generator": dataclasses.replace(cfg.generator, n_vars=run_value)},
             "n": {"train": dataclasses.replace(cfg.train, n=run_value)},
             "hidden_dim": {"train": dataclasses.replace(cfg.train, hidden_dim=run_value)},
         }[field]
@@ -616,6 +632,14 @@ class TestConfigValues:
             runner.RunConfig(method="zoo_pca", seed=1, zoo=ZooConfig(), pca_ratio=ratio)
         assert runner.RunConfig(method="zoo_pca", seed=1, zoo=ZooConfig(), pca_ratio=1.0).pca_ratio == 1.0
 
+    @pytest.mark.parametrize("n_vars", [8, 20])
+    def test_inline_generator_of_another_variable_count_is_rejected(self, n_vars):
+        gen = GeneratorConfig(n_episodes=60, n_vars=n_vars, seed=3)
+        with pytest.raises(ConfigurationError, match=f"^generator n_vars must equal n_vars 16, got {n_vars}$"):
+            runner.RunConfig(method="baseline", seed=3, generator=gen)
+        # a triplet file is read with the run's count, so an unused generator's count is not checked
+        assert runner.RunConfig(method="baseline", seed=3, generator=gen, data_path="t.csv").n_vars == 16
+
     @pytest.mark.parametrize("sigma", [-1.0, -math.inf, math.nan, math.inf])
     def test_negative_or_non_finite_dp_sigma_is_rejected(self, sigma):
         with pytest.raises(ConfigurationError, match=f"^dp_sigma_grid entries must be >= 0 and finite, got {sigma}$"):
@@ -632,7 +656,7 @@ class TestTradeoff:
             rows.append(row(1, 1.8, 0.49, run_id=rid, ab=str(alpha)))
         entries = runner.build_tradeoff(rows)
         assert len(entries) == 5
-        assert {e[2] for e in entries} == {"0.0", "0.25", "0.5", "0.75", "1.0"}
+        assert {e.alpha_or_beta for e in entries} == {"0.0", "0.25", "0.5", "0.75", "1.0"}
 
     def test_final_accepted_row_selected(self):
         rows = [
@@ -642,7 +666,7 @@ class TestTradeoff:
         ]
         entries = runner.build_tradeoff(rows)
         assert len(entries) == 1
-        assert entries[0][3] == 0.8  # mse_test of the accepted row
+        assert entries[0].mse_test == 0.8  # of the accepted row
 
     def test_dp_runs_emit_one_row_per_sigma(self):
         rows = [
