@@ -15,25 +15,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 TRIPLET_HEADER = ("episode_id", "t_hours", "var_id", "value")
-METRICS_HEADER = (
-    "run_id",
-    "method",
-    "alpha_or_beta",
-    "epoch",
-    "mse_test",
-    "mse_heldout",
-    "tpr_at_tau",
-    "fpr_at_tau",
-    "priv_ratio",
-    "auroc",
-    "tau",
-)
 ROC_HEADER = ("threshold", "fpr", "tpr")
 
 
@@ -72,6 +59,11 @@ def readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _whole(col: np.ndarray) -> bool:
+    """Whether every entry of `col` is an integer, or a float that is a whole number within the int64 range."""
+    return col.dtype.kind in "biu" or (col.dtype.kind == "f" and np.all((col == np.trunc(col)) & (abs(col) < 2.0**63)))
+
+
 @dataclass(eq=False)
 class Episode:
     """All observations of one stay as read-only (t, var_id, value) columns.
@@ -92,12 +84,14 @@ class Episode:
         t = np.asarray(self.t, dtype=np.float64)
         if not (t.ndim == 1 and np.shape(self.var_id) == t.shape == np.shape(self.value)):
             raise ConfigurationError(f"episode {self.episode_id}: t, var_id and value must be 1-d and of equal length")
-        value = np.asarray(self.value, dtype=np.float64)
+        value, var = np.asarray(self.value, dtype=np.float64), np.asarray(self.var_id)
         if not (np.isfinite(t).all() and np.isfinite(value).all()):
             raise ValidationError(f"episode {self.episode_id}: non-finite time or value")
+        if not (_whole(var) and np.all(var >= 0)):
+            raise ValidationError(f"episode {self.episode_id}: variable indices must be non-negative whole numbers")
         order = np.argsort(t, kind="stable")
         self.t = readonly(t[order])
-        self.var_id = readonly(np.asarray(self.var_id)[order], dtype=np.int64)
+        self.var_id = readonly(var[order], dtype=np.int64)
         self.value = readonly(value[order])
         if self.t.size and self.t[0] < 0:
             raise ValidationError(f"episode {self.episode_id}: negative time {self.t[0]}")
@@ -175,8 +169,7 @@ def _freeze(obj, arrays: Sequence[str], masks: Sequence[str], columns: Sequence[
     n = len(getattr(obj, arrays[0]))
     for name in columns:
         col = np.asarray(getattr(obj, name))
-        whole = col.dtype.kind == "f" and np.all((col == np.trunc(col)) & (abs(col) < 2.0**63))
-        if not (whole or col.dtype.kind in "biu"):
+        if not _whole(col):
             raise ConfigurationError(f"{name} column holds values that are not integers")
         if col.shape not in ((), (n,)):
             raise ConfigurationError(f"{name} column of shape {col.shape} for {n} rows")
@@ -403,6 +396,14 @@ def _admissible(length_hours, span: int, stride: int, max_start: int) -> tuple[n
     return grid, grid + span <= np.asarray(length_hours, dtype=np.float64)[..., None] + 1e-9
 
 
+def check_fractions(fractions: Sequence[float]) -> np.ndarray:
+    """`fractions` as an array; ConfigurationError unless they are 3 finite non-negative values summing to 1."""
+    fr = np.asarray(fractions, dtype=np.float64)
+    if fr.shape != (3,) or not np.all(np.isfinite(fr)) or np.any(fr < 0) or abs(float(fr.sum()) - 1.0) > 1e-9:
+        raise ConfigurationError(f"split_fractions must be 3 finite non-negative values summing to 1, got {fractions}")
+    return fr
+
+
 def split_by_episode(
     episodes: Sequence[Episode],
     fractions: Sequence[float] = (0.6, 0.2, 0.2),
@@ -413,9 +414,7 @@ def split_by_episode(
     The split is at episode level so every window of an episode lands in
     exactly one set; deterministic for a fixed seed.
     """
-    fr = np.asarray(fractions, dtype=np.float64)
-    if fr.shape != (3,) or not np.all(np.isfinite(fr)) or np.any(fr < 0) or abs(float(fr.sum()) - 1.0) > 1e-9:
-        raise ConfigurationError(f"fractions must be 3 finite non-negative values summing to 1, got {fractions}")
+    fr = check_fractions(fractions)
     ids = sorted(ep.episode_id for ep in episodes)
     if len(ids) != len(set(ids)):
         raise ValidationError("duplicate episode ids")
@@ -592,14 +591,22 @@ def write_triplets(episodes: Iterable[Episode], path: str) -> None:
             fh.writelines(map(row, ep.t.tolist(), ep.var_id.tolist(), ep.value.tolist()))
 
 
-def _fmt(x: float) -> str:
-    # repr round-trips exactly through float(), including inf
-    return repr(float(x))
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable], append: bool = False) -> None:
+    """Write `rows` under `header` as CSV with CRLF line ends, replacing the file unless `append`.
+
+    The header goes into an empty file. A float cell, Python or numpy, is written as its repr,
+    which round-trips exactly through float(), inf included; any other cell as csv writes it.
+    """
+    with open(path, "a" if append else "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if fh.tell() == 0:
+            writer.writerow(header)
+        writer.writerows([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row] for row in rows)
 
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """One line of the metrics CSV; floats round-trip exactly."""
+    """One line of the metrics CSV, whose header is these field names; floats round-trip exactly."""
 
     run_id: str
     method: str
@@ -613,19 +620,13 @@ class MetricsRow:
     auroc: float
     tau: float
 
-    def as_list(self) -> list[str]:
-        fields = [getattr(self, name) for name in METRICS_HEADER]
-        return [*fields[:3], str(self.epoch), *map(_fmt, fields[4:])]
+
+METRICS_HEADER = tuple(f.name for f in fields(MetricsRow))
 
 
 def write_report_csv(rows: Iterable[MetricsRow], path: str) -> None:
     """Append rows to a metrics CSV with the documented schema, starting an empty or new file with the header."""
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if fh.tell() == 0:
-            writer.writerow(METRICS_HEADER)
-        for row in rows:
-            writer.writerow(row.as_list())
+    write_csv(path, METRICS_HEADER, map(astuple, rows), append=True)
 
 
 def read_metrics_csv(path: str) -> list[MetricsRow]:
@@ -650,8 +651,4 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
 
 def write_roc_csv(points: Iterable[tuple[float, float, float]], path: str) -> None:
     """Write ROC points as threshold,fpr,tpr sorted by ascending threshold."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROC_HEADER)
-        for thr, fpr, tpr in points:
-            writer.writerow([_fmt(thr), _fmt(fpr), _fmt(tpr)])
+    write_csv(path, ROC_HEADER, points)

@@ -148,6 +148,8 @@ class TrainConfig:
         for name in ("learning_rate", "batch_size", "max_epochs", "hidden_dim", "n", "horizon"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigurationError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not self.seed >= 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 retraining, the differentially private comparison run, and report emission.
 
 A run starts from a pretrained baseline (frozen embedding plus a forecaster
-trained to convergence on the original training windows). Each augmentation
+trained for `baseline_epochs` epochs on the training windows). Each augmentation
 round generates a synthetic wave, inserts it into the bounded pool, retrains
 on a 50/50 mixture of originals and pool samples, and evaluates the candidate
 against a three-condition gate: privacy may not degrade beyond a small
@@ -22,7 +22,6 @@ arguments select one of two conventions, kept explicit:
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -43,8 +42,10 @@ from .data import (
     ValidationError,
     WindowSet,
     build_windows,
+    check_fractions,
     load_triplets,
     split_by_episode,
+    write_csv,
     write_report_csv,
     write_roc_csv,
 )
@@ -171,12 +172,14 @@ class RunConfig:
         if self.method == "dp_sgd" and (self.dp is None or not self.dp_sigma_grid):
             raise ConfigurationError("method dp_sgd requires a dp config and a nonempty dp_sigma_grid")
         counts = (
-            "rounds", "samples_per_round", "baseline_epochs", "retrain_epochs", "dp_epochs",
-            "max_train_windows", "max_eval_windows",
+            "seed", "rounds", "samples_per_round", "baseline_epochs", "retrain_epochs", "dp_epochs",
+            "max_train_windows", "max_eval_windows", "max_start", "stride", "input_len",
         )
         for name in counts:
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+            low = 1 if name in ("stride", "input_len") else 0
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_fractions(self.split_fractions)
         # written so that NaN fails them, before any data is read
         if not 0 < self.pca_ratio <= 1:
             raise ConfigurationError(f"pca_ratio must lie in (0, 1], got {self.pca_ratio}")
@@ -201,7 +204,7 @@ class RunConfig:
 @dataclass
 class Workbench:
     """Prepared artifacts shared by every run on one corpus: frozen embedding,
-    converged baseline forecaster, and baked point sets per split."""
+    baseline forecaster trained for `baseline_epochs` epochs, and baked point sets per split."""
 
     emb: EmbeddingMap
     baseline_params: ForecasterParams
@@ -234,7 +237,7 @@ def load_episodes(cfg: RunConfig) -> list[Episode]:
 
 
 def build_workbench(cfg: RunConfig) -> Workbench:
-    """Split, standardize, window, pretrain, and train the baseline to convergence.
+    """Split, standardize, window, pretrain, and train the baseline for `baseline_epochs` epochs.
 
     The splits are handled one at a time: the train split is windowed, the
     embedding pretrained on its windows and the windows baked, then heldout
@@ -517,13 +520,12 @@ def _flush_outputs(cfg: RunConfig, rows: list[MetricsRow], audits: list[RoundAud
         return
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_report_csv(rows, os.path.join(cfg.output_dir, "metrics.csv"))
-    manifest_path = os.path.join(cfg.output_dir, f"manifest_{cfg.resolved_run_id()}.csv")
-    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for row, a in zip(rows, audits, strict=True):
-            fields = (a.epoch, int(a.accepted), a.pool_size, a.samples_generated, a.steps_executed, a.reason)
-            writer.writerow([row.run_id, row.method, row.alpha_or_beta, *fields])
+    manifest = (
+        (row.run_id, row.method, row.alpha_or_beta, a.epoch, int(a.accepted), a.pool_size, a.samples_generated,
+         a.steps_executed, a.reason)
+        for row, a in zip(rows, audits, strict=True)
+    )
+    write_csv(os.path.join(cfg.output_dir, f"manifest_{cfg.resolved_run_id()}.csv"), MANIFEST_HEADER, manifest)
 
 
 def _write_final_artifacts(cfg: RunConfig, wb: Workbench, params: ForecasterParams, report: AttackReport) -> None:
@@ -577,9 +579,4 @@ TRADEOFF_HEADER = ("run_id", "method", "alpha_or_beta", "mse_test", "priv_ratio"
 
 
 def write_tradeoff_csv(rows: Sequence[MetricsRow], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRADEOFF_HEADER)
-        for row in rows:
-            labels = [getattr(row, name) for name in TRADEOFF_HEADER[:3]]
-            writer.writerow(labels + [repr(float(getattr(row, name))) for name in TRADEOFF_HEADER[3:]])
+    write_csv(path, TRADEOFF_HEADER, ([getattr(row, name) for name in TRADEOFF_HEADER] for row in rows))

@@ -43,8 +43,9 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_episodes < 0:
-            raise ConfigurationError("n_episodes must be non-negative")
+        for name in ("n_episodes", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 < self.latent_dim <= self.n_vars:
             raise ConfigurationError("latent_dim must be in 1..n_vars")
         if not 0 <= self.dense_var_count <= self.n_vars:

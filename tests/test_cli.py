@@ -60,6 +60,14 @@ class TestGenData:
             main(["gen-data", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain"])
+    def test_negative_seed_exits_1_naming_it(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"data": "missing.csv"}')  # pretrain fails on the seed before it reads data
+        flags = {"gen-data": ["--out", str(tmp_path / "x.csv")], "pretrain": ["--config", str(cfg_path)]}[command]
+        assert main([command, *flags, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -1")
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -157,6 +165,10 @@ class TestConfig:
             ('{"data": "missing.csv", "pca_ratio": 1.5}', ["augment", "--method", "zoo-pca"], "pca_ratio must lie in"),
             ('{"data": "missing.csv", "dp_sigma_grid": [1.1, -1]}', ["dp-train"], "dp_sigma_grid entries must be >= 0"),
             ('{"generator": {"n_episodes": 30, "n_vars": 8}}', ["pretrain"], "generator n_vars must equal n_vars 16, got 8"),
+            ('{"data": "missing.csv", "split": [0.5, 0.5, 0.5]}', ["pretrain"], "split_fractions must be 3 finite"),
+            ('{"data": "missing.csv", "stride": 0}', ["pretrain"], "stride must be >= 1, got 0"),
+            ('{"data": "missing.csv", "input_len": 0}', ["pretrain"], "input_len must be >= 1, got 0"),
+            ('{"data": "missing.csv", "max_start": -4}', ["pretrain"], "max_start must be >= 0, got -4"),
         ],
     )
     def test_out_of_range_value_exits_1_naming_key_before_reading_data(self, tmp_path, capsys, text, command, message):

@@ -396,6 +396,13 @@ class TestEpisodeValidation:
         with pytest.raises(ValidationError, match="^episode 7: non-finite"):
             Episode(7, [t], [0], [value], 1.0)
 
+    @pytest.mark.parametrize("var", [-1, 1.5, math.nan])
+    def test_negative_or_fractional_variable_index_rejected_naming_episode(self, var):
+        # -1 would wrap to the last variable when binned, 1.5 truncate to 1, NaN become -2**63
+        with pytest.raises(ValidationError, match="^episode 1: variable indices must be non-negative whole numbers$"):
+            Episode(1, [0.5, 1.5], [var, 0], [1.0, 2.0], 4.0)
+        assert Episode(1, [0.5, 1.5], [1.0, 0], [1.0, 2.0], 4.0).var_id.tolist() == [1, 0]
+
 
 class TestWindowAndPointTypes:
     def test_sets_freeze_the_callers_contiguous_float64_arrays_in_place(self):
@@ -888,10 +895,15 @@ class TestReportIO:
         assert text.count("run_id") == 1
         assert len(read_metrics_csv(str(path))) == 2
 
+    def test_metrics_csv_bytes(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        write_report_csv([self._row(run_id="r,1", epoch=2, mse_test=np.float64(1 / 3), priv_ratio=math.inf)], str(path))
+        assert path.read_bytes() == (
+            b"run_id,method,alpha_or_beta,epoch,mse_test,mse_heldout,tpr_at_tau,fpr_at_tau,priv_ratio,auroc,tau\r\n"
+            b'"r,1",zoo,0.75,2,0.3333333333333333,0.6,0.1,0.05,inf,0.7,0.55\r\n'
+        )
+
     def test_roc_csv_format(self, tmp_path):
         path = tmp_path / "roc.csv"
-        write_roc_csv([(-math.inf, 0.0, 0.0), (0.5, 0.25, 0.75), (math.inf, 1.0, 1.0)], str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "threshold,fpr,tpr"
-        assert lines[1].startswith("-inf")
-        assert lines[-1].startswith("inf")
+        write_roc_csv([(-math.inf, 0.0, 0.0), (np.float64(0.5), 0.25, 0.75), (math.inf, 1.0, 1.0)], str(path))
+        assert path.read_bytes() == b"threshold,fpr,tpr\r\n-inf,0.0,0.0\r\n0.5,0.25,0.75\r\ninf,1.0,1.0\r\n"

@@ -360,6 +360,17 @@ class TestAugmentationRun:
         assert written == (tmp_path / "again.csv").read_bytes()
         assert written.splitlines()[0].decode() == ",".join(METRICS_HEADER)
 
+    def test_manifest_csv_bytes(self, tmp_path):
+        cfg = runner.RunConfig(method="zoo", seed=1, zoo=ZooConfig(), output_dir=str(tmp_path), run_id="r")
+        audits = [runner.RoundAudit(0), runner.RoundAudit(1, pool_size=40, samples_generated=40, steps_executed=4,
+                                                          reason="priv+combined")]
+        runner._flush_outputs(cfg, [row(0, 2.0, 0.5), row(1, 2.5, 0.5)], audits)
+        assert (tmp_path / "manifest_r.csv").read_bytes() == (
+            b"run_id,method,alpha_or_beta,epoch,accepted,pool_size,samples_generated,steps_executed,reason\r\n"
+            b"r,zoo,0.75,0,1,0,0,0,\r\n"
+            b"r,zoo,0.75,1,0,40,40,4,priv+combined\r\n"
+        )
+
     @pytest.mark.parametrize("method", ["zoo", "zoo_pca", "mixup", "dp_sgd"])
     def test_reproducible_metrics_bytes(self, tmp_path, method):
         extra = {
@@ -640,6 +651,19 @@ class TestConfigValues:
         # a triplet file is read with the run's count, so an unused generator's count is not checked
         assert runner.RunConfig(method="baseline", seed=3, generator=gen, data_path="t.csv").n_vars == 16
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: runner.RunConfig(method="baseline", seed=-1),
+            lambda: TrainConfig(seed=-1),
+            lambda: GeneratorConfig(seed=-1),
+        ],
+        ids=["RunConfig", "TrainConfig", "GeneratorConfig"],
+    )
+    def test_negative_seed_is_rejected_naming_the_field(self, build):
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
+            build()
+
     @pytest.mark.parametrize("sigma", [-1.0, -math.inf, math.nan, math.inf])
     def test_negative_or_non_finite_dp_sigma_is_rejected(self, sigma):
         with pytest.raises(ConfigurationError, match=f"^dp_sigma_grid entries must be >= 0 and finite, got {sigma}$"):
@@ -648,6 +672,13 @@ class TestConfigValues:
 
 
 class TestTradeoff:
+    def test_tradeoff_csv_bytes(self, tmp_path):
+        path = tmp_path / "tradeoff.csv"
+        runner.write_tradeoff_csv([row(1, 1.8, 0.6, mse_t=np.float64(1 / 3), tau=0.5)], str(path))
+        assert path.read_bytes() == (
+            b"run_id,method,alpha_or_beta,mse_test,priv_ratio,auroc\r\nr,zoo,0.75,0.3333333333333333,1.8,0.6\r\n"
+        )
+
     def test_five_alpha_runs_give_five_rows(self):
         rows = []
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
