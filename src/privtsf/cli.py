@@ -29,6 +29,7 @@ from .data import (
 from .forecaster import DpConfig, TrainConfig
 from .runner import (
     METHODS,
+    NONMEMBERS,
     RunConfig,
     attack_row,
     build_tradeoff,
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="threshold attack on a checkpointed model")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--nonmembers", choices=("test", "heldout"), default="test")
+    p.add_argument("--nonmembers", choices=NONMEMBERS, default="test")
     p.add_argument("--out-dir")
     p.add_argument("--run-id")
     _add_seed(p)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -44,6 +45,7 @@ from .data import (
     build_windows,
     check_fractions,
     load_triplets,
+    readonly,
     split_by_episode,
     write_csv,
     write_report_csv,
@@ -201,10 +203,39 @@ class RunConfig:
         return ""
 
 
-@dataclass
+def workbench_settings(cfg: RunConfig) -> dict[str, object]:
+    """The settings that fix a workbench's members and windows, in the order a mismatch is reported.
+
+    Learning rate and epoch counts are not among them: a DP run trains with
+    its own, from the same members.
+    """
+    return {
+        "seed": cfg.seed,
+        "n_vars": cfg.n_vars,
+        "data_path": cfg.data_path,
+        "generator": None if cfg.data_path else cfg.generator,
+        "split_fractions": tuple(cfg.split_fractions),
+        "stride": cfg.stride,
+        "input_len": cfg.input_len,
+        "max_start": cfg.max_start,
+        "max_train_windows": cfg.max_train_windows,
+        "max_eval_windows": cfg.max_eval_windows,
+        "train.horizon": cfg.train.horizon,
+        "train.n": cfg.train.n,
+        "train.hidden_dim": cfg.train.hidden_dim,
+    }
+
+
+@dataclass(frozen=True)
 class Workbench:
     """Prepared artifacts shared by every run on one corpus: frozen embedding,
-    baseline forecaster trained for `baseline_epochs` epochs, and baked point sets per split."""
+    baseline forecaster trained for `baseline_epochs` epochs, baked point sets per
+    split, and the `workbench_settings` they were built under.
+
+    The baseline's per-window losses and each PCA basis of the train
+    embeddings are computed on first use and kept, so the runs that share a
+    workbench evaluate the baseline and fit each basis once.
+    """
 
     emb: EmbeddingMap
     baseline_params: ForecasterParams
@@ -212,19 +243,33 @@ class Workbench:
     heldout_pts: PointSet
     test_pts: PointSet
     std: Standardizer
-    seed: int
+    settings: dict[str, object]
+    _bases: dict[float, PcaBasis] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def baseline_losses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The baseline's `split_losses` with no pool: train, heldout and test."""
+        return split_losses(self.baseline_params, self)
+
+    def pca_basis(self, ratio: float) -> PcaBasis:
+        """The PCA basis of the train embeddings at variance ratio `ratio`."""
+        if ratio not in self._bases:
+            self._bases[ratio] = pca_fit(self.train_pts.E, ratio)
+        return self._bases[ratio]
 
 
 def _workbench_for(cfg: RunConfig, wb: Workbench | None) -> Workbench:
     """`wb`, or a new workbench for `cfg` when there is none.
 
-    A workbench built under another seed holds another split, so reusing it
-    is a ConfigurationError.
+    A workbench built under other `workbench_settings` holds other members or
+    windows, so reusing it is a ConfigurationError naming the first setting
+    that differs.
     """
     if wb is None:
         return build_workbench(cfg)
-    if wb.seed != cfg.seed:
-        raise ConfigurationError(f"workbench built under seed {wb.seed}, the run config has seed {cfg.seed}")
+    for key, value in workbench_settings(cfg).items():
+        if wb.settings[key] != value:
+            raise ConfigurationError(f"workbench built under {key} {wb.settings[key]!r}, the run config has {key} {value!r}")
     return wb
 
 
@@ -296,7 +341,7 @@ def build_workbench(cfg: RunConfig) -> Workbench:
         heldout_pts=heldout_pts,
         test_pts=test_pts,
         std=std,
-        seed=cfg.seed,
+        settings=workbench_settings(cfg),
     )
 
 
@@ -348,6 +393,19 @@ def _round_row(
     )
 
 
+def split_losses(
+    params: ForecasterParams, wb: Workbench, pool: PointSet = NO_POINTS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-window masked MSE of `params` on the training points plus the synthetic `pool`
+    (as one evaluation, through one PointRows), on the heldout split and on the test split."""
+    ref = dataset_losses(wb.train_pts, params, pool)
+    held, test = (dataset_losses(pts, params) for pts in (wb.heldout_pts, wb.test_pts))
+    return readonly(ref), readonly(held), readonly(test)
+
+
+NONMEMBERS = ("test", "heldout")
+
+
 def attack_row(
     run_id: str,
     method: str,
@@ -360,16 +418,20 @@ def attack_row(
 ) -> tuple[MetricsRow, AttackReport]:
     """The one evaluation of a model: a metrics row and its attack report.
 
-    Forecasts the training points plus the synthetic `pool` (as one
-    evaluation, through one PointRows), the heldout split and the test split
-    once each. Members are the training points, tau is the mean loss over the
-    training points plus the pool, and the non-members are the `nonmembers`
-    split ("test" or "heldout"). Gate rows pass the pool and "heldout"; attack
-    and DP rows pass no pool and the test split.
+    Reads the model's `split_losses`; the workbench's baseline with no pool
+    reads the workbench's stored `baseline_losses` instead. Members are the
+    training points, tau is the mean loss over the training points plus the
+    pool, and the non-members are the `nonmembers` split ("test" or
+    "heldout"). Gate rows pass the pool and "heldout"; attack and DP rows
+    pass no pool and the test split.
     """
+    if nonmembers not in NONMEMBERS:
+        raise ConfigurationError(f"nonmembers must be one of {NONMEMBERS}, got {nonmembers!r}")
+    if params is wb.baseline_params and not len(pool):
+        ref_losses, held, test = wb.baseline_losses
+    else:
+        ref_losses, held, test = split_losses(params, wb, pool)
     n_train = len(wb.train_pts)
-    ref_losses = dataset_losses(wb.train_pts, params, pool)
-    held, test = (dataset_losses(pts, params) for pts in (wb.heldout_pts, wb.test_pts))
     report = attack_report(ref_losses[:n_train], test if nonmembers == "test" else held, float(ref_losses.mean()))
     row = _round_row(run_id, method, tag, epoch, report, float(held.mean()), float(test.mean()))
     return row, report
@@ -419,7 +481,7 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
     candidate, and log one metrics row either way. The final model is the
     last accepted candidate. On error, rows produced so far are still
     flushed to the output directory. A given workbench must be built under
-    cfg.seed.
+    cfg's `workbench_settings`.
     """
     if cfg.method not in ("baseline", "zoo", "zoo_pca", "mixup"):
         raise ConfigurationError(f"run_augmentation_experiment does not handle {cfg.method}")
@@ -428,9 +490,7 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
     rounds = 0 if cfg.method == "baseline" else cfg.rounds
     n_samples = max(1, min(cfg.samples_per_round, n_train // 2))
     pool = SyntheticPool(cap=n_train // 2)
-    basis: PcaBasis | None = None
-    if cfg.method == "zoo_pca":
-        basis = pca_fit(wb.train_pts.E, cfg.pca_ratio)
+    basis = wb.pca_basis(cfg.pca_ratio) if cfg.method == "zoo_pca" else None
 
     run_id, tag = cfg.resolved_run_id(), cfg.param_tag()
     params = wb.baseline_params
@@ -486,7 +546,8 @@ def run_dp_baseline(cfg: RunConfig, wb: Workbench | None = None) -> RunResult:
     reused), the configured number of DP epochs, and one metrics row in the
     attack convention (members = train, non-members = test, tau = mean train
     loss). Each sigma's DP settings are cfg.dp with noise_multiplier replaced
-    by that sigma. A given workbench must be built under cfg.seed.
+    by that sigma. A given workbench must be built under cfg's
+    `workbench_settings`.
     """
     if cfg.method != "dp_sgd":
         raise ConfigurationError("run_dp_baseline requires method dp_sgd")

@@ -340,6 +340,16 @@ class TestUnrollBits:
         assert np.array_equal(fc.forecast_batch(np.concatenate([E, other]), params)[:B], alone)
         assert np.array_equal(fc.forecast_batch(np.concatenate([other, E]), params)[extra:], alone)
 
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), dims=st.one_of(small_dims, st.just(FIXTURE_DIMS)))
+    def test_forecast_kernel_agrees_with_the_training_unroll(self, B, seed, dims):
+        # forecast_batch folds the feedback into the state matrix, so it sums in another
+        # order than _forward: the two agree to 1e-12 of the largest forecast, not bit for bit
+        params, E, _, _, _ = unroll_case(seed, B, dims)
+        got, want = fc.forecast_batch(E, params), fc._forward(E, params)[2][:, 1:]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(got).max()
+
 
 def strided_mean_backward(E, Y, M, params, pooled, S, Yh, X=None):
     """Reference batch-mean backward: every fold is np.einsum run directly on
@@ -652,7 +662,7 @@ class TestDpStep:
         # only, and one row forecasts its own target exactly, so its gradient is exactly zero
         params, E, Y, M, rng = unroll_case(seed, B, dims)
         zero = int(rng.integers(B))
-        Y[zero] = fc.forecast_batch(E, params)[zero]
+        Y[zero] = fc._forward(E, params)[2][zero, 1:]  # the training unroll's own forecast, so the residual is exactly 0
         pts = PointSet(E=E, Y=Y, M=M)
         per, _ = fc.per_sample_gradients(pts, params)
         norms = np.sqrt(sum((g.reshape(B, -1) ** 2).sum(axis=1) for g in per.values()))

@@ -121,8 +121,8 @@ def fixture_eval_case():
 
 
 def whole_batch_losses(points, params):
-    """One _forward over every row, then masked_batch_losses: the reference for chunked evaluation."""
-    return masked_batch_losses(fc._forward(points.E, params)[2][:, 1:], points.Y, points.M)
+    """One forecast_batch call over every row, then masked_batch_losses: the reference for chunked evaluation."""
+    return masked_batch_losses(fc.forecast_batch(points.E, params), points.Y, points.M)
 
 
 class TestChunkedLosses:

@@ -123,6 +123,14 @@ class TestEvaluateCandidate:
         assert m_held_ref.fpr >= m_train_ref.fpr
 
 
+class TestAttackRowNonmembers:
+    @pytest.mark.parametrize("nonmembers", ["Test", "tset", "held", ""])
+    def test_unknown_split_is_config_error(self, small_wb, nonmembers):
+        _, wb = small_wb
+        with pytest.raises(ConfigurationError, match=f"^nonmembers must be one of \\('test', 'heldout'\\), got '{nonmembers}'$"):
+            runner.attack_row("r", "baseline", "", wb.baseline_params, wb, nonmembers)
+
+
 class TestAttackRowMemory:
     def test_row_allocates_less_than_joining_train_and_pool(self):
         # at the bench shape, with 350 train, 175 pool, 1,200 heldout and 1,200 test points, a row
@@ -131,7 +139,7 @@ class TestAttackRowMemory:
         rng = np.random.default_rng(3)
         emb, params = init_params(32, 64, 16, 24, seed=3, input_hours=24)
         train, pool, held, test = (make_points(rng, count, 24, 32, 24, 16) for count in (350, 175, 1200, 1200))
-        wb = runner.Workbench(emb, params, train, held, test, identity_standardizer(16), seed=3)
+        wb = runner.Workbench(emb, params, train, held, test, identity_standardizer(16), settings={})
         peak = allocation_peak(lambda: runner.attack_row("r", "zoo", "", params, wb, "heldout", pool=pool, epoch=1))
         assert peak < 20 * 2**20, peak
 
@@ -447,6 +455,48 @@ class TestEvaluationPasses:
             assert windows[r] == tau_ref + n_train + res.audits[r].pool_size + n_eval
         assert windows[4] == 0
 
+    def test_runs_on_one_workbench_evaluate_the_baseline_and_fit_each_basis_once(self, monkeypatch):
+        # a zoo-pca run, a mixup run and a second zoo-pca run at the same ratio share one workbench:
+        # only the first run forecasts before its row 0, and only it fits the PCA basis
+        from privtsf import metrics
+
+        zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
+        cfgs = [
+            tiny_cfg("zoo_pca", 31, "", zoo=zoo, rounds=1),
+            tiny_cfg("mixup", 31, "", mixup=MixupConfig(beta=1.0), rounds=1),
+            tiny_cfg("zoo_pca", 31, "", zoo=dataclasses.replace(zoo, alpha=0.5), rounds=1),
+        ]
+        wb = runner.build_workbench(cfgs[0])
+        windows, before_row0, fits = [0], [], []
+        real_forecast, real_row, real_fit = metrics.forecast_batch, runner._round_row, runner.pca_fit
+
+        def counting_forecast(E, params):
+            windows[0] += len(E)
+            return real_forecast(E, params)
+
+        def marking_row(*args, **kwargs):
+            before_row0.append(windows[0])
+            return real_row(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "forecast_batch", counting_forecast)
+        monkeypatch.setattr(runner, "_round_row", marking_row)
+        monkeypatch.setattr(runner, "pca_fit", lambda E, ratio: fits.append(ratio) or real_fit(E, ratio))
+        results, first = [], []
+        for cfg in cfgs:
+            windows[0] = 0
+            del before_row0[:]
+            results.append(runner.run_augmentation_experiment(cfg, wb))
+            first.append(before_row0[0])
+        assert first == [len(wb.train_pts) + len(wb.heldout_pts) + len(wb.test_pts), 0, 0]
+        assert fits == [cfgs[0].pca_ratio]
+        monkeypatch.undo()
+
+        fresh = dataclasses.replace(wb)  # the same points and baseline, with nothing stored yet
+        want, _ = runner.attack_row("r", "baseline", "", wb.baseline_params, fresh, "heldout")
+        for res in results:
+            row0 = res.rows[0]
+            assert dataclasses.replace(row0, run_id="r", method="baseline", alpha_or_beta="") == want
+
 
 def mixup_wave_one_pair_at_a_time(cfg, wb, epoch, n_samples):
     """A mixup wave built pair by pair and stacked: the reference for the runner's one-call wave."""
@@ -571,6 +621,45 @@ class TestWorkbench:
         with pytest.raises(ConfigurationError, match="^workbench built under seed 23, the run config has seed 24$"):
             run(cfg, wb)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, change",
+        [
+            ("n_vars", dict(n_vars=8, generator=GeneratorConfig(n_episodes=300, seed=23, n_vars=8))),
+            ("data_path", dict(data_path="elsewhere.csv")),
+            ("generator", dict(generator=GeneratorConfig(n_episodes=301, seed=23))),
+            ("split_fractions", dict(split_fractions=(0.5, 0.25, 0.25))),
+            ("stride", dict(stride=2)),
+            ("input_len", dict(input_len=12)),
+            ("max_start", dict(max_start=48)),
+            ("max_train_windows", dict(max_train_windows=100)),
+            ("max_eval_windows", dict(max_eval_windows=300)),
+            ("train.horizon", dict(horizon=12)),
+            ("train.n", dict(n=16)),
+            ("train.hidden_dim", dict(hidden_dim=16)),
+        ],
+    )
+    def test_workbench_of_other_members_or_windows_is_config_error_naming_the_setting(
+        self, small_wb, tmp_path, key, change
+    ):
+        # each setting that fixes a workbench's members or windows; learning rate and epochs may differ
+        base_cfg, wb = small_wb
+        train = {k: change.pop(k) for k in ("horizon", "n", "hidden_dim") if k in change}
+        cfg = dataclasses.replace(
+            base_cfg, method="mixup", output_dir=str(tmp_path / "o"), mixup=MixupConfig(),
+            train=dataclasses.replace(base_cfg.train, **train), **change,
+        )
+        stored, run_value = wb.settings[key], runner.workbench_settings(cfg)[key]
+        with pytest.raises(ConfigurationError, match=f"^workbench built under {key} .*, the run config has {key} "):
+            runner.run_augmentation_experiment(cfg, wb)
+        assert stored != run_value
+        assert not (tmp_path / "o").exists()
+
+    def test_workbench_is_reused_under_another_learning_rate_and_epochs(self, small_wb):
+        base_cfg, wb = small_wb
+        train = dataclasses.replace(base_cfg.train, learning_rate=0.5, max_epochs=1)
+        cfg = dataclasses.replace(base_cfg, train=train, baseline_epochs=1, dp_epochs=1, retrain_epochs=2)
+        assert runner._workbench_for(cfg, wb) is wb
 
     def test_each_splits_windows_are_dropped_before_the_next_split_is_binned(self, small_wb, monkeypatch):
         base_cfg, wb = small_wb
