@@ -269,7 +269,8 @@ def _workbench_for(cfg: RunConfig, wb: Workbench | None) -> Workbench:
         return build_workbench(cfg)
     for key, value in workbench_settings(cfg).items():
         if wb.settings[key] != value:
-            raise ConfigurationError(f"workbench built under {key} {wb.settings[key]!r}, the run config has {key} {value!r}")
+            stored = wb.settings[key]
+            raise ConfigurationError(f"workbench built under {key} {stored!r}, the run config has {key} {value!r}")
     return wb
 
 

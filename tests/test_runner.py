@@ -127,7 +127,8 @@ class TestAttackRowNonmembers:
     @pytest.mark.parametrize("nonmembers", ["Test", "tset", "held", ""])
     def test_unknown_split_is_config_error(self, small_wb, nonmembers):
         _, wb = small_wb
-        with pytest.raises(ConfigurationError, match=f"^nonmembers must be one of \\('test', 'heldout'\\), got '{nonmembers}'$"):
+        message = f"^nonmembers must be one of \\('test', 'heldout'\\), got '{nonmembers}'$"
+        with pytest.raises(ConfigurationError, match=message):
             runner.attack_row("r", "baseline", "", wb.baseline_params, wb, nonmembers)
 
 
