@@ -232,9 +232,8 @@ class Workbench:
     baseline forecaster trained for `baseline_epochs` epochs, baked point sets per
     split, and the `workbench_settings` they were built under.
 
-    The baseline's per-window losses and each PCA basis of the train
-    embeddings are computed on first use and kept, so the runs that share a
-    workbench evaluate the baseline and fit each basis once.
+    The baseline's per-window losses are computed on first use and kept, so
+    the runs that share a workbench evaluate the baseline once.
     """
 
     emb: EmbeddingMap
@@ -244,18 +243,11 @@ class Workbench:
     test_pts: PointSet
     std: Standardizer
     settings: dict[str, object]
-    _bases: dict[float, PcaBasis] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def baseline_losses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The baseline's `split_losses` with no pool: train, heldout and test."""
         return split_losses(self.baseline_params, self)
-
-    def pca_basis(self, ratio: float) -> PcaBasis:
-        """The PCA basis of the train embeddings at variance ratio `ratio`."""
-        if ratio not in self._bases:
-            self._bases[ratio] = pca_fit(self.train_pts.E, ratio)
-        return self._bases[ratio]
 
 
 def _workbench_for(cfg: RunConfig, wb: Workbench | None) -> Workbench:
@@ -268,8 +260,8 @@ def _workbench_for(cfg: RunConfig, wb: Workbench | None) -> Workbench:
     if wb is None:
         return build_workbench(cfg)
     for key, value in workbench_settings(cfg).items():
-        if wb.settings[key] != value:
-            stored = wb.settings[key]
+        stored = wb.settings.get(key)
+        if stored != value:
             raise ConfigurationError(f"workbench built under {key} {stored!r}, the run config has {key} {value!r}")
     return wb
 
@@ -428,6 +420,8 @@ def attack_row(
     """
     if nonmembers not in NONMEMBERS:
         raise ConfigurationError(f"nonmembers must be one of {NONMEMBERS}, got {nonmembers!r}")
+    # ForecasterParams arrays are read-only and every update allocates new
+    # ones, so the baseline's own object holds the baseline's values
     if params is wb.baseline_params and not len(pool):
         ref_losses, held, test = wb.baseline_losses
     else:
@@ -491,7 +485,7 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
     rounds = 0 if cfg.method == "baseline" else cfg.rounds
     n_samples = max(1, min(cfg.samples_per_round, n_train // 2))
     pool = SyntheticPool(cap=n_train // 2)
-    basis = wb.pca_basis(cfg.pca_ratio) if cfg.method == "zoo_pca" else None
+    basis = pca_fit(wb.train_pts.E, cfg.pca_ratio) if cfg.method == "zoo_pca" else None
 
     run_id, tag = cfg.resolved_run_id(), cfg.param_tag()
     params = wb.baseline_params

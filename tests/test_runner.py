@@ -456,20 +456,19 @@ class TestEvaluationPasses:
             assert windows[r] == tau_ref + n_train + res.audits[r].pool_size + n_eval
         assert windows[4] == 0
 
-    def test_runs_on_one_workbench_evaluate_the_baseline_and_fit_each_basis_once(self, monkeypatch):
-        # a zoo-pca run, a mixup run and a second zoo-pca run at the same ratio share one workbench:
-        # only the first run forecasts before its row 0, and only it fits the PCA basis
+    def test_runs_on_one_workbench_evaluate_the_baseline_once(self, monkeypatch):
+        # a zoo-pca run and then a mixup run share one workbench: only the first run forecasts
+        # before its row 0
         from privtsf import metrics
 
         zoo = ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=2, steps=2)
         cfgs = [
             tiny_cfg("zoo_pca", 31, "", zoo=zoo, rounds=1),
             tiny_cfg("mixup", 31, "", mixup=MixupConfig(beta=1.0), rounds=1),
-            tiny_cfg("zoo_pca", 31, "", zoo=dataclasses.replace(zoo, alpha=0.5), rounds=1),
         ]
         wb = runner.build_workbench(cfgs[0])
-        windows, before_row0, fits = [0], [], []
-        real_forecast, real_row, real_fit = metrics.forecast_batch, runner._round_row, runner.pca_fit
+        windows, before_row0 = [0], []
+        real_forecast, real_row = metrics.forecast_batch, runner._round_row
 
         def counting_forecast(E, params):
             windows[0] += len(E)
@@ -481,15 +480,13 @@ class TestEvaluationPasses:
 
         monkeypatch.setattr(metrics, "forecast_batch", counting_forecast)
         monkeypatch.setattr(runner, "_round_row", marking_row)
-        monkeypatch.setattr(runner, "pca_fit", lambda E, ratio: fits.append(ratio) or real_fit(E, ratio))
         results, first = [], []
         for cfg in cfgs:
             windows[0] = 0
             del before_row0[:]
             results.append(runner.run_augmentation_experiment(cfg, wb))
             first.append(before_row0[0])
-        assert first == [len(wb.train_pts) + len(wb.heldout_pts) + len(wb.test_pts), 0, 0]
-        assert fits == [cfgs[0].pca_ratio]
+        assert first == [len(wb.train_pts) + len(wb.heldout_pts) + len(wb.test_pts), 0]
         monkeypatch.undo()
 
         fresh = dataclasses.replace(wb)  # the same points and baseline, with nothing stored yet
@@ -655,6 +652,13 @@ class TestWorkbench:
             runner.run_augmentation_experiment(cfg, wb)
         assert stored != run_value
         assert not (tmp_path / "o").exists()
+
+    def test_workbench_missing_a_setting_is_config_error_naming_it(self, small_wb):
+        base_cfg, full = small_wb
+        wb = dataclasses.replace(full, settings={k: v for k, v in full.settings.items() if k != "stride"})
+        message = f"^workbench built under stride None, the run config has stride {base_cfg.stride}$"
+        with pytest.raises(ConfigurationError, match=message):
+            runner.run_augmentation_experiment(dataclasses.replace(base_cfg, method="mixup", mixup=MixupConfig()), wb)
 
     def test_workbench_is_reused_under_another_learning_rate_and_epochs(self, small_wb):
         base_cfg, wb = small_wb
