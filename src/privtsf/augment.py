@@ -156,15 +156,22 @@ def zoo_probes(
 def zoo_objective(
     Y: np.ndarray, M: np.ndarray, tau: float, params: ForecasterParams, alpha: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Model-backed objective over a batch of embeddings with fixed targets and masks.
+    """Model-backed objective over r stacked batches of embeddings with fixed targets and masks.
 
-    Row j is -(alpha * loss_j + (1 - alpha) * [loss_j < tau]), where loss_j is
-    the masked MSE of the forecast for embedding j against (Y[j], M[j]),
-    evaluated in chunks as `metrics.chunked_losses` does.
+    It maps (r * B, ...) embeddings, r batches in the order of the B target
+    rows, to (r * B,) values. Row j is -(alpha * loss_j + (1 - alpha) *
+    [loss_j < tau]), where loss_j is the masked MSE of the forecast for
+    embedding j against (Y[j % B], M[j % B]), evaluated in chunks as
+    `metrics.chunked_losses` does.
     """
+    stacked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def objective(E: np.ndarray) -> np.ndarray:
-        losses = chunked_losses(forecast_batch, params, PointSet(E=E, Y=Y, M=M))
+        r = len(E) // len(Y)
+        if r not in stacked:
+            stacked[r] = (np.concatenate([Y] * r), np.concatenate([M] * r))
+        Yr, Mr = stacked[r]
+        losses = chunked_losses(forecast_batch, params, PointSet(E=E, Y=Yr, M=Mr))
         return -(alpha * losses + (1.0 - alpha) * (losses < tau).astype(np.float64))
 
     return objective
@@ -178,17 +185,20 @@ def zoo_descend(
 ) -> tuple[np.ndarray, int]:
     """Run the estimator steps on a batch of embeddings; returns (moved E, skipped pairs).
 
-    `objective` maps a (B, ...) batch to (B,) values. `probes` yields each
-    step's unit perturbations, shaped (B, k) + E.shape[1:], for cfg.steps
-    steps. Step s probes the objective at E +/- mu * U[:, i] for each i of
-    its probes U in turn, averages the k paired differences along their
-    directions, and moves every row by -lam times that estimate. A pair whose
-    difference is not finite is skipped and adds nothing to its row's estimate.
+    `objective` maps a (2B, ...) batch to (2B,) values, row by row. `probes`
+    yields each step's unit perturbations, shaped (B, k) + E.shape[1:], for
+    cfg.steps steps. Step s probes the objective at E + mu * U[:, i] and
+    E - mu * U[:, i], stacked as one batch, for each i of its probes U in
+    turn, averages the k paired differences along their directions, and moves
+    every row by -lam times that estimate. A pair whose difference is not
+    finite is skipped and adds nothing to its row's estimate.
     """
     E = np.asarray(E, dtype=np.float64)
-    want = (E.shape[0], cfg.k) + E.shape[1:]
+    B = E.shape[0]
+    want = (B, cfg.k) + E.shape[1:]
     steps = iter(probes)
     skipped = 0
+    probed = np.empty((2,) + E.shape)  # one direction's plus and minus probes, refilled for each
     for s in range(cfg.steps):
         U = next(steps, None)
         if U is None or U.shape != want:
@@ -197,7 +207,11 @@ def zoo_descend(
         est = np.zeros_like(E)
         for i in range(cfg.k):
             Us = U[:, i]
-            diff = (objective(E + cfg.mu * Us) - objective(E - cfg.mu * Us)) / (2.0 * cfg.mu)
+            np.multiply(Us, cfg.mu, out=probed[1])
+            np.add(E, probed[1], out=probed[0])
+            np.subtract(E, probed[1], out=probed[1])
+            values = objective(probed.reshape((2 * B,) + E.shape[1:]))
+            diff = (values[:B] - values[B:]) / (2.0 * cfg.mu)
             finite = np.isfinite(diff)
             skipped += int((~finite).sum())
             est += np.where(finite, diff, 0.0).reshape((-1,) + (1,) * (E.ndim - 1)) * Us

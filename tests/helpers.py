@@ -223,7 +223,9 @@ def zoo_generate_drawn_first(seed_points, tau, params, cfg, seed, epoch, basis=N
         )
 
         def objective(X):
-            losses = fc.masked_batch_losses(fc.forecast_batch(X, params), Y, M)
+            r = len(X) // len(Y)  # zoo_descend stacks each direction's plus and minus probes
+            pred = fc.forecast_batch(X, params)
+            losses = fc.masked_batch_losses(pred, np.concatenate([Y] * r), np.concatenate([M] * r))
             return -(cfg.alpha * losses + (1.0 - cfg.alpha) * (losses < tau).astype(np.float64))
 
         E, _ = ag.zoo_descend(E, objective, [U[:, s] for s in range(cfg.steps)], cfg)
