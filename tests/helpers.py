@@ -203,6 +203,18 @@ def zoo_descend_one(e, objective, cfg, rng, basis=None) -> np.ndarray:
     return out[0]
 
 
+def zoo_descend_probe_by_probe(E, objective, probes, cfg) -> np.ndarray:
+    """zoo_descend with one objective call per probe, plus then minus: the reference for its stacked probes."""
+    for U in probes:
+        est = np.zeros_like(E)
+        for i in range(cfg.k):
+            Us = U[:, i]
+            diff = (objective(E + cfg.mu * Us) - objective(E - cfg.mu * Us)) / (2.0 * cfg.mu)
+            est += np.where(np.isfinite(diff), diff, 0.0).reshape((-1,) + (1,) * (E.ndim - 1)) * Us
+        E = E - cfg.lam * est / cfg.k
+    return E
+
+
 def zoo_generate_drawn_first(seed_points, tau, params, cfg, seed, epoch, basis=None) -> PointSet:
     """A zoo wave that draws every probe before the first step: the reference for `zoo_generate`.
 

@@ -12,6 +12,7 @@ from helpers import (
     make_points,
     unit_perturbations,
     zoo_descend_one,
+    zoo_descend_probe_by_probe,
     zoo_generate_drawn_first,
 )
 
@@ -359,6 +360,20 @@ class TestZooStreaming:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.E.shape == seeds[:B].E.shape
         assert steps == 0 or not np.array_equal(got.E, seeds[:B].E)
+
+    @pytest.mark.parametrize("B", [2, 95, 175])
+    def test_stacked_probes_equal_one_objective_call_per_probe(self, fixture_wave_case, B):
+        # zoo_descend forecasts a direction's plus and minus probes as one batch of 2B rows. A row's
+        # forecast does not depend on the rows beside it (a one-row batch is the exception: BLAS takes
+        # another path), so the descent moves every row to the bytes of one call per probe
+        params, seeds, basis, tau = fixture_wave_case
+        cfg = ag.ZooConfig(alpha=0.75, lam=30.0, mu=3.0, k=3, steps=3)
+        probes = [U.copy() for U in ag.zoo_probes(seeds.E.shape[1:], B, cfg, 29, basis)]
+        objective = ag.zoo_objective(seeds.Y[:B], seeds.M[:B], tau, params, cfg.alpha)
+        got, _ = ag.zoo_descend(seeds.E[:B], objective, probes, cfg)
+        want = zoo_descend_probe_by_probe(seeds.E[:B], objective, probes, cfg)
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, seeds.E[:B])
 
     def test_wave_allocates_under_half_of_one_probe_stack(self, fixture_wave_case):
         # drawing every probe first held a (175, 10, 3, 24, 32) array (30.8 MiB) twice: a 61.6 MiB peak.
