@@ -242,7 +242,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         wb = build_workbench(cfg)
         run_id = cfg.run_id or f"attack_{args.nonmembers}_s{args.seed}"
         # the row names its non-member split where DP rows name their sigma
-        row, report = attack_row(run_id, "baseline", args.nonmembers, wb.baseline_params, wb, args.nonmembers)
+        row, report = attack_row(
+            run_id, "baseline", args.nonmembers, wb.baseline_losses, len(wb.train_pts), args.nonmembers
+        )
         out_dir = cfg.output_dir
         os.makedirs(out_dir, exist_ok=True)
         write_roc_csv(report.roc.tolist(), os.path.join(out_dir, f"roc_{run_id}.csv"))

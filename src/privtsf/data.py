@@ -79,8 +79,8 @@ class Episode:
     length_hours: float
 
     def __post_init__(self) -> None:
-        if self.length_hours <= 0:
-            raise ValidationError(f"episode {self.episode_id}: non-positive length {self.length_hours}")
+        if not 0 < self.length_hours < np.inf:  # written so that NaN fails it
+            raise ValidationError(f"episode {self.episode_id}: length {self.length_hours} is not positive and finite")
         t = np.asarray(self.t, dtype=np.float64)
         if not (t.ndim == 1 and np.shape(self.var_id) == t.shape == np.shape(self.value)):
             raise ConfigurationError(f"episode {self.episode_id}: t, var_id and value must be 1-d and of equal length")

@@ -19,7 +19,6 @@ Finite-difference verification lives in the test suite.
 
 from __future__ import annotations
 
-import logging
 import zipfile
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -37,8 +36,6 @@ from .data import (
     WindowSet,
     readonly,
 )
-
-log = logging.getLogger(__name__)
 
 PARAM_FIELDS = ("pos", "w_hidden", "b_hidden", "w_state", "w_feedback", "b_state", "w_out", "b_out")
 
@@ -654,7 +651,8 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> tuple[EmbeddingMap, ForecasterParams, Standardizer, dict]:
     """Read a save_checkpoint archive. A file that is not an npz archive of plain
-    arrays, or lacks one of the layout's keys, is a ConfigurationError naming it."""
+    arrays, lacks one of the layout's keys or holds a NaN or infinity is a
+    ConfigurationError naming it."""
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -666,6 +664,9 @@ def load_checkpoint(path: str) -> tuple[EmbeddingMap, ForecasterParams, Standard
             arrays = {key: data[key] for key in _CHECKPOINT_KEYS}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigurationError(f"checkpoint {path} is not an npz archive of arrays: {exc}") from exc
+    nonfinite = [key for key, value in arrays.items() if not np.isfinite(value).all()]
+    if nonfinite:
+        raise ConfigurationError(f"checkpoint {path} has non-finite values in {', '.join(nonfinite)}")
     version = int(arrays["version"])
     if version != CHECKPOINT_VERSION:
         raise ConfigurationError(f"unsupported checkpoint version {version}")

@@ -10,14 +10,15 @@ factor, heldout error may not degrade beyond a small factor, and the combined
 objective priv + beta * mse must not increase. Rejected candidates are
 discarded entirely; every candidate leaves exactly one metrics row.
 
-Every metrics row comes from one evaluation, `attack_row`, which turns a
-model's losses into an attack report through `metrics.attack_report`. Its
-arguments select one of two conventions, kept explicit:
-- gate rows pass the synthetic pool and "heldout": the heldout split is the
-  non-members and the augmented set (originals plus pool) the reference for
-  the loss threshold;
-- attack/DP rows pass no pool and "test": the test split is the non-members
-  and the training set the reference.
+Every metrics row is one model's `split_losses`, reduced by `attack_row`
+through `metrics.attack_report`. The caller picks one of two conventions:
+- gate rows evaluate the model with the synthetic pool and pass "heldout":
+  the heldout split is the non-members and the augmented set (originals plus
+  pool) the reference for the loss threshold;
+- attack/DP rows evaluate the model with no pool and pass "test": the test
+  split is the non-members and the training set the reference.
+Row 0 of a gated run and the attack command read the workbench's stored
+`baseline_losses`.
 """
 
 from __future__ import annotations
@@ -403,31 +404,22 @@ def attack_row(
     run_id: str,
     method: str,
     tag: str,
-    params: ForecasterParams,
-    wb: Workbench,
+    losses: tuple[np.ndarray, np.ndarray, np.ndarray],
+    n_train: int,
     nonmembers: str,
-    pool: PointSet = NO_POINTS,
     epoch: int = 0,
 ) -> tuple[MetricsRow, AttackReport]:
-    """The one evaluation of a model: a metrics row and its attack report.
+    """A metrics row and its attack report from one model's `split_losses`.
 
-    Reads the model's `split_losses`; the workbench's baseline with no pool
-    reads the workbench's stored `baseline_losses` instead. Members are the
-    training points, tau is the mean loss over the training points plus the
-    pool, and the non-members are the `nonmembers` split ("test" or
-    "heldout"). Gate rows pass the pool and "heldout"; attack and DP rows
-    pass no pool and the test split.
+    `losses` is the reference (train plus pool), heldout and test triple, and
+    the first `n_train` reference losses are the members. tau is the mean
+    reference loss, and the non-members are the `nonmembers` split ("test" or
+    "heldout").
     """
     if nonmembers not in NONMEMBERS:
         raise ConfigurationError(f"nonmembers must be one of {NONMEMBERS}, got {nonmembers!r}")
-    # ForecasterParams arrays are read-only and every update allocates new
-    # ones, so the baseline's own object holds the baseline's values
-    if params is wb.baseline_params and not len(pool):
-        ref_losses, held, test = wb.baseline_losses
-    else:
-        ref_losses, held, test = split_losses(params, wb, pool)
-    n_train = len(wb.train_pts)
-    report = attack_report(ref_losses[:n_train], test if nonmembers == "test" else held, float(ref_losses.mean()))
+    reference, held, test = losses
+    report = attack_report(reference[:n_train], test if nonmembers == "test" else held, float(reference.mean()))
     row = _round_row(run_id, method, tag, epoch, report, float(held.mean()), float(test.mean()))
     return row, report
 
@@ -489,7 +481,7 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
 
     run_id, tag = cfg.resolved_run_id(), cfg.param_tag()
     params = wb.baseline_params
-    row, report = attack_row(run_id, cfg.method, tag, params, wb, "heldout", pool=pool.items)
+    row, report = attack_row(run_id, cfg.method, tag, wb.baseline_losses, n_train, "heldout")
     rows = [row]  # `report` stays the last accepted model's
     audits = [RoundAudit(epoch=0)]
     final_epoch = 0  # each candidate is gated against rows[final_epoch], the best accepted row
@@ -516,9 +508,8 @@ def run_augmentation_experiment(cfg: RunConfig, wb: Workbench | None = None) -> 
                 epochs=cfg.retrain_epochs,
                 seed=derive_seed(cfg.seed, _RETRAIN_STREAM * 100_000 + r),
             )
-            row, candidate_report = attack_row(
-                run_id, cfg.method, tag, candidate, wb, "heldout", pool=pool.items, epoch=r
-            )
+            losses = split_losses(candidate, wb, pool.items)
+            row, candidate_report = attack_row(run_id, cfg.method, tag, losses, n_train, "heldout", epoch=r)
             reason = gate_failures(rows[final_epoch], row)
             steps = cfg.zoo.steps if cfg.method in ("zoo", "zoo_pca") else 0
             rows.append(row)
@@ -547,6 +538,7 @@ def run_dp_baseline(cfg: RunConfig, wb: Workbench | None = None) -> RunResult:
     if cfg.method != "dp_sgd":
         raise ConfigurationError("run_dp_baseline requires method dp_sgd")
     wb = _workbench_for(cfg, wb)
+    run_id = cfg.resolved_run_id()
     rows: list[MetricsRow] = []
     audits: list[RoundAudit] = []
     try:
@@ -557,7 +549,8 @@ def run_dp_baseline(cfg: RunConfig, wb: Workbench | None = None) -> RunResult:
             _, fresh = init_params(t.n, t.hidden_dim, cfg.n_vars, t.horizon, init_seed, input_hours=cfg.input_len)
             train_seed = derive_seed(cfg.seed, _DP_TRAIN_STREAM * 100_000 + j)
             params = dp_train(wb.train_pts, fresh, cfg.train, dp, epochs=cfg.dp_epochs, seed=train_seed)
-            row, report = attack_row(cfg.resolved_run_id(), cfg.method, repr(float(sigma)), params, wb, "test")
+            losses = split_losses(params, wb)
+            row, report = attack_row(run_id, cfg.method, repr(float(sigma)), losses, len(wb.train_pts), "test")
             rows.append(row)
             audits.append(RoundAudit(epoch=0))
     finally:

@@ -90,7 +90,7 @@ def test_shared_check_passes(workloads, small_wb, name):
 
 def test_attack_row_matches_the_reference(workloads, small_wb):
     _, wb = small_wb
-    row, _ = runner.attack_row("contract", "baseline", "", wb.baseline_params, wb, "test")
+    row, _ = runner.attack_row("contract", "baseline", "", wb.baseline_losses, len(wb.train_pts), "test")
     workloads.check_row(row, wb.baseline_params, wb, "test", True, "attack row")
 
 
@@ -110,7 +110,8 @@ def test_tracer_counts_an_attack_rows_windows(small_wb, monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        runner.attack_row("contract", "mixup", "", wb.baseline_params, wb, "heldout", pool=pool, epoch=1)
+        losses = runner.split_losses(wb.baseline_params, wb, pool)
+        runner.attack_row("contract", "mixup", "", losses, len(wb.train_pts), "heldout", epoch=1)
     finally:
         tracer.uninstall()
     splits = (wb.train_pts, wb.heldout_pts, wb.test_pts)

@@ -296,7 +296,13 @@ class TestCheckpointBinding:
         assert "has seed 11, the run config 12" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("kind", ["text", "empty", "bad zip", "one array", "no w_state", "object array"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "text", "empty", "bad zip", "one array", "no w_state", "object array", "nan std_mean", "inf emb_weight",
+            "nan emb_bias", "nan w_state", "-inf w_out",
+        ],
+    )
     def test_malformed_checkpoint_exits_1_naming_it(self, tmp_path, capsys, kind):
         ckpt = tmp_path / "c.npz"
         emb, params = init_params(16, 16, 16, 24, seed=0, input_hours=24)
@@ -314,15 +320,23 @@ class TestCheckpointBinding:
                 np.save(fh, params.w_state)
         elif kind == "no w_state":
             np.savez(ckpt, **{k: v for k, v in arrays.items() if k != "w_state"})
-        else:
+        elif kind == "object array":
             np.savez(ckpt, **{**arrays, "std_std": np.array([{}], dtype=object)})
+        else:  # "<value> <key>": the key's first entry set to a NaN or an infinity
+            value, key = kind.split()
+            bad = arrays[key].copy()
+            bad.flat[0] = float(value)
+            np.savez(ckpt, **{**arrays, key: bad})
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, generator={"n_episodes": 30})
         argv = ["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--seed", "12"]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint {ckpt} "), err
-        expected = "has no w_state" if kind == "no w_state" else "is not an npz archive of arrays"
+        if kind.split()[0] in ("nan", "inf", "-inf"):
+            expected = f"has non-finite values in {kind.split()[1]}"
+        else:
+            expected = "has no w_state" if kind == "no w_state" else "is not an npz archive of arrays"
         assert expected in err, err
 
 

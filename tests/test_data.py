@@ -396,6 +396,12 @@ class TestEpisodeValidation:
         with pytest.raises(ValidationError, match="^episode 7: non-finite"):
             Episode(7, [t], [0], [value], 1.0)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_non_positive_or_non_finite_length_rejected_naming_episode(self, length):
+        # NaN used to pass and window to nothing, inf to pass and yield windows
+        with pytest.raises(ValidationError, match=f"^episode 3: length {length} is not positive and finite$"):
+            Episode(3, [0.5], [0], [1.0], length)
+
     @pytest.mark.parametrize("var", [-1, 1.5, math.nan])
     def test_negative_or_fractional_variable_index_rejected_naming_episode(self, var):
         # -1 would wrap to the last variable when binned, 1.5 truncate to 1, NaN become -2**63

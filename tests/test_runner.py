@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import math
 import os
+import re
 import weakref
 
 import numpy as np
@@ -99,7 +100,8 @@ class TestGate:
 
 def gate_row(wb, pool):
     """The baseline model's row and report in the gate convention, with `pool` as the synthetic pool."""
-    return runner.attack_row("r", "zoo", "", wb.baseline_params, wb, "heldout", pool=pool)
+    losses = runner.split_losses(wb.baseline_params, wb, pool)
+    return runner.attack_row("r", "zoo", "", losses, len(wb.train_pts), "heldout")
 
 
 class TestEvaluateCandidate:
@@ -129,7 +131,43 @@ class TestAttackRowNonmembers:
         _, wb = small_wb
         message = f"^nonmembers must be one of \\('test', 'heldout'\\), got '{nonmembers}'$"
         with pytest.raises(ConfigurationError, match=message):
-            runner.attack_row("r", "baseline", "", wb.baseline_params, wb, nonmembers)
+            runner.attack_row("r", "baseline", "", wb.baseline_losses, len(wb.train_pts), nonmembers)
+
+
+class TestAttackRowLosses:
+    """`attack_row` reduces one model's split losses to a row, with no model or workbench."""
+
+    # three members, then two pool rows; tau is the mean of all five, 0.6, and all three members fall below it
+    REFERENCE = np.array([0.1, 0.2, 0.3, 1.0, 1.4])
+    HELD = np.array([0.3, 0.05, 1.0])  # 2 of 3 below tau
+    TEST = np.array([0.7, 0.4])  # 1 of 2 below tau
+
+    @pytest.mark.parametrize("nonmembers, fpr", [("heldout", 2 / 3), ("test", 1 / 2)])
+    def test_row_reduces_the_split_losses(self, nonmembers, fpr):
+        row, report = runner.attack_row("r", "zoo", "0.75", (self.REFERENCE, self.HELD, self.TEST), 3, nonmembers, 2)
+        tau = float(self.REFERENCE.mean())
+        assert row.tau == report.tau == tau != float(self.REFERENCE[:3].mean())
+        want = attack_report(self.REFERENCE[:3], self.HELD if nonmembers == "heldout" else self.TEST, tau)
+        assert (report.tpr, report.fpr, report.priv, report.auroc) == (want.tpr, want.fpr, want.priv, want.auroc)
+        assert np.array_equal(report.roc, want.roc)
+        assert (report.tpr, report.fpr) == (1.0, fpr)  # all five reference rows as members would give tpr 3/5
+        assert (row.tpr_at_tau, row.fpr_at_tau, row.priv_ratio, row.auroc) == (1.0, fpr, 1.0 / fpr, want.auroc)
+        assert (row.mse_heldout, row.mse_test) == (float(self.HELD.mean()), float(self.TEST.mean()))
+        assert (row.run_id, row.method, row.alpha_or_beta, row.epoch) == ("r", "zoo", "0.75", 2)
+
+    def test_forecasts_nothing(self, small_wb, monkeypatch):
+        from privtsf import metrics
+
+        _, wb = small_wb
+        losses = runner.split_losses(wb.baseline_params, wb, wb.heldout_pts[:20])
+        want = runner.attack_row("r", "zoo", "", losses, len(wb.train_pts), "heldout")
+
+        def no_forecast(E, params):
+            raise AssertionError("attack_row forecast")
+
+        monkeypatch.setattr(metrics, "forecast_batch", no_forecast)
+        row, report = runner.attack_row("r", "zoo", "", losses, len(wb.train_pts), "heldout")
+        assert row == want[0] and report.tau == want[1].tau == float(losses[0].mean())
 
 
 class TestAttackRowMemory:
@@ -141,7 +179,9 @@ class TestAttackRowMemory:
         emb, params = init_params(32, 64, 16, 24, seed=3, input_hours=24)
         train, pool, held, test = (make_points(rng, count, 24, 32, 24, 16) for count in (350, 175, 1200, 1200))
         wb = runner.Workbench(emb, params, train, held, test, identity_standardizer(16), settings={})
-        peak = allocation_peak(lambda: runner.attack_row("r", "zoo", "", params, wb, "heldout", pool=pool, epoch=1))
+        peak = allocation_peak(
+            lambda: runner.attack_row("r", "zoo", "", runner.split_losses(params, wb, pool), len(train), "heldout", 1)
+        )
         assert peak < 20 * 2**20, peak
 
 
@@ -489,8 +529,8 @@ class TestEvaluationPasses:
         assert first == [len(wb.train_pts) + len(wb.heldout_pts) + len(wb.test_pts), 0]
         monkeypatch.undo()
 
-        fresh = dataclasses.replace(wb)  # the same points and baseline, with nothing stored yet
-        want, _ = runner.attack_row("r", "baseline", "", wb.baseline_params, fresh, "heldout")
+        fresh = runner.split_losses(wb.baseline_params, wb)  # the baseline evaluated again, not read from the store
+        want, _ = runner.attack_row("r", "baseline", "", fresh, len(wb.train_pts), "heldout")
         for res in results:
             row0 = res.rows[0]
             assert dataclasses.replace(row0, run_id="r", method="baseline", alpha_or_beta="") == want
@@ -608,6 +648,25 @@ class TestWorkbench:
         }[field]
         with pytest.raises(ConfigurationError, match=f"has {field} {stored}, the run config {run_value}$"):
             runner.build_workbench(dataclasses.replace(cfg, **overrides))
+
+    @pytest.mark.parametrize("key", ["std_mean", "emb_weight", "emb_bias", "w_state"])
+    def test_non_finite_checkpoint_is_config_error_before_any_episode_is_loaded(self, tmp_path, monkeypatch, key):
+        cfg = tiny_cfg("baseline", 47, "", checkpoint=str(tmp_path / "c.npz"))
+        emb, params = init_params(16, 16, 16, 24, seed=0, input_hours=24)
+        save_checkpoint(cfg.checkpoint, emb, params, identity_standardizer(16), seed=47)
+        with np.load(cfg.checkpoint) as data:
+            arrays = dict(data)
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[-1] = math.nan
+        np.savez(cfg.checkpoint, **arrays)
+
+        def no_episodes(cfg):
+            raise AssertionError("episodes loaded")
+
+        monkeypatch.setattr(runner, "load_episodes", no_episodes)
+        message = f"^checkpoint {re.escape(cfg.checkpoint)} has non-finite values in {key}$"
+        with pytest.raises(ConfigurationError, match=message):
+            runner.build_workbench(cfg)
 
     @pytest.mark.parametrize("method", ["mixup", "dp_sgd"])
     def test_workbench_of_another_seed_is_config_error_before_any_output(self, small_wb, tmp_path, method):
